@@ -3,8 +3,17 @@
 //
 // Paper shape: Rock's chase is parallelly scalable; 3.12× faster at n=20
 // than at n=4. The first (dominant) chase round is partitioned into
-// HyperCube work units executed under the worker pool; see Fig 4(h) and
-// DESIGN.md for the measurement methodology.
+// HyperCube work units executed under the worker pool. Two sections, as in
+// Fig 4(h):
+//
+//  1. Replayed schedule — each curve point chases fresh data on one worker
+//     (round-0 units run serially, in unit order) to measure the unit
+//     durations, then WorkerPool(n).Replay replays the n-worker schedule
+//     from them: a hardware-independent curve shape.
+//  2. Threaded execution — fresh data chased on n real worker threads,
+//     measured wall-clock next to the replayed makespan.
+//
+// See DESIGN.md for the measurement methodology.
 
 #include <thread>
 
@@ -14,7 +23,7 @@
 namespace rock::bench {
 namespace {
 
-par::ScheduleReport RunOnce(int workers, par::ExecutionMode mode) {
+par::ScheduleReport RunOnce(int workers) {
   // Fresh data per configuration: the chase mutates its fix store.
   AppContext app = MakeApp("Logistics", 400);
   RockSetup setup = PrepareRock(app, core::Variant::kRock);
@@ -25,8 +34,7 @@ par::ScheduleReport RunOnce(int workers, par::ExecutionMode mode) {
     (void)ignored;
   }
   par::ScheduleReport schedule;
-  engine.RunParallel(setup.rules, workers, /*block_rows=*/64, &schedule,
-                     mode);
+  engine.RunParallel(setup.rules, workers, /*block_rows=*/64, &schedule);
   return schedule;
 }
 
@@ -34,15 +42,14 @@ void Run() {
   BenchTelemetry telemetry("fig4_scale_ec");
   Timer total;
   Timer phase;
-  std::printf("-- simulated schedule (deterministic curve shape) --\n");
+  std::printf("-- replayed schedule (deterministic curve shape) --\n");
   std::printf("%8s %14s %14s %10s %8s\n", "workers", "makespan(s)",
               "serial(s)", "speedup", "stolen");
   double t4 = 0.0, t20 = 0.0;
   for (int workers : {4, 8, 12, 16, 20}) {
     par::ScheduleReport schedule =
-        RunOnce(workers, par::ExecutionMode::kSimulated);
-    telemetry.AddSchedule("simulated/w" + std::to_string(workers),
-                          schedule);
+        par::WorkerPool(workers).Replay(RunOnce(/*workers=*/1));
+    telemetry.AddSchedule("replay", schedule);
     std::printf("%8d %14.4f %14.4f %9.2fx %8d\n", workers,
                 schedule.makespan_seconds, schedule.serial_seconds,
                 schedule.speedup(), schedule.stolen_units);
@@ -51,7 +58,7 @@ void Run() {
   }
   double scaling = t20 > 0 ? t4 / t20 : 0.0;
   telemetry.AddResult("simulated_speedup_n4_to_n20", scaling);
-  telemetry.AddPhase("simulated", phase.ElapsedSeconds());
+  telemetry.AddPhase("replay", phase.ElapsedSeconds());
   phase.Reset();
   std::printf("\nSpeedup from n=4 to n=20: %.2fx (paper reports 3.12x)\n",
               scaling);
@@ -61,11 +68,10 @@ void Run() {
       "--\n",
       std::thread::hardware_concurrency());
   std::printf("%8s %14s %14s %12s %12s %8s\n", "workers", "wall(s)",
-              "serial(s)", "measured", "simulated", "stolen");
+              "serial(s)", "measured", "replayed", "stolen");
   for (int workers : {1, 2, 4, 8}) {
-    par::ScheduleReport schedule =
-        RunOnce(workers, par::ExecutionMode::kThreads);
-    telemetry.AddSchedule("threads/w" + std::to_string(workers), schedule);
+    par::ScheduleReport schedule = RunOnce(workers);
+    telemetry.AddSchedule("threads", schedule);
     std::printf("%8d %14.4f %14.4f %11.2fx %11.2fx %8d\n", workers,
                 schedule.wall_seconds, schedule.serial_seconds,
                 schedule.measured_speedup(), schedule.speedup(),

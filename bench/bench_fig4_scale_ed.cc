@@ -4,13 +4,15 @@
 // Paper shape: running time decreases monotonically; Rock is 3.36× faster
 // at n=20 than at n=4 (parallel scalability). Two sections:
 //
-//  1. Simulated mode — work units run once with measured durations and the
-//     schedule (consistent-hash placement + work stealing) is replayed from
-//     those durations, so the curve *shape* is hardware independent and
-//     reproducible on a 1-core CI runner (see DESIGN.md's substitution
-//     table).
-//  2. Threaded mode — the same units run under real worker threads;
-//     measured wall-clock is reported next to the simulated makespan so the
+//  1. Replayed schedule — each curve point runs the work units on one
+//     worker (serially, in unit order) to measure their durations, then
+//     WorkerPool(n).Replay replays the n-worker schedule (consistent-hash
+//     placement + work stealing) from those durations, so the curve *shape*
+//     is hardware independent and reproducible on a 1-core CI runner (see
+//     DESIGN.md's substitution table). One detector serves every point, so
+//     the first point also pays the cold-cache cost.
+//  2. Threaded execution — the same units run under n real worker threads;
+//     measured wall-clock is reported next to the replayed makespan so the
 //     model can be checked against reality on multi-core hosts.
 
 #include <thread>
@@ -21,31 +23,28 @@
 namespace rock::bench {
 namespace {
 
-detect::ErrorDetector MakeDetector(AppContext& app, RockSetup& setup,
-                                   par::ExecutionMode mode) {
+detect::ErrorDetector MakeDetector(AppContext& app, RockSetup& setup) {
   rules::EvalContext ctx;
   ctx.db = &app.data.db;
   ctx.graph = &app.data.graph;
   ctx.models = setup.rock->models();
   detect::DetectorOptions options;
   options.block_rows = 48;  // fine-grained HyperCube blocks
-  options.execution_mode = mode;
   return detect::ErrorDetector(ctx, options);
 }
 
-void RunSimulated(AppContext& app, RockSetup& setup,
-                  BenchTelemetry* telemetry) {
-  detect::ErrorDetector detector =
-      MakeDetector(app, setup, par::ExecutionMode::kSimulated);
-  std::printf("-- simulated schedule (deterministic curve shape) --\n");
+void RunReplayed(AppContext& app, RockSetup& setup,
+                 BenchTelemetry* telemetry) {
+  detect::ErrorDetector detector = MakeDetector(app, setup);
+  std::printf("-- replayed schedule (deterministic curve shape) --\n");
   std::printf("%8s %14s %14s %10s %8s\n", "workers", "makespan(s)",
               "serial(s)", "speedup", "stolen");
   double t4 = 0.0, t20 = 0.0;
   for (int workers : {4, 8, 12, 16, 20}) {
-    par::ScheduleReport schedule;
-    detector.DetectParallel(setup.rules, workers, &schedule);
-    telemetry->AddSchedule("simulated/w" + std::to_string(workers),
-                           schedule);
+    par::ScheduleReport measured;
+    detector.DetectParallel(setup.rules, /*num_workers=*/1, &measured);
+    par::ScheduleReport schedule = par::WorkerPool(workers).Replay(measured);
+    telemetry->AddSchedule("replay", schedule);
     std::printf("%8d %14.4f %14.4f %9.2fx %8d\n", workers,
                 schedule.makespan_seconds, schedule.serial_seconds,
                 schedule.speedup(), schedule.stolen_units);
@@ -66,14 +65,13 @@ void RunThreaded(AppContext& app, RockSetup& setup,
       "--\n",
       cores);
   std::printf("%8s %14s %14s %12s %12s %8s\n", "workers", "wall(s)",
-              "serial(s)", "measured", "simulated", "stolen");
+              "serial(s)", "measured", "replayed", "stolen");
   double wall1 = 0.0, wall4 = 0.0;
   for (int workers : {1, 2, 4, 8}) {
-    detect::ErrorDetector detector =
-        MakeDetector(app, setup, par::ExecutionMode::kThreads);
+    detect::ErrorDetector detector = MakeDetector(app, setup);
     par::ScheduleReport schedule;
     detector.DetectParallel(setup.rules, workers, &schedule);
-    telemetry->AddSchedule("threads/w" + std::to_string(workers), schedule);
+    telemetry->AddSchedule("threads", schedule);
     std::printf("%8d %14.4f %14.4f %11.2fx %11.2fx %8d\n", workers,
                 schedule.wall_seconds, schedule.serial_seconds,
                 schedule.measured_speedup(), schedule.speedup(),
@@ -97,8 +95,8 @@ void Run() {
   RockSetup setup = PrepareRock(app, core::Variant::kRock);
   telemetry.AddPhase("prepare", phase.ElapsedSeconds());
   phase.Reset();
-  RunSimulated(app, setup, &telemetry);
-  telemetry.AddPhase("simulated", phase.ElapsedSeconds());
+  RunReplayed(app, setup, &telemetry);
+  telemetry.AddPhase("replay", phase.ElapsedSeconds());
   phase.Reset();
   RunThreaded(app, setup, &telemetry);
   telemetry.AddPhase("threaded", phase.ElapsedSeconds());

@@ -45,10 +45,12 @@ class BenchTelemetry {
     phases_.emplace_back(phase, seconds);
   }
 
-  /// Records one worker-pool schedule row (one bench table line).
-  void AddSchedule(const std::string& label,
+  /// Records one worker-pool schedule row (one bench table line), labeled
+  /// "<mode>/w<workers>". `mode` is "threads" for a measured Execute and
+  /// "replay" for a WorkerPool::Replay of one.
+  void AddSchedule(const std::string& mode,
                    const par::ScheduleReport& report) {
-    schedules_.emplace_back(label, report);
+    schedules_.emplace_back(mode, report);
   }
 
   /// Records a scalar result (speedups, F1 scores, row counts, ...).
@@ -77,8 +79,8 @@ class BenchTelemetry {
     }
     w.EndObject();
     w.Key("schedules").BeginArray();
-    for (const auto& [label, report] : schedules_) {
-      AppendSchedule(label, report, &w);
+    for (const auto& [mode, report] : schedules_) {
+      AppendSchedule(mode, report, &w);
     }
     w.EndArray();
     w.Key("results").BeginObject();
@@ -185,14 +187,12 @@ class BenchTelemetry {
     return OutputPrefix() + "BENCH_" + name_ + ".json";
   }
 
-  static void AppendSchedule(const std::string& label,
+  static void AppendSchedule(const std::string& mode,
                              const par::ScheduleReport& report,
                              obs::JsonWriter* w) {
     w->BeginObject();
-    w->Key("label").String(label);
-    w->Key("mode").String(report.mode == par::ExecutionMode::kThreads
-                              ? "threads"
-                              : "simulated");
+    w->Key("label").String(mode + "/w" + std::to_string(report.num_workers));
+    w->Key("mode").String(mode);
     w->Key("workers").Int(report.num_workers);
     w->Key("serial_seconds").Number(report.serial_seconds);
     w->Key("makespan_seconds").Number(report.makespan_seconds);

@@ -15,6 +15,10 @@ Enforces repo conventions that neither the compiler nor clang-tidy check:
                      outside the two audited networking seams: src/obs/
                      server.cc (TelemetryServer) and src/serve/ (rockd and
                      its client/load-generator stack).
+  raw-clock          no steady_clock::now / clock_gettime( reads under src/
+                     outside src/common/timer.h (SteadySeconds, Timer) and
+                     src/obs/resource.cc (ThreadCpuSeconds): one wall clock
+                     and one CPU clock, each with one owner.
   unregistered-test  every tests/*.cc is picked up by tests/CMakeLists.txt
                      (the glob takes *_test.cc; anything else must be named
                      there explicitly or it silently never runs).
@@ -58,6 +62,9 @@ NONDETERMINISM_RE = re.compile(
 RAW_SOCKET_RE = re.compile(
     r"(?<![A-Za-z0-9_:.>])(?:::\s*)?"
     r"(?:socket|bind|listen|accept|accept4|connect)\s*\(")
+RAW_CLOCK_RE = re.compile(
+    r"steady_clock::now\b|(?<![A-Za-z0-9_])clock_gettime\s*\(")
+CLOCK_OWNERS = ("src/common/timer.h", "src/obs/resource.cc")
 
 
 def strip_comments_and_strings(text):
@@ -124,6 +131,10 @@ def lint_file(path, text):
           "src/serve/ stack; src/obs/server.cc and src/serve/ are the "
           "audited socket seams",
           skip=path == "src/obs/server.cc" or path.startswith("src/serve/"))
+    check("raw-clock", RAW_CLOCK_RE,
+          "read the clock through rock::SteadySeconds / Timer "
+          "(src/common/timer.h) or obs::ThreadCpuSeconds",
+          skip=not path.startswith("src/") or path in CLOCK_OWNERS)
 
     if is_header and "#pragma once" not in text:
         findings.append((path, 1, "pragma-once",
@@ -199,6 +210,12 @@ SELF_TEST_CASES = [
     ("src/par/executor.cc", "auto f = std::bind(&X::Run, this);\n", None),
     ("src/par/executor.cc", "ring.accept(unit);\n", None),
     ("src/par/executor.cc", "queue->accept(unit);\n", None),
+    ("src/obs/trace.cc", "auto t = std::chrono::steady_clock::now();\n",
+     "raw-clock"),
+    ("src/par/executor.cc", "clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);\n",
+     "raw-clock"),
+    ("src/obs/resource.cc", "clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);\n",
+     None),
     # Signal/timer seam confinement is rock_analyze.py's signal-safety
     # check now.
     ("src/core/engine.cc", "sigaction(SIGPROF, &sa, nullptr);\n", None),

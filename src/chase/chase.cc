@@ -612,8 +612,7 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
 
 ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
                                      int num_workers, int block_rows,
-                                     par::ScheduleReport* schedule,
-                                     par::ExecutionMode mode) {
+                                     par::ScheduleReport* schedule) {
   ROCK_OBS_SPAN("chase.run_parallel");
   ChaseResult result;
   rules::Evaluator eval(Context());
@@ -655,7 +654,7 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   par::PoolOptions pool_options;
   pool_options.retry = options_.retry;
   pool_options.fault_plan = options_.fault_plan;
-  par::WorkerPool pool(num_workers, mode, pool_options);
+  par::WorkerPool pool(num_workers, pool_options);
   std::vector<rules::Evaluator> evals;
   evals.reserve(static_cast<size_t>(pool.num_workers()));
   for (int w = 0; w < pool.num_workers(); ++w) {
@@ -712,7 +711,7 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   if (result.replayed_units > 0) {
     metrics.checkpoint_restores->Add(result.replayed_units);
   }
-  if (schedule != nullptr) *schedule = local;
+  if (schedule != nullptr) *schedule = std::move(local);
 
   // Apply phase (after the barrier): consequences are deduced serially in
   // unit order. Preconditions are re-verified against the now-growing

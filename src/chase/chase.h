@@ -113,14 +113,12 @@ class ChaseEngine {
   /// read-only, and the buffers are merged at the pool's barrier in unit
   /// order. Consequences are then applied serially (re-verifying each
   /// precondition against the growing overlay), so the chase reaches the
-  /// same fixpoint as Run() for every worker count and both execution
-  /// modes; valuations a round-0 fix newly enables are picked up by the
-  /// serial propagation rounds through the dirty set.
+  /// same fixpoint as Run() for every worker count; valuations a round-0
+  /// fix newly enables are picked up by the serial propagation rounds
+  /// through the dirty set.
   ChaseResult RunParallel(const std::vector<rules::Ree>& rules,
                           int num_workers, int block_rows,
-                          par::ScheduleReport* schedule,
-                          par::ExecutionMode mode =
-                              par::ExecutionMode::kThreads);
+                          par::ScheduleReport* schedule);
 
   /// Applies U to a copy of the database: validated values overwrite cells,
   /// EIDs become canonical.

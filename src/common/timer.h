@@ -4,6 +4,15 @@
 
 namespace rock {
 
+/// Seconds on the monotonic clock since an unspecified epoch: the one clock
+/// read for deadlines, uptimes and span timestamps (only differences are
+/// meaningful).
+inline double SteadySeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Monotonic wall-clock timer used by the benchmark harness and the cost
 /// model's calibration path.
 class Timer {

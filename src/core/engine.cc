@@ -302,16 +302,8 @@ detect::DetectionReport Rock::DetectErrorsIncremental(
 detect::DetectionReport Rock::DetectErrorsParallel(
     const std::vector<Ree>& rules, int num_workers,
     par::ScheduleReport* schedule) const {
-  return DetectErrorsParallel(rules, num_workers,
-                              options_.detector.execution_mode, schedule);
-}
-
-detect::DetectionReport Rock::DetectErrorsParallel(
-    const std::vector<Ree>& rules, int num_workers, par::ExecutionMode mode,
-    par::ScheduleReport* schedule) const {
-  detect::DetectorOptions detector_options = options_.detector;
-  detector_options.execution_mode = mode;
-  detect::ErrorDetector detector(Context(), detector_options);
+  ROCK_OBS_SPAN("rock.detect_parallel");
+  detect::ErrorDetector detector(Context(), options_.detector);
   detect::DetectionReport report =
       detector.DetectParallel(rules, num_workers, schedule);
   DetectPolyViolations(&report);
@@ -452,8 +444,7 @@ std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrorsParallel(
   CorrectionResult local;
   local.poly_fixes = ApplyPolyFixes(engine.get());
   local.chase = engine->RunParallel(rules, num_workers,
-                                    options_.detector.block_rows, schedule,
-                                    options_.detector.execution_mode);
+                                    options_.detector.block_rows, schedule);
   local.passes = 1;
   if (result != nullptr) *result = local;
   last_engine_ = engine;

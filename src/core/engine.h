@@ -172,18 +172,11 @@ class Rock {
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
 
-  /// Parallel detection with schedule accounting, under the execution mode
-  /// configured in RockOptions::detector (real worker threads by default).
+  /// Parallel detection on `num_workers` worker threads, with schedule
+  /// accounting.
   detect::DetectionReport DetectErrorsParallel(
       const std::vector<rules::Ree>& rules, int num_workers,
       par::ScheduleReport* schedule) const;
-
-  /// Same, with an explicit execution mode — benches use this to compare
-  /// the measured threaded wall-clock against the simulated makespan on
-  /// the same workload.
-  detect::DetectionReport DetectErrorsParallel(
-      const std::vector<rules::Ree>& rules, int num_workers,
-      par::ExecutionMode mode, par::ScheduleReport* schedule) const;
 
   /// Error correction: chases the data with (rules, Γ) under the variant's
   /// execution policy. `ground_truth` tuples seed Γ.

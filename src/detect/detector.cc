@@ -619,7 +619,7 @@ DetectionReport ErrorDetector::DetectParallel(
   par::PoolOptions pool_options;
   pool_options.retry = options_.retry;
   pool_options.fault_plan = options_.fault_plan;
-  par::WorkerPool pool(num_workers, options_.execution_mode, pool_options);
+  par::WorkerPool pool(num_workers, pool_options);
   // One evaluator and batch scratch per worker (the evaluator caches
   // equality indexes; the scratch is not thread-safe) and one report per
   // unit: workers share only the sharded ML score memo, whose content-
@@ -660,7 +660,7 @@ DetectionReport ErrorDetector::DetectParallel(
         .GetCounter("rock_detect_recovered_units_total")
         ->Add(recovered);
   }
-  if (schedule != nullptr) *schedule = local;
+  if (schedule != nullptr) *schedule = std::move(local);
 
   DetectionReport report;
   for (DetectionReport& unit_report : unit_reports) {

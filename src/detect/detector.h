@@ -63,10 +63,6 @@ struct DetectorOptions {
   bool use_ml_blocking = true;
   /// Rows per virtual block for HyperCube partitioning (parallel mode).
   int block_rows = 512;
-  /// How DetectParallel runs its work units: real worker threads (the
-  /// production path) or the deterministic simulated-time schedule used by
-  /// the speedup-shape benches.
-  par::ExecutionMode execution_mode = par::ExecutionMode::kThreads;
   /// Deterministic fault schedule injected into DetectParallel's pool (not
   /// owned; nullptr disables injection). Units the pool abandons are
   /// replayed serially into their own per-unit reports before the unit-
@@ -101,13 +97,12 @@ class ErrorDetector {
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
 
-  /// Parallel detection: HyperCube units executed under the worker pool
-  /// (threaded or simulated per DetectorOptions::execution_mode); fills
-  /// `schedule` with the placement/stealing accounting used by the
+  /// Parallel detection: HyperCube units executed under the worker pool;
+  /// fills `schedule` with the placement/stealing accounting used by the
   /// scalability benches. Each unit accumulates into its own report and the
   /// per-unit reports are merged in unit order, so the result is bitwise
-  /// identical for every worker count and both execution modes, and covers
-  /// the same dirty cells as Detect().
+  /// identical for every worker count, and covers the same dirty cells as
+  /// Detect().
   DetectionReport DetectParallel(const std::vector<rules::Ree>& rules,
                                  int num_workers,
                                  par::ScheduleReport* schedule) const;

@@ -11,13 +11,13 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <vector>
 
 #include "src/common/mutex.h"
+#include "src/common/timer.h"
 #include "src/obs/exporters.h"
 
 // glibc only gained the public sigev_notify_thread_id accessor recently;
@@ -28,12 +28,6 @@
 
 namespace rock::obs {
 namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 pid_t ThisTid() { return static_cast<pid_t>(::syscall(SYS_gettid)); }
 

@@ -23,7 +23,7 @@ thread_local uint64_t t_alloc_count = 0;
 
 double ThreadCpuSeconds() {
   timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0.0;
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return -1.0;
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }

@@ -7,7 +7,8 @@ namespace rock::obs {
 /// CPU seconds consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
 /// Two reads bracket a region; the delta is the region's on-CPU time,
 /// excluding time spent blocked or preempted — the `cpu_seconds` column
-/// ScopedSpan attributes to each span name.
+/// ScopedSpan attributes to each span name. Negative when the clock cannot
+/// be read, so callers can fall back to wall-clock durations.
 double ThreadCpuSeconds();
 
 /// Cumulative bytes the calling thread has requested through operator new

@@ -7,21 +7,15 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "src/common/logging.h"
+#include "src/common/timer.h"
 #include "src/obs/exporters.h"
 #include "src/obs/profile.h"
 
 namespace rock::obs {
 namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Reads until the header terminator (CRLFCRLF), the size cap, EOF, or
 /// the socket's receive timeout. Returns what was read; the caller

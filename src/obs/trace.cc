@@ -1,21 +1,15 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 
+#include "src/common/timer.h"
 #ifndef ROCK_OBS_DISABLE_PROFILER
 #include "src/obs/resource.h"
 #endif
 
 namespace rock::obs {
 namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 size_t RoundUpPow2(size_t n) {
   size_t p = 1;

@@ -12,18 +12,13 @@
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
+#include "src/common/timer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace.h"
 
 namespace rock::obs {
 namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::atomic<uint64_t> g_stalls{0};
 

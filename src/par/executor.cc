@@ -1,12 +1,11 @@
 #include "src/par/executor.h"
 
-#include <ctime>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <thread>
 
@@ -16,6 +15,7 @@
 #include "src/obs/exporters.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
+#include "src/obs/resource.h"
 #include "src/obs/trace.h"
 
 namespace rock::par {
@@ -132,7 +132,7 @@ int WorkerIdOf(const std::string& node) {
 void PublishBreakdown(const ScheduleReport& report) {
   static std::atomic<uint64_t> seq{0};
   obs::WorkerBreakdown breakdown;
-  breakdown.mode = ExecutionModeName(report.mode);
+  breakdown.mode = "threads";
   breakdown.workers = report.num_workers;
   breakdown.wall_seconds = report.wall_seconds;
   breakdown.label = breakdown.mode + "-" +
@@ -206,21 +206,8 @@ std::vector<WorkUnit> BuildHyperCubeUnits(const Database& db, int rule_index,
   return units;
 }
 
-const char* ExecutionModeName(ExecutionMode mode) {
-  switch (mode) {
-    case ExecutionMode::kThreads:
-      return "threads";
-    case ExecutionMode::kSimulated:
-      return "simulated";
-  }
-  return "?";
-}
-
-WorkerPool::WorkerPool(int num_workers, ExecutionMode mode,
-                       PoolOptions options)
-    : num_workers_(std::max(1, num_workers)),
-      mode_(mode),
-      options_(options) {
+WorkerPool::WorkerPool(int num_workers, PoolOptions options)
+    : num_workers_(std::max(1, num_workers)), options_(options) {
   ROCK_CHECK(options_.retry.max_attempts >= 1);
   for (int w = 0; w < num_workers_; ++w) {
     Status s = ring_.AddNode("worker-" + std::to_string(w));
@@ -228,14 +215,13 @@ WorkerPool::WorkerPool(int num_workers, ExecutionMode mode,
   }
 }
 
-int WorkerPool::LocateLiveWorker(const WorkUnit& unit,
+int WorkerPool::LocateLiveWorker(const std::string& key,
                                  const std::vector<char>& alive) const {
   ROCK_CHECK(std::find(alive.begin(), alive.end(), 1) != alive.end())
-      << "no live worker to place " << unit.PlacementKey();
-  const std::string key = unit.PlacementKey();
+      << "no live worker to place " << key;
   for (int salt = 0;; ++salt) {
     // Salted probing keeps the re-placement a pure function of the ring and
-    // the alive set — identical across runs and execution modes.
+    // the alive set — identical across runs and in Replay.
     auto owner =
         ring_.Locate(salt == 0 ? key : key + "#" + std::to_string(salt));
     int worker = owner.ok() ? WorkerIdOf(*owner) : 0;
@@ -244,191 +230,18 @@ int WorkerPool::LocateLiveWorker(const WorkUnit& unit,
 }
 
 std::vector<std::vector<size_t>> WorkerPool::PlaceUnits(
-    const std::vector<WorkUnit>& units) const {
+    const std::vector<std::string>& keys) const {
   std::vector<std::vector<size_t>> queues(
       static_cast<size_t>(num_workers_));
-  for (size_t i = 0; i < units.size(); ++i) {
-    auto owner = ring_.Locate(units[i].PlacementKey());
-    int worker = 0;
-    if (owner.ok()) {
-      worker = std::stoi(owner->substr(owner->find('-') + 1));
-    }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto owner = ring_.Locate(keys[i]);
+    int worker = owner.ok() ? WorkerIdOf(*owner) : 0;
     queues[static_cast<size_t>(worker)].push_back(i);
   }
   return queues;
 }
 
 namespace {
-
-struct SimulationResult {
-  double makespan = 0.0;
-  std::vector<int> executed;
-  /// Virtual-time per-worker attribution: busy sums service time, wait
-  /// sums each acquired unit's submit→dequeue queue wait.
-  std::vector<double> busy;
-  std::vector<double> wait;
-  int stolen = 0;
-  FaultReport faults;
-};
-
-/// Deterministic re-placement rule used when a (virtual or real) worker
-/// dies; implemented by WorkerPool::LocateLiveWorker.
-using RelocateFn = std::function<int(size_t unit, const std::vector<char>&)>;
-
-/// Event-driven replay of the placement + work-stealing schedule from
-/// per-unit durations: when a worker's queue drains it steals the tail of
-/// the longest remaining queue (paper §5.2: "when a node finishes its
-/// assigned work units, it evokes the work manager to fetch work units from
-/// other nodes").
-///
-/// With a FaultPlan, the same fault pipeline as ExecuteThreads runs in
-/// virtual time: a crash kills the acquiring virtual worker and drains its
-/// queue via `relocate`, a straggler stretches the executing attempt, and a
-/// transient failure costs one backoff and a requeue (or exhausts the
-/// attempt budget). Because faults are keyed by (unit, attempt number),
-/// never by time, the resulting FaultReport matches the threaded run.
-SimulationResult SimulateSchedule(
-    const std::vector<std::vector<size_t>>& placement,
-    const std::vector<double>& durations, int num_workers,
-    const FaultPlan* plan, const RetryPolicy& retry,
-    const RelocateFn& relocate) {
-  SimulationResult result;
-  result.executed.assign(static_cast<size_t>(num_workers), 0);
-  result.busy.assign(static_cast<size_t>(num_workers), 0.0);
-  result.wait.assign(static_cast<size_t>(num_workers), 0.0);
-  /// Virtual time each unit last became runnable: 0 at initial placement,
-  /// updated when a retry or a death drain re-queues it.
-  std::vector<double> submitted(durations.size(), 0.0);
-  std::vector<std::deque<size_t>> queues(static_cast<size_t>(num_workers));
-  size_t remaining = 0;
-  for (int w = 0; w < num_workers; ++w) {
-    for (size_t unit : placement[static_cast<size_t>(w)]) {
-      queues[static_cast<size_t>(w)].push_back(unit);
-      ++remaining;
-    }
-  }
-
-  std::vector<int> attempts(durations.size(), 0);
-  std::vector<char> alive(static_cast<size_t>(num_workers), 1);
-  int live = num_workers;
-
-  std::vector<double> clock(static_cast<size_t>(num_workers), 0.0);
-  using Event = std::pair<double, int>;  // (time ready, worker)
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> ready;
-  for (int w = 0; w < num_workers; ++w) ready.emplace(0.0, w);
-
-  while (remaining > 0 && !ready.empty()) {
-    auto [now, worker] = ready.top();
-    ready.pop();
-    if (!alive[static_cast<size_t>(worker)]) continue;
-    auto& queue = queues[static_cast<size_t>(worker)];
-    if (queue.empty()) {
-      // Steal from the worker with the most queued units. Dead workers'
-      // queues drained at death, so they are never chosen.
-      int victim = -1;
-      size_t best = 0;
-      for (int w = 0; w < num_workers; ++w) {
-        if (w == worker) continue;
-        if (queues[static_cast<size_t>(w)].size() > best) {
-          best = queues[static_cast<size_t>(w)].size();
-          victim = w;
-        }
-      }
-      if (victim < 0) continue;  // nothing left anywhere
-      queue.push_back(queues[static_cast<size_t>(victim)].back());
-      queues[static_cast<size_t>(victim)].pop_back();
-      ++result.stolen;
-    }
-    size_t unit = queue.front();
-    queue.pop_front();
-    if (now > submitted[unit]) {
-      result.wait[static_cast<size_t>(worker)] += now - submitted[unit];
-    }
-    double service = durations[unit];
-    if (plan != nullptr) {
-      int attempt = ++attempts[unit];
-      auto crash = plan->crash_at_attempt.find(unit);
-      if (crash != plan->crash_at_attempt.end() &&
-          crash->second == attempt) {
-        if (live > 1) {
-          alive[static_cast<size_t>(worker)] = 0;
-          --live;
-          result.faults.injected++;
-          result.faults.worker_deaths++;
-          // The acquired unit and the remaining deque drain to survivors.
-          std::vector<size_t> drained(queue.begin(), queue.end());
-          queue.clear();
-          queues[static_cast<size_t>(relocate(unit, alive))].push_back(unit);
-          submitted[unit] = now;
-          result.faults.units_reassigned++;
-          for (size_t u : drained) {
-            queues[static_cast<size_t>(relocate(u, alive))].push_back(u);
-            submitted[u] = now;
-            result.faults.units_reassigned++;
-            result.faults.steals_on_death++;
-          }
-          continue;  // the dead worker schedules no further events
-        }
-        result.faults.crashes_suppressed++;
-      }
-      auto flaky = plan->transient_failures.find(unit);
-      if (flaky != plan->transient_failures.end() &&
-          attempt <= flaky->second) {
-        result.faults.injected++;
-        if (attempt >= retry.max_attempts) {
-          // Budget exhausted: the unit is abandoned, never executed.
-          result.faults.unrecovered_units.push_back(unit);
-          --remaining;
-          ready.emplace(now, worker);
-          continue;
-        }
-        double backoff = retry.BackoffSeconds(attempt);
-        result.faults.retries++;
-        result.faults.backoff_seconds += backoff;
-        queue.push_back(unit);
-        // Runnable again once the worker's backoff expires: the deliberate
-        // backoff sleep is not queue wait.
-        submitted[unit] = now + backoff;
-        clock[static_cast<size_t>(worker)] = now + backoff;
-        ready.emplace(now + backoff, worker);
-        continue;
-      }
-      auto delay = plan->delay_seconds.find(unit);
-      if (delay != plan->delay_seconds.end()) {
-        // Straggler: stalls the (unique) executing attempt.
-        result.faults.injected++;
-        service += delay->second;
-      }
-    }
-    double finish = now + service;
-    clock[static_cast<size_t>(worker)] = finish;
-    result.executed[static_cast<size_t>(worker)]++;
-    result.busy[static_cast<size_t>(worker)] += service;
-    --remaining;
-    ready.emplace(finish, worker);
-  }
-  std::sort(result.faults.unrecovered_units.begin(),
-            result.faults.unrecovered_units.end());
-  result.makespan = clock.empty()
-                        ? 0.0
-                        : *std::max_element(clock.begin(), clock.end());
-  return result;
-}
-
-/// Per-thread CPU time. Unit durations must exclude time the thread spends
-/// descheduled: with more workers than cores, wall-clock per unit inflates
-/// by the oversubscription factor, which would corrupt serial_seconds and
-/// the modeled makespan.
-double ThreadCpuSeconds() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) +
-           1e-9 * static_cast<double>(ts.tv_nsec);
-  }
-#endif
-  return -1.0;
-}
 
 /// One worker's deque, guarded by its own mutex. Owners pop the front;
 /// thieves pop the back, so a steal and a local pop only collide on the
@@ -463,14 +276,17 @@ struct FaultState {
 }  // namespace
 
 ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
-                                          const UnitBody& body) {
+                                          const UnitBody& body,
+                                          const FaultPlan* plan) const {
   ScheduleReport report;
   report.num_workers = num_workers_;
-  report.mode = ExecutionMode::kThreads;
   report.initial_units.assign(static_cast<size_t>(num_workers_), 0);
   report.executed_units.assign(static_cast<size_t>(num_workers_), 0);
 
-  std::vector<std::vector<size_t>> placement = PlaceUnits(units);
+  std::vector<std::string> keys;
+  keys.reserve(units.size());
+  for (const WorkUnit& unit : units) keys.push_back(unit.PlacementKey());
+  std::vector<std::vector<size_t>> placement = PlaceUnits(keys);
   std::vector<WorkerQueue> queues(static_cast<size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     auto& q = queues[static_cast<size_t>(w)];
@@ -495,7 +311,6 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
   // are not ordered by one mutex.
   std::vector<std::atomic<double>> submitted(units.size());
 
-  const FaultPlan* plan = options_.fault_plan;
   const RetryPolicy& retry = options_.retry;
   FaultState fs;
   {
@@ -633,7 +448,7 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
             common::MutexLock flock(fs.mu);
             drained.insert(drained.begin(), unit);
             for (size_t u : drained) {
-              int target = LocateLiveWorker(units[u], fs.alive);
+              int target = LocateLiveWorker(keys[u], fs.alive);
               auto& tq = queues[static_cast<size_t>(target)];
               common::MutexLock lock(tq.mu);
               submitted[u].store(wall.ElapsedSeconds(),
@@ -689,13 +504,17 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
               std::chrono::duration<double>(delay->second));
         }
       }
+      // Per-thread CPU time: with more workers than cores, wall-clock per
+      // unit inflates by the oversubscription factor, which would corrupt
+      // serial_seconds and the replayed makespan. Wall-clock is the
+      // fallback when the CPU clock cannot be read.
       Timer timer;
-      double cpu_start = ThreadCpuSeconds();
+      double cpu_start = obs::ThreadCpuSeconds();
       {
         ROCK_OBS_SPAN_FLOW("par.unit", submit_span);
         body(units[unit], unit, me);
       }
-      double cpu_end = ThreadCpuSeconds();
+      double cpu_end = obs::ThreadCpuSeconds();
       durations[unit] = (cpu_start >= 0.0 && cpu_end >= 0.0)
                             ? cpu_end - cpu_start
                             : timer.ElapsedSeconds();
@@ -736,6 +555,8 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
     metrics.idle_micros->Add(Micros(idle));
   }
   for (double d : durations) report.serial_seconds += d;
+  report.unit_seconds = std::move(durations);
+  report.placement_keys = std::move(keys);
 
   {
     common::MutexLock lock(fs.mu);  // uncontended: workers joined
@@ -746,96 +567,165 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
   ExportFaultMetrics(report.faults);
 
   // The modeled makespan from the same durations, so benches can compare
-  // the simulation against the measured wall-clock.
-  SimulationResult sim = SimulateSchedule(
-      placement, durations, num_workers_, plan, retry,
-      [this, &units](size_t u, const std::vector<char>& alive) {
-        return LocateLiveWorker(units[u], alive);
-      });
-  report.makespan_seconds =
-      sim.makespan > 0.0 ? sim.makespan : report.serial_seconds;
+  // the model against the measured wall-clock.
+  report.makespan_seconds = ReplayUnder(report, plan).makespan_seconds;
   return report;
 }
 
-ScheduleReport WorkerPool::ExecuteSimulated(
-    const std::vector<WorkUnit>& units, const UnitBody& body) {
-  ScheduleReport report;
-  report.num_workers = num_workers_;
-  report.mode = ExecutionMode::kSimulated;
-  report.initial_units.assign(static_cast<size_t>(num_workers_), 0);
-  report.executed_units.assign(static_cast<size_t>(num_workers_), 0);
-
-  std::vector<std::vector<size_t>> placement = PlaceUnits(units);
-  for (int w = 0; w < num_workers_; ++w) {
-    report.initial_units[static_cast<size_t>(w)] =
-        static_cast<int>(placement[static_cast<size_t>(w)].size());
-  }
-  // Owner of each unit, so the body sees a stable worker id even though
-  // everything runs on the caller's thread.
-  std::vector<int> owner(units.size(), 0);
-  for (int w = 0; w < num_workers_; ++w) {
-    for (size_t unit : placement[static_cast<size_t>(w)]) owner[unit] = w;
-  }
-
-  // Run every recoverable unit serially in unit order, measuring
-  // durations. Units whose attempt budget the plan exhausts are skipped —
-  // exactly the units the threaded mode abandons — so both modes produce
-  // identical side effects and identical unrecovered sets.
-  const FaultPlan* plan = options_.fault_plan;
-  const PoolMetrics& metrics = PoolMetrics::Get();
-  metrics.queue_depth->Add(static_cast<int64_t>(units.size()));
-  const uint64_t submit_span = obs::CurrentSpanId();
-  Timer wall;
-  std::vector<double> durations(units.size(), 0.0);
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (plan != nullptr && plan->Unrecoverable(i, options_.retry)) {
-      metrics.queue_depth->Add(-1);
-      continue;
-    }
-    Timer timer;
-    {
-      ROCK_OBS_SPAN_FLOW("par.unit", submit_span);
-      body(units[i], i, owner[i]);
-    }
-    durations[i] = timer.ElapsedSeconds();
-    report.serial_seconds += durations[i];
-    metrics.units_executed->Add(1);
-    metrics.unit_seconds->Observe(durations[i]);
-    metrics.queue_depth->Add(-1);
-  }
-  report.wall_seconds = wall.ElapsedSeconds();
-  metrics.busy_micros->Add(Micros(report.serial_seconds));
-
-  SimulationResult sim = SimulateSchedule(
-      placement, durations, num_workers_, plan, options_.retry,
-      [this, &units](size_t u, const std::vector<char>& alive) {
-        return LocateLiveWorker(units[u], alive);
-      });
-  report.executed_units = sim.executed;
-  report.stolen_units = sim.stolen;
-  report.faults = sim.faults;
-  // Per-worker attribution comes from the virtual-time replay, like
-  // executed_units: the whole point of kSimulated is a schedule shape
-  // that is independent of the host's core count.
-  report.busy_seconds = sim.busy;
-  report.wait_seconds = sim.wait;
-  report.idle_seconds.assign(static_cast<size_t>(num_workers_), 0.0);
-  double horizon = sim.makespan > 0.0 ? sim.makespan : report.serial_seconds;
-  for (int w = 0; w < num_workers_; ++w) {
-    report.idle_seconds[static_cast<size_t>(w)] = ClampedIdleSeconds(
-        horizon, report.busy_seconds[static_cast<size_t>(w)]);
-    double waited = report.wait_seconds[static_cast<size_t>(w)];
-    if (waited > 0.0) {
-      metrics.wait_micros->Add(Micros(waited));
-    }
-  }
-  metrics.units_stolen->Add(static_cast<uint64_t>(sim.stolen));
-  ExportFaultMetrics(report.faults);
-  report.makespan_seconds =
-      sim.makespan > 0.0 ? sim.makespan : report.serial_seconds;
-  return report;
+ScheduleReport WorkerPool::Replay(const ScheduleReport& measured) const {
+  return ReplayUnder(measured, options_.fault_plan);
 }
 
+/// Event-driven replay of the placement + work-stealing schedule from
+/// per-unit durations: when a worker's queue drains it steals the tail of
+/// the longest remaining queue (paper §5.2: "when a node finishes its
+/// assigned work units, it evokes the work manager to fetch work units from
+/// other nodes").
+///
+/// With a FaultPlan, the same fault pipeline as ExecuteThreads runs in
+/// virtual time: a crash kills the acquiring virtual worker and drains its
+/// queue via LocateLiveWorker, a straggler stretches the executing attempt,
+/// and a transient failure costs one backoff and a requeue (or exhausts the
+/// attempt budget). Because faults are keyed by (unit, attempt number),
+/// never by time, the resulting FaultReport matches the threaded run.
+ScheduleReport WorkerPool::ReplayUnder(const ScheduleReport& measured,
+                                       const FaultPlan* plan) const {
+  const std::vector<double>& durations = measured.unit_seconds;
+  const std::vector<std::string>& keys = measured.placement_keys;
+  ROCK_CHECK(keys.size() == durations.size())
+      << "replay needs one placement key per unit duration";
+  const RetryPolicy& retry = options_.retry;
+  const size_t workers = static_cast<size_t>(num_workers_);
+  ScheduleReport result;
+  result.num_workers = num_workers_;
+  result.serial_seconds = measured.serial_seconds;
+  result.wall_seconds = measured.wall_seconds;
+  result.initial_units.assign(workers, 0);
+  result.executed_units.assign(workers, 0);
+  // Virtual-time per-worker attribution: busy sums service time, wait
+  // sums each acquired unit's submit→dequeue queue wait.
+  result.busy_seconds.assign(workers, 0.0);
+  result.wait_seconds.assign(workers, 0.0);
+  // Virtual time each unit last became runnable: 0 at initial placement,
+  // updated when a retry or a death drain re-queues it.
+  std::vector<double> submitted(durations.size(), 0.0);
+  std::vector<std::deque<size_t>> queues(workers);
+  std::vector<std::vector<size_t>> placement = PlaceUnits(keys);
+  for (size_t w = 0; w < workers; ++w) {
+    queues[w].assign(placement[w].begin(), placement[w].end());
+    result.initial_units[w] = static_cast<int>(placement[w].size());
+  }
+  size_t remaining = durations.size();
+
+  std::vector<int> attempts(durations.size(), 0);
+  std::vector<char> alive(workers, 1);
+  int live = num_workers_;
+
+  std::vector<double> clock(workers, 0.0);
+  using Event = std::pair<double, int>;  // (time ready, worker)
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> ready;
+  for (int w = 0; w < num_workers_; ++w) ready.emplace(0.0, w);
+
+  while (remaining > 0 && !ready.empty()) {
+    auto [now, worker] = ready.top();
+    ready.pop();
+    const size_t me = static_cast<size_t>(worker);
+    if (!alive[me]) continue;
+    auto& queue = queues[me];
+    if (queue.empty()) {
+      // Steal from the worker with the most queued units. Dead workers'
+      // queues drained at death, so they are never chosen.
+      size_t victim = workers;
+      size_t best = 0;
+      for (size_t w = 0; w < workers; ++w) {
+        if (w != me && queues[w].size() > best) {
+          best = queues[w].size();
+          victim = w;
+        }
+      }
+      if (victim == workers) continue;  // nothing left anywhere
+      queue.push_back(queues[victim].back());
+      queues[victim].pop_back();
+      ++result.stolen_units;
+    }
+    size_t unit = queue.front();
+    queue.pop_front();
+    if (now > submitted[unit]) {
+      result.wait_seconds[me] += now - submitted[unit];
+    }
+    double service = durations[unit];
+    if (plan != nullptr) {
+      int attempt = ++attempts[unit];
+      auto crash = plan->crash_at_attempt.find(unit);
+      if (crash != plan->crash_at_attempt.end() &&
+          crash->second == attempt) {
+        if (live > 1) {
+          alive[me] = 0;
+          --live;
+          result.faults.injected++;
+          result.faults.worker_deaths++;
+          // The acquired unit and the remaining deque drain to survivors.
+          std::vector<size_t> drained(queue.begin(), queue.end());
+          queue.clear();
+          drained.insert(drained.begin(), unit);
+          for (size_t u : drained) {
+            queues[static_cast<size_t>(LocateLiveWorker(keys[u], alive))]
+                .push_back(u);
+            submitted[u] = now;
+            result.faults.units_reassigned++;
+            if (u != unit) result.faults.steals_on_death++;
+          }
+          continue;  // the dead worker schedules no further events
+        }
+        result.faults.crashes_suppressed++;
+      }
+      auto flaky = plan->transient_failures.find(unit);
+      if (flaky != plan->transient_failures.end() &&
+          attempt <= flaky->second) {
+        result.faults.injected++;
+        if (attempt >= retry.max_attempts) {
+          // Budget exhausted: the unit is abandoned, never executed.
+          result.faults.unrecovered_units.push_back(unit);
+          --remaining;
+          ready.emplace(now, worker);
+          continue;
+        }
+        double backoff = retry.BackoffSeconds(attempt);
+        result.faults.retries++;
+        result.faults.backoff_seconds += backoff;
+        queue.push_back(unit);
+        // Runnable again once the worker's backoff expires: the deliberate
+        // backoff sleep is not queue wait.
+        submitted[unit] = now + backoff;
+        clock[me] = now + backoff;
+        ready.emplace(now + backoff, worker);
+        continue;
+      }
+      auto delay = plan->delay_seconds.find(unit);
+      if (delay != plan->delay_seconds.end()) {
+        // Straggler: stalls the (unique) executing attempt.
+        result.faults.injected++;
+        service += delay->second;
+      }
+    }
+    double finish = now + service;
+    clock[me] = finish;
+    result.executed_units[me]++;
+    result.busy_seconds[me] += service;
+    --remaining;
+    ready.emplace(finish, worker);
+  }
+  std::sort(result.faults.unrecovered_units.begin(),
+            result.faults.unrecovered_units.end());
+  double makespan = *std::max_element(clock.begin(), clock.end());
+  result.makespan_seconds = makespan > 0.0 ? makespan : result.serial_seconds;
+  result.idle_seconds.assign(workers, 0.0);
+  for (size_t w = 0; w < workers; ++w) {
+    result.idle_seconds[w] =
+        ClampedIdleSeconds(result.makespan_seconds, result.busy_seconds[w]);
+  }
+  return result;
+}
 size_t WorkerPool::ReplayUnrecovered(const std::vector<WorkUnit>& units,
                                      ScheduleReport* report,
                                      const UnitBody& body) {
@@ -856,35 +746,26 @@ size_t WorkerPool::ReplayUnrecovered(const std::vector<WorkUnit>& units,
 }
 
 ScheduleReport WorkerPool::Execute(const std::vector<WorkUnit>& units,
-                                   const UnitBody& body) {
+                                   const UnitBody& body) const {
   ROCK_OBS_SPAN("par.execute");
   // Environment fallback (ROCK_FAULT_PLAN / ROCK_FAULT_SEED): lets CI's
   // fault-matrix and ad-hoc debugging inject schedules into any parallel
   // execution without touching call sites. An explicitly configured plan
   // always wins; the env plan is re-derived per Execute because it is
   // sized to this call's unit count.
+  std::optional<FaultPlan> env_plan;
   if (options_.fault_plan == nullptr) {
-    env_plan_ = FaultPlan::FromEnv(units.size(), num_workers_);
-    if (env_plan_.has_value()) {
-      options_.fault_plan = &*env_plan_;
-      ScheduleReport report = mode_ == ExecutionMode::kThreads
-                                  ? ExecuteThreads(units, body)
-                                  : ExecuteSimulated(units, body);
-      options_.fault_plan = nullptr;
-      PublishBreakdown(report);
-      return report;
-    }
+    env_plan = FaultPlan::FromEnv(units.size(), num_workers_);
   }
-  ScheduleReport report = mode_ == ExecutionMode::kThreads
-                              ? ExecuteThreads(units, body)
-                              : ExecuteSimulated(units, body);
+  ScheduleReport report = ExecuteThreads(
+      units, body, env_plan.has_value() ? &*env_plan : options_.fault_plan);
   PublishBreakdown(report);
   return report;
 }
 
 ScheduleReport WorkerPool::Execute(
     const std::vector<WorkUnit>& units,
-    const std::function<void(const WorkUnit&)>& body) {
+    const std::function<void(const WorkUnit&)>& body) const {
   return Execute(units,
                  [&body](const WorkUnit& unit, size_t, int) { body(unit); });
 }

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,20 +52,6 @@ std::vector<WorkUnit> BuildHyperCubeUnits(const Database& db, int rule_index,
                                           const std::vector<int>& tuple_vars,
                                           int block_rows);
 
-/// How the pool runs unit bodies.
-///  - kThreads: num_workers OS threads, each draining a mutex-guarded deque
-///    seeded by hash-ring placement and stealing from the most loaded peer
-///    when its own queue drains. This is the production path: detection and
-///    correction get real multi-core speedup.
-///  - kSimulated: every unit runs serially on the caller's thread with
-///    measured durations, and the parallel schedule (placement + stealing)
-///    is replayed event-driven from those durations. Deterministic and
-///    hardware independent — speedup-*shape* benchmarks stay reproducible
-///    on a 1-core CI runner.
-enum class ExecutionMode { kThreads, kSimulated };
-
-const char* ExecutionModeName(ExecutionMode mode);
-
 /// Idle time of one worker over one execution: wall-clock minus busy time,
 /// clamped at zero. The clamp matters for stragglers measured with
 /// per-thread CPU clocks, where busy can nominally exceed a short wall
@@ -75,46 +60,51 @@ inline double ClampedIdleSeconds(double wall_seconds, double busy_seconds) {
   return wall_seconds > busy_seconds ? wall_seconds - busy_seconds : 0.0;
 }
 
-/// Result of a parallel execution. Both modes fill the simulated makespan
-/// (replayed from per-unit measured durations); kThreads additionally
-/// reports the measured wall-clock of the threaded region so benches can
-/// compare the model against reality.
+/// Result of a parallel execution, or of a Replay of one. Execute fills
+/// every field from the threaded run (the makespan comes from replaying the
+/// run's own measured durations); Replay recomputes the schedule fields for
+/// another pool from `unit_seconds` and `placement_keys`.
 struct ScheduleReport {
   int num_workers = 0;
-  ExecutionMode mode = ExecutionMode::kSimulated;
   /// Sum of measured unit durations — an estimate of the serial execution
-  /// time. Under kThreads each duration is per-thread CPU time, so the sum
-  /// stays faithful even when workers outnumber cores; under kSimulated it
-  /// is the measured serial wall time.
+  /// time. Each duration is per-thread CPU time, so the sum stays faithful
+  /// even when workers outnumber cores.
   double serial_seconds = 0.0;
-  /// Simulated parallel makespan under hash placement + work stealing.
+  /// Modeled parallel makespan under hash placement + work stealing,
+  /// replayed from `unit_seconds`.
   double makespan_seconds = 0.0;
-  /// Measured wall-clock of the execution. Under kThreads this is the real
-  /// elapsed time of the worker threads; under kSimulated it equals the
-  /// serial execution time (units run on one thread).
+  /// Measured wall-clock of the threaded region that produced
+  /// `unit_seconds` (a replay runs nothing and carries it over).
   double wall_seconds = 0.0;
   /// Units initially placed per worker (before stealing).
   std::vector<int> initial_units;
   /// Units actually executed per worker (after stealing).
   std::vector<int> executed_units;
-  /// Units that moved between workers via stealing (real transfers under
-  /// kThreads, simulated transfers under kSimulated).
+  /// Units that moved between workers via stealing.
   int stolen_units = 0;
   /// Per-worker wait-vs-run attribution. busy_seconds[w] is the time
   /// worker w spent executing unit bodies; wait_seconds[w] sums the
   /// submit→dequeue queue wait of every unit w executed (how long its
   /// units sat enqueued before w picked them up); idle_seconds[w] is the
-  /// remainder of the execution wall-clock the worker spent neither
-  /// executing nor acquiring work, clamped at zero (per-thread CPU clocks
-  /// can nominally exceed a short wall interval). Under kThreads these are
-  /// measured; under kSimulated they come from the virtual-time replay.
+  /// remainder of the execution wall-clock (the makespan, for a replay)
+  /// the worker spent neither executing nor acquiring work, clamped at
+  /// zero (per-thread CPU clocks can nominally exceed a short wall
+  /// interval).
   std::vector<double> busy_seconds;
   std::vector<double> wait_seconds;
   std::vector<double> idle_seconds;
   /// Fault-injection and recovery accounting (all zero without a plan).
   FaultReport faults;
+  /// Measured duration of each unit, indexed like the executed units:
+  /// per-thread CPU seconds (wall-clock where the CPU clock is
+  /// unavailable), 0 for units the pool abandoned. The input of Replay;
+  /// empty, like `placement_keys`, in a Replay result.
+  std::vector<double> unit_seconds;
+  /// WorkUnit::PlacementKey() of each unit, so Replay can re-place the
+  /// units on a ring of any size.
+  std::vector<std::string> placement_keys;
 
-  /// Simulated speedup (serial time over modeled makespan).
+  /// Modeled speedup (serial time over replayed makespan).
   double speedup() const {
     return makespan_seconds > 0 ? serial_seconds / makespan_seconds : 1.0;
   }
@@ -146,13 +136,13 @@ struct PoolOptions {
 /// budget is exhausted are reported (never silently dropped) for the
 /// caller's checkpoint-recovery layer to replay.
 ///
-/// Thread contract for kThreads: the body runs concurrently on
-/// `num_workers` threads. Each unit is executed exactly once; bodies must
-/// not share mutable state except through `unit_index` (write only to your
-/// own unit's slot) or `worker` (write only to your own worker's scratch,
-/// 0 <= worker < num_workers). Call sites merge per-unit results in unit
-/// order after Execute returns, which makes results independent of the
-/// worker count and of steal timing.
+/// Thread contract: the body runs concurrently on `num_workers` threads.
+/// Each unit is executed exactly once; bodies must not share mutable state
+/// except through `unit_index` (write only to your own unit's slot) or
+/// `worker` (write only to your own worker's scratch, 0 <= worker <
+/// num_workers). Call sites merge per-unit results in unit order after
+/// Execute returns, which makes results independent of the worker count
+/// and of steal timing.
 class WorkerPool {
  public:
   /// Bodies receive the unit, its index in `units`, and the id of the
@@ -160,18 +150,26 @@ class WorkerPool {
   using UnitBody =
       std::function<void(const WorkUnit&, size_t unit_index, int worker)>;
 
-  explicit WorkerPool(int num_workers,
-                      ExecutionMode mode = ExecutionMode::kThreads,
-                      PoolOptions options = PoolOptions());
+  explicit WorkerPool(int num_workers, PoolOptions options = PoolOptions());
 
-  /// Executes all units under the selected mode and returns the schedule
+  /// Executes all units on `num_workers` threads and returns the schedule
   /// accounting.
   ScheduleReport Execute(const std::vector<WorkUnit>& units,
-                         const UnitBody& body);
+                         const UnitBody& body) const;
 
   /// Convenience overload for bodies that do not need the index/worker.
-  ScheduleReport Execute(const std::vector<WorkUnit>& units,
-                         const std::function<void(const WorkUnit&)>& body);
+  ScheduleReport Execute(
+      const std::vector<WorkUnit>& units,
+      const std::function<void(const WorkUnit&)>& body) const;
+
+  /// Replays `measured` (a report from Execute, on any pool) on this
+  /// pool's ring at this pool's worker count, under its fault plan and
+  /// retry policy: an event-driven schedule of placement, stealing and
+  /// injected faults over the measured per-unit durations. Fills the
+  /// placement, makespan, executed/stolen units, busy/wait/idle and fault
+  /// accounting; runs no bodies and publishes no metrics. Deterministic:
+  /// the same report and pool always replay to the same schedule.
+  ScheduleReport Replay(const ScheduleReport& measured) const;
 
   /// Recovery hook for checkpoint layers: runs `body` serially (worker 0)
   /// for every unit `report` lists as unrecovered, clears the list, and
@@ -183,33 +181,30 @@ class WorkerPool {
                                   const UnitBody& body);
 
   int num_workers() const { return num_workers_; }
-  ExecutionMode mode() const { return mode_; }
   const PoolOptions& options() const { return options_; }
 
  private:
   int num_workers_;
-  ExecutionMode mode_;
   PoolOptions options_;
-  /// Owns the plan parsed from ROCK_FAULT_PLAN / ROCK_FAULT_SEED when no
-  /// explicit plan was configured (options_.fault_plan points into it for
-  /// the duration of one Execute call).
-  std::optional<FaultPlan> env_plan_;
   crystal::HashRing ring_;
 
   /// Hash-ring placement: queue of unit indices per worker.
   std::vector<std::vector<size_t>> PlaceUnits(
-      const std::vector<WorkUnit>& units) const;
+      const std::vector<std::string>& keys) const;
 
   /// Ring placement restricted to live workers: the unit's key is probed
   /// with increasing salts until it lands on a worker `alive[w]` — the
   /// deterministic re-placement rule for draining a dead worker's deque.
-  int LocateLiveWorker(const WorkUnit& unit,
+  int LocateLiveWorker(const std::string& key,
                        const std::vector<char>& alive) const;
 
+  /// Execute and Replay under an explicit plan: Execute passes the plan
+  /// it runs under, which may come from the environment.
   ScheduleReport ExecuteThreads(const std::vector<WorkUnit>& units,
-                                const UnitBody& body);
-  ScheduleReport ExecuteSimulated(const std::vector<WorkUnit>& units,
-                                  const UnitBody& body);
+                                const UnitBody& body,
+                                const FaultPlan* plan) const;
+  ScheduleReport ReplayUnder(const ScheduleReport& measured,
+                             const FaultPlan* plan) const;
 };
 
 }  // namespace rock::par

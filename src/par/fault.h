@@ -29,8 +29,8 @@ struct RetryPolicy {
 /// A deterministic fault schedule for one WorkerPool::Execute call
 /// (DESIGN.md "Fault injection & recovery"). Faults are keyed by unit
 /// index and attempt number — never by wall-clock or thread identity — so
-/// a given plan injects exactly the same fault events on every run and on
-/// both execution modes, and a failing run replays from its spec string.
+/// a given plan injects exactly the same fault events on every run and in
+/// WorkerPool::Replay, and a failing run replays from its spec string.
 ///
 ///  - crash: the worker that acquires the unit at the given attempt dies.
 ///    Its acquired unit and remaining deque re-place onto surviving
@@ -88,7 +88,7 @@ struct FaultPlan {
 
 /// Fault/recovery accounting for one Execute call. Event counts are
 /// functions of the plan (not of thread timing), so they are identical
-/// across runs and execution modes; the exception is crashes_suppressed,
+/// across runs and in WorkerPool::Replay; the exception is crashes_suppressed,
 /// which depends on how many workers are still alive when a crash fires.
 struct FaultReport {
   /// Fault events that fired (crashes + stragglers + transient failures).
@@ -102,7 +102,7 @@ struct FaultReport {
   int steals_on_death = 0;
   /// Units re-placed off a dead worker (drained units + the one in hand).
   int units_reassigned = 0;
-  /// Total backoff slept (threads) or modeled (simulated), seconds.
+  /// Total backoff slept (Execute) or modeled (Replay), seconds.
   double backoff_seconds = 0.0;
   /// Units whose attempt budget was exhausted — never executed by the
   /// pool, sorted ascending. The caller owns recovery (see

@@ -1,24 +1,15 @@
 #include "src/serve/loadgen.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/common/timer.h"
 #include "src/serve/client.h"
 
 namespace rock::serve {
-namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::vector<std::vector<PlannedRequest>> BuildLoadPlan(
     const LoadGenOptions& options) {

@@ -13,18 +13,13 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/timer.h"
 #include "src/obs/exporters.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace rock::serve {
 namespace {
-
-double SteadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void SendAll(int fd, const std::string& bytes) {
   static obs::Counter* sent_total =

@@ -137,23 +137,17 @@ TEST_F(DetectTest, ParallelMatchesSerial) {
       Parse("Store(t0) ^ t0.location = 'Beijing' -> t0.area_code = '010'")};
   detect::ErrorDetector detector(Ctx());
   auto serial = detector.Detect(rules);
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    for (int workers : {1, 3, 8}) {
-      par::ScheduleReport schedule;
-      detect::DetectorOptions options;
-      options.block_rows = 2;
-      options.execution_mode = mode;
-      detect::ErrorDetector parallel(Ctx(), options);
-      auto report = parallel.DetectParallel(rules, workers, &schedule);
-      EXPECT_EQ(report.DirtyCells(), serial.DirtyCells())
-          << par::ExecutionModeName(mode) << " x" << workers;
-      EXPECT_EQ(schedule.num_workers, workers);
-      EXPECT_EQ(schedule.mode, mode);
-      EXPECT_GT(schedule.makespan_seconds, 0.0);
-      EXPECT_LE(schedule.makespan_seconds, schedule.serial_seconds + 1e-9);
-      EXPECT_GT(schedule.wall_seconds, 0.0);
-    }
+  for (int workers : {1, 3, 8}) {
+    par::ScheduleReport schedule;
+    detect::DetectorOptions options;
+    options.block_rows = 2;
+    detect::ErrorDetector parallel(Ctx(), options);
+    auto report = parallel.DetectParallel(rules, workers, &schedule);
+    EXPECT_EQ(report.DirtyCells(), serial.DirtyCells()) << " x" << workers;
+    EXPECT_EQ(schedule.num_workers, workers);
+    EXPECT_GT(schedule.makespan_seconds, 0.0);
+    EXPECT_LE(schedule.makespan_seconds, schedule.serial_seconds + 1e-9);
+    EXPECT_GT(schedule.wall_seconds, 0.0);
   }
 }
 
@@ -173,7 +167,6 @@ TEST_F(DetectTest, PairFrequencyCacheSafeUnderConcurrentFirstUse) {
     par::ScheduleReport schedule;
     detect::DetectorOptions options;
     options.block_rows = 1;  // many small units -> real thread contention
-    options.execution_mode = par::ExecutionMode::kThreads;
     detect::ErrorDetector parallel(Ctx(), options);
     auto report = parallel.DetectParallel(rules, 8, &schedule);
     ASSERT_EQ(report.DirtyCells(), serial.DirtyCells())
@@ -221,7 +214,7 @@ TEST(WorkerPoolTest, ExecutesEveryUnitOnce) {
     units.push_back(unit);
   }
   std::vector<int> executed(40, 0);
-  par::WorkerPool pool(6, par::ExecutionMode::kSimulated);
+  par::WorkerPool pool(6);
   auto report = pool.Execute(units, [&](const par::WorkUnit& unit) {
     executed[static_cast<size_t>(unit.rule_index)]++;
   });
@@ -233,7 +226,20 @@ TEST(WorkerPoolTest, ExecutesEveryUnitOnce) {
   EXPECT_EQ(run, 40);
 }
 
-TEST(WorkerPoolTest, MakespanShrinksWithWorkers) {
+// A measured report as Execute leaves it, with synthetic durations: every
+// unit took `seconds`. Replay reads only the per-unit vectors.
+par::ScheduleReport EqualDurations(const std::vector<par::WorkUnit>& units,
+                                   double seconds) {
+  par::ScheduleReport report;
+  for (const par::WorkUnit& unit : units) {
+    report.unit_seconds.push_back(seconds);
+    report.placement_keys.push_back(unit.PlacementKey());
+    report.serial_seconds += seconds;
+  }
+  return report;
+}
+
+TEST(WorkerPoolTest, ReplayedMakespanShrinksWithWorkers) {
   std::vector<par::WorkUnit> units;
   for (int i = 0; i < 64; ++i) {
     par::WorkUnit unit;
@@ -241,25 +247,21 @@ TEST(WorkerPoolTest, MakespanShrinksWithWorkers) {
     unit.ranges.push_back({0, i, i + 1});
     units.push_back(unit);
   }
-  auto busy_work = [](const par::WorkUnit&) {
-    volatile double x = 0;
-    for (int i = 0; i < 80000; ++i) x = x + i * 0.5;
-  };
-  // The simulated schedule model: the makespan must shrink with workers
-  // regardless of host parallelism.
-  par::WorkerPool two(2, par::ExecutionMode::kSimulated);
-  double makespan2 = two.Execute(units, busy_work).makespan_seconds;
-  par::WorkerPool eight(8, par::ExecutionMode::kSimulated);
-  double makespan8 = eight.Execute(units, busy_work).makespan_seconds;
-  // 4x the workers: comfortably less than the 2-worker makespan even with
-  // measurement noise.
-  EXPECT_LT(makespan8, makespan2 * 0.7);
+  // Equal units and stealing keep every worker busy until the queues
+  // drain: the makespan is exactly units / workers unit durations (d is a
+  // power of two, so the virtual clock sums exactly).
+  const double d = 0.25;
+  par::ScheduleReport measured = EqualDurations(units, d);
+  EXPECT_DOUBLE_EQ(par::WorkerPool(2).Replay(measured).makespan_seconds,
+                   32 * d);
+  EXPECT_DOUBLE_EQ(par::WorkerPool(8).Replay(measured).makespan_seconds,
+                   8 * d);
 }
 
-TEST(WorkerPoolTest, StealingKeepsWorkersBusy) {
-  // All units hash... wherever; with many workers and few distinct keys,
-  // stealing must move units so every worker's executed count is bounded
-  // by a fair share plus slack.
+TEST(WorkerPoolTest, ReplayedStealingKeepsWorkersBusy) {
+  // Many units sharing one rule hash unevenly onto ten workers; replayed
+  // stealing must bound every worker's executed count by a fair share
+  // plus slack.
   std::vector<par::WorkUnit> units;
   for (int i = 0; i < 100; ++i) {
     par::WorkUnit unit;
@@ -267,15 +269,17 @@ TEST(WorkerPoolTest, StealingKeepsWorkersBusy) {
     unit.ranges.push_back({0, i, i + 1});
     units.push_back(unit);
   }
-  auto busy_work = [](const par::WorkUnit&) {
-    volatile double x = 0;
-    for (int i = 0; i < 5000; ++i) x = x + i;
-  };
-  par::WorkerPool pool(10, par::ExecutionMode::kSimulated);
-  auto report = pool.Execute(units, busy_work);
-  int max_executed = 0;
-  for (int c : report.executed_units) max_executed = std::max(max_executed, c);
-  EXPECT_LT(max_executed, 35);  // far below "one worker does everything"
+  auto report = par::WorkerPool(10).Replay(EqualDurations(units, 1e-3));
+  int max_initial = 0, max_executed = 0, run = 0;
+  for (int c : report.initial_units) max_initial = std::max(max_initial, c);
+  for (int c : report.executed_units) {
+    max_executed = std::max(max_executed, c);
+    run += c;
+  }
+  EXPECT_EQ(run, 100);
+  EXPECT_GT(max_initial, 11) << "placement should be uneven";
+  EXPECT_GT(report.stolen_units, 0);
+  EXPECT_LE(max_executed, 100 / 10 + 1);
 }
 
 TEST(CostModelTest, JoinSelectivityDiscountsCost) {

@@ -174,7 +174,7 @@ TEST(FaultPoolTest, EveryUnitRunsExactlyOnceUnderSeededFaults) {
     options.fault_plan = &plan;
     std::vector<std::atomic<int>> executed(kUnits);
     for (auto& e : executed) e.store(0);
-    par::WorkerPool pool(6, par::ExecutionMode::kThreads, options);
+    par::WorkerPool pool(6, options);
     auto report = pool.Execute(
         units, [&](const par::WorkUnit&, size_t unit_index, int) {
           executed[unit_index].fetch_add(1);
@@ -202,7 +202,7 @@ TEST(FaultPoolTest, CrashDuringStealRedistributesWithoutLoss) {
   options.fault_plan = &plan;
   std::vector<std::atomic<int>> executed(units.size());
   for (auto& e : executed) e.store(0);
-  par::WorkerPool pool(4, par::ExecutionMode::kThreads, options);
+  par::WorkerPool pool(4, options);
   auto report = pool.Execute(
       units, [&](const par::WorkUnit&, size_t unit_index, int) {
         executed[unit_index].fetch_add(1);
@@ -231,7 +231,7 @@ TEST(FaultPoolTest, AllWorkersButOneDie) {
   options.fault_plan = &plan;
   std::vector<std::atomic<int>> executed(kUnits);
   for (auto& e : executed) e.store(0);
-  par::WorkerPool pool(4, par::ExecutionMode::kThreads, options);
+  par::WorkerPool pool(4, options);
   auto report = pool.Execute(
       units, [&](const par::WorkUnit&, size_t unit_index, int) {
         executed[unit_index].fetch_add(1);
@@ -251,7 +251,7 @@ TEST(FaultPoolTest, LastWorkerCrashIsSuppressed) {
   options.fault_plan = &plan;
   std::vector<std::atomic<int>> executed(10);
   for (auto& e : executed) e.store(0);
-  par::WorkerPool pool(1, par::ExecutionMode::kThreads, options);
+  par::WorkerPool pool(1, options);
   auto report = pool.Execute(
       units, [&](const par::WorkUnit&, size_t unit_index, int) {
         executed[unit_index].fetch_add(1);
@@ -275,41 +275,35 @@ TEST(FaultPoolTest, ExhaustedBudgetIsReportedAndReplayable) {
   options.retry = retry;
   ASSERT_TRUE(plan.Unrecoverable(6, retry));
   ASSERT_FALSE(plan.Unrecoverable(11, retry));
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    std::vector<std::atomic<int>> executed(kUnits);
-    for (auto& e : executed) e.store(0);
-    par::WorkerPool pool(3, mode, options);
-    auto body = [&](const par::WorkUnit&, size_t unit_index, int) {
-      executed[unit_index].fetch_add(1);
-    };
-    auto report = pool.Execute(units, body);
-    ASSERT_EQ(report.faults.unrecovered_units, std::vector<size_t>{6})
-        << par::ExecutionModeName(mode);
-    EXPECT_EQ(executed[6].load(), 0) << par::ExecutionModeName(mode);
-    EXPECT_GT(report.faults.retries, 0);
-    EXPECT_GT(report.faults.backoff_seconds, 0.0);
-    EXPECT_EQ(par::WorkerPool::ReplayUnrecovered(units, &report, body), 1u);
-    EXPECT_TRUE(report.faults.unrecovered_units.empty());
-    for (const auto& e : executed) {
-      EXPECT_EQ(e.load(), 1) << par::ExecutionModeName(mode);
-    }
-  }
+  std::vector<std::atomic<int>> executed(kUnits);
+  for (auto& e : executed) e.store(0);
+  par::WorkerPool pool(3, options);
+  auto body = [&](const par::WorkUnit&, size_t unit_index, int) {
+    executed[unit_index].fetch_add(1);
+  };
+  auto report = pool.Execute(units, body);
+  ASSERT_EQ(report.faults.unrecovered_units, std::vector<size_t>{6});
+  EXPECT_EQ(executed[6].load(), 0);
+  EXPECT_GT(report.faults.retries, 0);
+  EXPECT_GT(report.faults.backoff_seconds, 0.0);
+  EXPECT_EQ(par::WorkerPool::ReplayUnrecovered(units, &report, body), 1u);
+  EXPECT_TRUE(report.faults.unrecovered_units.empty());
+  for (const auto& e : executed) EXPECT_EQ(e.load(), 1);
 }
 
-TEST(FaultPoolTest, FaultAccountingMatchesAcrossModes) {
+TEST(FaultPoolTest, FaultAccountingMatchesReplay) {
   // The report's fault counters are functions of the plan, not of thread
-  // timing: threads and simulated modes must agree exactly.
+  // timing: replaying a threaded run under the same plan must agree
+  // exactly.
   const int kUnits = 60;
   for (uint64_t seed : {5ull, 6ull}) {
     std::vector<par::WorkUnit> units = MakeUnits(kUnits);
     par::FaultPlan plan = par::FaultPlan::FromSeed(seed, kUnits, 4);
     par::PoolOptions options;
     options.fault_plan = &plan;
-    par::WorkerPool threads(4, par::ExecutionMode::kThreads, options);
-    par::WorkerPool sim(4, par::ExecutionMode::kSimulated, options);
-    auto a = threads.Execute(units, [](const par::WorkUnit&) {});
-    auto b = sim.Execute(units, [](const par::WorkUnit&) {});
+    par::WorkerPool pool(4, options);
+    auto a = pool.Execute(units, [](const par::WorkUnit&) {});
+    auto b = pool.Replay(a);
     EXPECT_EQ(a.faults.injected, b.faults.injected) << seed;
     EXPECT_EQ(a.faults.retries, b.faults.retries) << seed;
     EXPECT_EQ(a.faults.worker_deaths, b.faults.worker_deaths) << seed;
@@ -362,24 +356,19 @@ TEST_P(FaultEquivalenceTest, DetectionSurvivesFaultsBitIdentically) {
   detect::ErrorDetector serial(ctx);
   EXPECT_EQ(clean_report.DirtyCells(), serial.Detect(*rules).DirtyCells());
 
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    for (int workers : {2, 3, 5}) {
-      par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
-      detect::DetectorOptions options;
-      options.block_rows = 16;
-      options.execution_mode = mode;
-      options.fault_plan = &plan;
-      options.retry.backoff_base_seconds = 1e-4;
-      detect::ErrorDetector faulty(ctx, options);
-      par::ScheduleReport schedule;
-      auto report = faulty.DetectParallel(*rules, workers, &schedule);
-      EXPECT_EQ(ReportFingerprint(report), expected)
-          << GetParam() << " " << par::ExecutionModeName(mode) << " x"
-          << workers << " plan=" << plan.ToSpec();
-      // Recovery leaves nothing behind.
-      EXPECT_TRUE(schedule.faults.unrecovered_units.empty());
-    }
+  for (int workers : {2, 3, 5}) {
+    par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
+    detect::DetectorOptions options;
+    options.block_rows = 16;
+    options.fault_plan = &plan;
+    options.retry.backoff_base_seconds = 1e-4;
+    detect::ErrorDetector faulty(ctx, options);
+    par::ScheduleReport schedule;
+    auto report = faulty.DetectParallel(*rules, workers, &schedule);
+    EXPECT_EQ(ReportFingerprint(report), expected)
+        << GetParam() << " x" << workers << " plan=" << plan.ToSpec();
+    // Recovery leaves nothing behind.
+    EXPECT_TRUE(schedule.faults.unrecovered_units.empty());
   }
 }
 
@@ -401,38 +390,33 @@ TEST_P(FaultEquivalenceTest, ChaseSurvivesFaultsBitIdentically) {
   std::string expected_prov =
       ProvenanceFingerprint(serial_engine.ProvenanceSummary());
 
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    for (int workers : {2, 3, 5}) {
-      workload::GeneratedData data = MakeData(7);
-      core::Rock rock(&data.db, &data.graph);
-      par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
-      chase::ChaseOptions options;
-      options.fault_plan = &plan;
-      options.retry.backoff_base_seconds = 1e-4;
-      chase::ChaseEngine engine(&data.db, &data.graph, rock.models(),
-                                options);
-      for (const auto& [rel, tid] : data.clean_tuples) {
-        Status ignored = engine.fix_store().AddGroundTruthTuple(rel, tid);
-        (void)ignored;
-      }
-      par::ScheduleReport schedule;
-      auto result = engine.RunParallel(*rules, workers, /*block_rows=*/16,
-                                       &schedule, mode);
-      EXPECT_EQ(FixStoreDigest(engine, data.db), expected_digest)
-          << GetParam() << " " << par::ExecutionModeName(mode) << " x"
-          << workers << " plan=" << plan.ToSpec();
-      EXPECT_EQ(ProvenanceFingerprint(engine.ProvenanceSummary()),
-                expected_prov)
-          << GetParam() << " " << par::ExecutionModeName(mode) << " x"
-          << workers;
-      EXPECT_TRUE(schedule.faults.unrecovered_units.empty());
-      if (plan.transient_failures.count(0) ||
-          plan.crash_at_attempt.count(0) || plan.delay_seconds.count(0)) {
-        EXPECT_GT(schedule.faults.injected, 0);
-      }
-      (void)result;
+  for (int workers : {2, 3, 5}) {
+    workload::GeneratedData data = MakeData(7);
+    core::Rock rock(&data.db, &data.graph);
+    par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
+    chase::ChaseOptions options;
+    options.fault_plan = &plan;
+    options.retry.backoff_base_seconds = 1e-4;
+    chase::ChaseEngine engine(&data.db, &data.graph, rock.models(),
+                              options);
+    for (const auto& [rel, tid] : data.clean_tuples) {
+      Status ignored = engine.fix_store().AddGroundTruthTuple(rel, tid);
+      (void)ignored;
     }
+    par::ScheduleReport schedule;
+    auto result = engine.RunParallel(*rules, workers, /*block_rows=*/16,
+                                     &schedule);
+    EXPECT_EQ(FixStoreDigest(engine, data.db), expected_digest)
+        << GetParam() << " x" << workers << " plan=" << plan.ToSpec();
+    EXPECT_EQ(ProvenanceFingerprint(engine.ProvenanceSummary()),
+              expected_prov)
+        << GetParam() << " x" << workers;
+    EXPECT_TRUE(schedule.faults.unrecovered_units.empty());
+    if (plan.transient_failures.count(0) ||
+        plan.crash_at_attempt.count(0) || plan.delay_seconds.count(0)) {
+      EXPECT_GT(schedule.faults.injected, 0);
+    }
+    (void)result;
   }
 }
 

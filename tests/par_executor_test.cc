@@ -1,6 +1,7 @@
 // Tests for the threaded WorkerPool executor: determinism of merged
 // results across worker counts, real work stealing under skewed
-// placement, and stress cases that give TSan genuine interleavings.
+// placement, stress cases that give TSan genuine interleavings, and the
+// purity of WorkerPool::Replay.
 
 #include <atomic>
 #include <memory>
@@ -67,7 +68,7 @@ TEST(IdleAccountingTest, ExecuteReportsPerWorkerBreakdownsClampedAtZero) {
   const int kUnits = 64;
   const int kWorkers = 8;
   std::vector<par::WorkUnit> units = MakeUnits(kUnits);
-  par::WorkerPool pool(kWorkers, par::ExecutionMode::kThreads);
+  par::WorkerPool pool(kWorkers);
   auto report = pool.Execute(
       units, [&](const par::WorkUnit&, size_t, int) {
         volatile double acc = 0;
@@ -83,23 +84,10 @@ TEST(IdleAccountingTest, ExecuteReportsPerWorkerBreakdownsClampedAtZero) {
   }
 }
 
-TEST(IdleAccountingTest, SimulatedModeFillsBreakdowns) {
-  std::vector<par::WorkUnit> units = MakeUnits(32);
-  par::WorkerPool pool(4, par::ExecutionMode::kSimulated);
-  auto report = pool.Execute(units, [](const par::WorkUnit&, size_t, int) {});
-  ASSERT_EQ(report.busy_seconds.size(), 4u);
-  ASSERT_EQ(report.wait_seconds.size(), 4u);
-  ASSERT_EQ(report.idle_seconds.size(), 4u);
-  for (int w = 0; w < 4; ++w) {
-    EXPECT_GE(report.idle_seconds[w], 0.0);
-    EXPECT_GE(report.wait_seconds[w], 0.0);
-  }
-}
-
 TEST(IdleAccountingTest, ExecutePublishesScheduleBreakdown) {
   obs::ScheduleBreakdowns::Global().Reset();
   std::vector<par::WorkUnit> units = MakeUnits(16);
-  par::WorkerPool pool(2, par::ExecutionMode::kThreads);
+  par::WorkerPool pool(2);
   pool.Execute(units, [](const par::WorkUnit&, size_t, int) {});
   std::vector<obs::WorkerBreakdown> breakdowns =
       obs::ScheduleBreakdowns::Global().Snapshot();
@@ -118,7 +106,7 @@ TEST(ThreadedPoolTest, ExecutesEveryUnitExactlyOnce) {
   std::vector<par::WorkUnit> units = MakeUnits(kUnits);
   std::vector<std::atomic<int>> executed(kUnits);
   for (auto& e : executed) e.store(0);
-  par::WorkerPool pool(8, par::ExecutionMode::kThreads);
+  par::WorkerPool pool(8);
   auto report = pool.Execute(
       units, [&](const par::WorkUnit&, size_t unit_index, int worker) {
         ASSERT_GE(worker, 0);
@@ -126,8 +114,10 @@ TEST(ThreadedPoolTest, ExecutesEveryUnitExactlyOnce) {
         executed[unit_index].fetch_add(1);
       });
   for (const auto& e : executed) EXPECT_EQ(e.load(), 1);
-  EXPECT_EQ(report.mode, par::ExecutionMode::kThreads);
   EXPECT_GT(report.wall_seconds, 0.0);
+  ASSERT_EQ(report.unit_seconds.size(), static_cast<size_t>(kUnits));
+  ASSERT_EQ(report.placement_keys.size(), static_cast<size_t>(kUnits));
+  EXPECT_EQ(report.placement_keys[3], units[3].PlacementKey());
   int placed = 0, run = 0;
   for (int c : report.initial_units) placed += c;
   for (int c : report.executed_units) run += c;
@@ -147,7 +137,7 @@ TEST(ThreadedPoolTest, StealsUnderSkewedPlacement) {
     unit.ranges.push_back({0, 0, 0});  // identical block coordinates
     units.push_back(unit);
   }
-  par::WorkerPool pool(4, par::ExecutionMode::kThreads);
+  par::WorkerPool pool(4);
   auto report = pool.Execute(units, [](const par::WorkUnit&) {
     volatile double x = 0;
     for (int i = 0; i < 200000; ++i) x = x + i * 0.5;
@@ -170,7 +160,7 @@ TEST(ThreadedPoolTest, RepeatedRunsStress) {
     std::vector<par::WorkUnit> units = MakeUnits(kUnits, round);
     std::vector<std::atomic<int>> executed(kUnits);
     for (auto& e : executed) e.store(0);
-    par::WorkerPool pool(6, par::ExecutionMode::kThreads);
+    par::WorkerPool pool(6);
     pool.Execute(units,
                  [&](const par::WorkUnit&, size_t unit_index, int) {
                    executed[unit_index].fetch_add(1);
@@ -204,7 +194,7 @@ TEST(ThreadedPoolTest, StealRacesDrainOnWorkerDeathStress) {
     for (auto& e : executed) e.store(0);
     par::PoolOptions options;
     options.fault_plan = &plan;
-    par::WorkerPool pool(4, par::ExecutionMode::kThreads, options);
+    par::WorkerPool pool(4, options);
     auto report = pool.Execute(
         units, [&](const par::WorkUnit&, size_t unit_index, int) {
           executed[unit_index].fetch_add(1);
@@ -223,14 +213,52 @@ TEST(ThreadedPoolTest, StealRacesDrainOnWorkerDeathStress) {
   }
 }
 
-TEST(ThreadedPoolTest, SimulatedModeIsDeterministic) {
+TEST(ReplayTest, ReplayIsDeterministicAndFillsBreakdowns) {
+  // Replay is a pure function of the report and the pool: two replays of
+  // one measured run agree field for field, and replaying at the measured
+  // worker count reproduces the makespan Execute reported.
   std::vector<par::WorkUnit> units = MakeUnits(50);
-  par::WorkerPool pool(5, par::ExecutionMode::kSimulated);
-  auto a = pool.Execute(units, [](const par::WorkUnit&) {});
-  auto b = pool.Execute(units, [](const par::WorkUnit&) {});
-  EXPECT_EQ(a.initial_units, b.initial_units);
+  // An explicit (empty) plan keeps ROCK_FAULT_SEED out of the measured run.
+  par::FaultPlan no_faults;
+  par::PoolOptions measure_options;
+  measure_options.fault_plan = &no_faults;
+  par::WorkerPool measure(3, measure_options);
+  par::ScheduleReport measured =
+      measure.Execute(units, [](const par::WorkUnit& unit) {
+        volatile double x = 0;
+        for (int i = 0; i < 2000 * (unit.ranges[0].begin % 5 + 1); ++i) {
+          x = x + i;
+        }
+      });
+  EXPECT_DOUBLE_EQ(measure.Replay(measured).makespan_seconds,
+                   measured.makespan_seconds);
+
+  par::FaultPlan plan = par::FaultPlan::FromSeed(5, units.size(), 5);
+  par::PoolOptions options;
+  options.fault_plan = &plan;
+  par::WorkerPool pool(5, options);
+  par::ScheduleReport a = pool.Replay(measured);
+  par::ScheduleReport b = pool.Replay(measured);
   EXPECT_EQ(a.num_workers, 5);
-  EXPECT_EQ(a.mode, par::ExecutionMode::kSimulated);
+  EXPECT_EQ(a.initial_units, b.initial_units);
+  EXPECT_EQ(a.executed_units, b.executed_units);
+  EXPECT_EQ(a.stolen_units, b.stolen_units);
+  EXPECT_EQ(a.makespan_seconds, b.makespan_seconds);
+  EXPECT_EQ(a.busy_seconds, b.busy_seconds);
+  EXPECT_EQ(a.wait_seconds, b.wait_seconds);
+  EXPECT_EQ(a.idle_seconds, b.idle_seconds);
+  EXPECT_EQ(a.faults.injected, b.faults.injected);
+  EXPECT_EQ(a.faults.units_reassigned, b.faults.units_reassigned);
+  EXPECT_EQ(a.faults.unrecovered_units, b.faults.unrecovered_units);
+  EXPECT_GT(a.faults.injected, 0);
+  EXPECT_DOUBLE_EQ(a.serial_seconds, measured.serial_seconds);
+  ASSERT_EQ(a.busy_seconds.size(), 5u);
+  ASSERT_EQ(a.wait_seconds.size(), 5u);
+  ASSERT_EQ(a.idle_seconds.size(), 5u);
+  for (int w = 0; w < 5; ++w) {
+    EXPECT_GE(a.idle_seconds[w], 0.0);
+    EXPECT_GE(a.wait_seconds[w], 0.0);
+  }
 }
 
 class ParDetectTest : public ::testing::Test {
@@ -261,34 +289,29 @@ class ParDetectTest : public ::testing::Test {
   ml::MlLibrary models_;
 };
 
-TEST_F(ParDetectTest, ReportIdenticalAcrossWorkerCountsAndModes) {
+TEST_F(ParDetectTest, ReportIdenticalAcrossWorkerCounts) {
   // The acceptance bar for the threaded executor: the full report —
   // violation counts, error records, cell lists, in order — is bitwise
-  // identical for 1 vs. N workers and for threads vs. simulated modes,
-  // because per-unit reports merge in unit order.
+  // identical for 1 vs. N workers, because per-unit reports merge in unit
+  // order.
   std::vector<rules::Ree> rules = {
       Parse("Trans(t0) ^ Trans(t1) ^ t0.com = t1.com -> t0.mfg = t1.mfg"),
       Parse("Store(t0) ^ t0.location = 'Beijing' -> t0.area_code = '010'"),
       Parse("Store(t0) ^ Store(t1) ^ t0.location = t1.location -> "
             "t0.area_code = t1.area_code")};
   std::string baseline;
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    for (int workers : {1, 2, 4, 7}) {
-      detect::DetectorOptions options;
-      options.block_rows = 2;
-      options.execution_mode = mode;
-      detect::ErrorDetector detector(Ctx(), options);
-      par::ScheduleReport schedule;
-      auto report = detector.DetectParallel(rules, workers, &schedule);
-      std::string fingerprint = ReportFingerprint(report);
-      if (baseline.empty()) {
-        baseline = fingerprint;
-        EXPECT_GT(report.violations, 0u);
-      } else {
-        EXPECT_EQ(fingerprint, baseline)
-            << par::ExecutionModeName(mode) << " x" << workers;
-      }
+  for (int workers : {1, 2, 4, 7}) {
+    detect::DetectorOptions options;
+    options.block_rows = 2;
+    detect::ErrorDetector detector(Ctx(), options);
+    par::ScheduleReport schedule;
+    auto report = detector.DetectParallel(rules, workers, &schedule);
+    std::string fingerprint = ReportFingerprint(report);
+    if (baseline.empty()) {
+      baseline = fingerprint;
+      EXPECT_GT(report.violations, 0u);
+    } else {
+      EXPECT_EQ(fingerprint, baseline) << " x" << workers;
     }
   }
 }
@@ -315,7 +338,6 @@ TEST_F(ParDetectTest, ThreadedStressOverGeneratedWorkload) {
     for (int workers : {2, 5}) {
       detect::DetectorOptions options;
       options.block_rows = 8;
-      options.execution_mode = par::ExecutionMode::kThreads;
       detect::ErrorDetector detector(ctx, options);
       par::ScheduleReport schedule;
       auto report = detector.DetectParallel(*rules, workers, &schedule);

@@ -222,17 +222,13 @@ TEST_P(ParallelEquivalenceTest, DetectionIndependentOfWorkerCount) {
   detect::ErrorDetector serial(ctx);
   auto expected = serial.Detect(*rules).DirtyCells();
 
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    detect::DetectorOptions options;
-    options.block_rows = 16;
-    options.execution_mode = mode;
-    detect::ErrorDetector parallel(ctx, options);
-    par::ScheduleReport schedule;
-    auto report = parallel.DetectParallel(*rules, GetParam(), &schedule);
-    EXPECT_EQ(report.DirtyCells(), expected) << par::ExecutionModeName(mode);
-    EXPECT_EQ(schedule.num_workers, GetParam());
-  }
+  detect::DetectorOptions options;
+  options.block_rows = 16;
+  detect::ErrorDetector parallel(ctx, options);
+  par::ScheduleReport schedule;
+  auto report = parallel.DetectParallel(*rules, GetParam(), &schedule);
+  EXPECT_EQ(report.DirtyCells(), expected);
+  EXPECT_EQ(schedule.num_workers, GetParam());
 }
 
 TEST_P(ParallelEquivalenceTest, ChaseIndependentOfWorkerCount) {
@@ -250,25 +246,19 @@ TEST_P(ParallelEquivalenceTest, ChaseIndependentOfWorkerCount) {
   serial_engine.Run(*rules);
   std::string expected = FixStoreDigest(serial_engine, serial_data.db);
 
-  for (par::ExecutionMode mode :
-       {par::ExecutionMode::kThreads, par::ExecutionMode::kSimulated}) {
-    workload::GeneratedData parallel_data = MakeData({"Logistics", 7}, 80);
-    core::Rock parallel_rock(&parallel_data.db, &parallel_data.graph);
-    parallel_rock.TrainModels(SpecFor("Logistics"));
-    chase::ChaseEngine parallel_engine(&parallel_data.db,
-                                       &parallel_data.graph,
-                                       parallel_rock.models());
-    for (const auto& [rel, tid] : parallel_data.clean_tuples) {
-      Status ignored =
-          parallel_engine.fix_store().AddGroundTruthTuple(rel, tid);
-      (void)ignored;
-    }
-    par::ScheduleReport schedule;
-    parallel_engine.RunParallel(*rules, GetParam(), /*block_rows=*/16,
-                                &schedule, mode);
-    EXPECT_EQ(FixStoreDigest(parallel_engine, parallel_data.db), expected)
-        << par::ExecutionModeName(mode);
+  workload::GeneratedData parallel_data = MakeData({"Logistics", 7}, 80);
+  core::Rock parallel_rock(&parallel_data.db, &parallel_data.graph);
+  parallel_rock.TrainModels(SpecFor("Logistics"));
+  chase::ChaseEngine parallel_engine(&parallel_data.db, &parallel_data.graph,
+                                     parallel_rock.models());
+  for (const auto& [rel, tid] : parallel_data.clean_tuples) {
+    Status ignored = parallel_engine.fix_store().AddGroundTruthTuple(rel, tid);
+    (void)ignored;
   }
+  par::ScheduleReport schedule;
+  parallel_engine.RunParallel(*rules, GetParam(), /*block_rows=*/16,
+                              &schedule);
+  EXPECT_EQ(FixStoreDigest(parallel_engine, parallel_data.db), expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelEquivalenceTest,
@@ -368,7 +358,7 @@ TEST_P(DelayPermutationTest, UnitOrderPermutationsNeverChangeChaseOutput) {
     }
     par::ScheduleReport schedule;
     engine.RunParallel(*rules, /*num_workers=*/4, /*block_rows=*/16,
-                       &schedule, par::ExecutionMode::kThreads);
+                       &schedule);
     return FixStoreDigest(engine, run_data.db);
   };
   std::string expected = digest_under(nullptr);
