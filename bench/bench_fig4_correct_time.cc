@@ -38,14 +38,10 @@ double SqlEcTime(const std::string& name, size_t rows, bool nested_loop,
   ctx.models = setup.rock->models();
   Timer timer;
   if (nested_loop) {
-    // Presto stand-in: block-nested-loop per round.
-    detect::DetectorOptions options;
-    options.use_ml_blocking = false;
-    options.block_rows = 1 << 20;
-    detect::ErrorDetector detector(ctx, options);
-    par::ScheduleReport unused;
+    // Presto stand-in: nested-loop execution per round.
+    baselines::NestedLoopEngine engine(ctx);
     for (int round = 0; round < chase_rounds; ++round) {
-      detector.DetectParallel(setup.rules, 1, &unused);
+      engine.Detect(setup.rules);
     }
   } else {
     baselines::NaiveSqlEngine engine(ctx);

@@ -66,15 +66,11 @@ void RunApp(const std::string& name, size_t rows) {
   spark.Detect(rock_setup.rules);
   double spark_time = spark_timer.ElapsedSeconds();
 
-  // Presto stand-in: same queries via block-nested-loop execution (a
-  // federated engine without local index structures).
-  detect::DetectorOptions nested_options;
-  nested_options.use_ml_blocking = false;
-  nested_options.block_rows = 1 << 20;  // one giant block = nested loop
-  detect::ErrorDetector nested(ctx, nested_options);
-  par::ScheduleReport unused;
+  // Presto stand-in: same queries via nested-loop execution (a federated
+  // engine without local index structures).
+  baselines::NestedLoopEngine presto(ctx);
   Timer presto_timer;
-  nested.DetectParallel(rock_setup.rules, 1, &unused);
+  presto.Detect(rock_setup.rules);
   double presto_time = presto_timer.ElapsedSeconds();
 
   PrintRow(app.name, {rock_time, noml_time, t5s_time, rb_time, spark_time,
@@ -95,6 +91,6 @@ int main() {
   rock::bench::RunApp("Logistics", 700);
   rock::bench::RunApp("Sales", 500);
   std::printf("\nExpected shape: Rock fastest (except Rock_noML); SQL "
-              "engines slowest (no ML blocking / no HyperCube).\n");
+              "engines slowest (no ML blocking / no indexes).\n");
   return 0;
 }

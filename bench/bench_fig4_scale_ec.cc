@@ -2,14 +2,15 @@
 // Logistics workload, varying the number of workers n = 4..20.
 //
 // Paper shape: Rock's chase is parallelly scalable; 3.12× faster at n=20
-// than at n=4. The first (dominant) chase round is partitioned into
-// HyperCube work units executed under the worker pool. Two sections, as in
-// Fig 4(h):
+// than at n=4. The first (dominant) chase round is partitioned into work
+// units, one per (rule, row slice of its first tuple variable), executed
+// under the worker pool. Two sections, as in Fig 4(h):
 //
-//  1. Replayed schedule — each curve point chases fresh data on one worker
-//     (round-0 units run serially, in unit order) to measure the unit
-//     durations, then WorkerPool(n).Replay replays the n-worker schedule
-//     from them: a hardware-independent curve shape.
+//  1. Replayed schedule — one chase of fresh data on one worker (round-0
+//     units run serially, in unit order) measures the unit durations, and
+//     WorkerPool(n).Replay replays the n-worker schedule from that one
+//     measurement for every n: a hardware-independent curve shape whose
+//     points differ only in the worker count.
 //  2. Threaded execution — fresh data chased on n real worker threads,
 //     measured wall-clock next to the replayed makespan.
 //
@@ -34,7 +35,7 @@ par::ScheduleReport RunOnce(int workers) {
     (void)ignored;
   }
   par::ScheduleReport schedule;
-  engine.RunParallel(setup.rules, workers, /*block_rows=*/64, &schedule);
+  engine.RunParallel(setup.rules, workers, &schedule);
   return schedule;
 }
 
@@ -45,10 +46,10 @@ void Run() {
   std::printf("-- replayed schedule (deterministic curve shape) --\n");
   std::printf("%8s %14s %14s %10s %8s\n", "workers", "makespan(s)",
               "serial(s)", "speedup", "stolen");
+  const par::ScheduleReport measured = RunOnce(/*workers=*/1);
   double t4 = 0.0, t20 = 0.0;
   for (int workers : {4, 8, 12, 16, 20}) {
-    par::ScheduleReport schedule =
-        par::WorkerPool(workers).Replay(RunOnce(/*workers=*/1));
+    par::ScheduleReport schedule = par::WorkerPool(workers).Replay(measured);
     telemetry.AddSchedule("replay", schedule);
     std::printf("%8d %14.4f %14.4f %9.2fx %8d\n", workers,
                 schedule.makespan_seconds, schedule.serial_seconds,

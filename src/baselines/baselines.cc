@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "src/common/hash.h"
 #include "src/common/strings.h"
@@ -347,6 +348,37 @@ detect::DetectionReport NaiveSqlEngine::Detect(
   options.use_ml_blocking = false;
   detect::ErrorDetector detector(ctx_, options);
   return detector.Detect(rules);
+}
+
+detect::DetectionReport NestedLoopEngine::Detect(
+    const std::vector<Ree>& rules) const {
+  ml::MlScoreCache udf_results;
+  rules::EvalContext ctx = ctx_;
+  ctx.ml_cache = &udf_results;
+  const rules::Evaluator eval(ctx);
+  detect::DetectionReport report;
+  for (const Ree& rule : rules) {
+    if (rule.num_vertex_vars != 0) continue;
+    rules::Valuation v;
+    v.rows.assign(rule.tuple_vars.size(), 0);
+    std::function<void(size_t)> loop = [&](size_t var) {
+      if (var == rule.tuple_vars.size()) {
+        ++report.exhaustive_pairs_checked;
+        if (eval.SatisfiesPrecondition(rule, v) &&
+            !eval.Satisfies(rule, v, rule.consequence)) {
+          ++report.violations;
+        }
+        return;
+      }
+      const size_t rows = ctx_.db->relation(rule.tuple_vars[var]).size();
+      for (size_t row = 0; row < rows; ++row) {
+        v.rows[var] = static_cast<int>(row);
+        loop(var + 1);
+      }
+    };
+    loop(0);
+  }
+  return report;
 }
 
 int NaiveSqlEngine::IterativeClean(const std::vector<Ree>& rules,

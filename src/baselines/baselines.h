@@ -150,5 +150,22 @@ class NaiveSqlEngine {
   rules::EvalContext ctx_;
 };
 
+/// Presto stand-in (paper §6 Exp-2): a federated engine without local
+/// index structures runs each violation query as a nested loop over every
+/// tuple-variable combination — no equality index, no blocking — with ML
+/// predicates as UDFs whose results are memoized. Rules with vertex
+/// variables are skipped: the engine cannot reach the knowledge graph.
+class NestedLoopEngine {
+ public:
+  explicit NestedLoopEngine(rules::EvalContext ctx) : ctx_(ctx) {}
+
+  /// Counts violations. The report fills `violations` and
+  /// `exhaustive_pairs_checked` (combinations evaluated) only.
+  detect::DetectionReport Detect(const std::vector<rules::Ree>& rules) const;
+
+ private:
+  rules::EvalContext ctx_;
+};
+
 }  // namespace rock::baselines
 

@@ -583,7 +583,7 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
                   if (!seen.insert(v.rows).second) return true;
                   return process_valuation(rule, v, &next_dirty);
                 },
-                static_cast<int>(var), row);
+                {static_cast<int>(var), row, row + 1});
           }
         }
       }
@@ -611,7 +611,7 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
 }
 
 ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
-                                     int num_workers, int block_rows,
+                                     int num_workers,
                                      par::ScheduleReport* schedule) {
   ROCK_OBS_SPAN("chase.run_parallel");
   ChaseResult result;
@@ -629,24 +629,18 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
     if (new_fixes > 0) metrics.FixCounter(rule.Task())->Add(new_fixes);
   };
 
-  // Round 0 under the worker pool: one unit per rule × block combination,
-  // evaluated block-locally (no vertex-variable rules — those run in the
-  // serial tail).
+  // Round 0 under the worker pool: one unit per (rule, slice of the rule's
+  // first tuple variable).
   std::vector<par::WorkUnit> units;
-  std::vector<const Ree*> unit_rules;
-  for (const Ree& rule : rules) {
-    if (rule.num_vertex_vars > 0) continue;
-    std::vector<par::WorkUnit> rule_units = par::BuildHyperCubeUnits(
-        *db_, static_cast<int>(unit_rules.size()), rule.tuple_vars,
-        block_rows);
-    for (par::WorkUnit& unit : rule_units) {
-      unit.rule_index = static_cast<int>(&rule - rules.data());
-      units.push_back(std::move(unit));
-    }
-    unit_rules.push_back(&rule);
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const Ree& rule = rules[r];
+    const int rel = rule.tuple_vars.empty() ? -1 : rule.tuple_vars[0];
+    std::vector<par::WorkUnit> rule_units = par::BuildRowUnits(
+        static_cast<int>(r), rel, rel < 0 ? 0 : db_->relation(rel).size());
+    units.insert(units.end(), rule_units.begin(), rule_units.end());
   }
 
-  // Evaluation phase: workers scan their blocks and record satisfying
+  // Evaluation phase: workers enumerate their slices and record satisfying
   // valuations into per-unit buffers. The fix store is read-only here —
   // nothing is applied until every worker reaches the barrier — so
   // concurrent precondition evaluation needs no locks. One evaluator per
@@ -670,27 +664,15 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   metrics.checkpoints->Add(1);
   auto eval_unit = [&](const par::WorkUnit& unit, size_t unit_index,
                        int worker) {
-    const Ree& rule = rules[static_cast<size_t>(unit.rule_index)];
-    const rules::Evaluator& worker_eval =
-        evals[static_cast<size_t>(worker)];
     std::vector<Valuation>& hits = unit_hits[unit_index];
     hits.clear();  // replayed units overwrite, never append
-    Valuation v;
-    v.rows.assign(rule.tuple_vars.size(), 0);
-    std::function<void(size_t)> recurse = [&](size_t var) {
-      if (var == rule.tuple_vars.size()) {
-        if (worker_eval.SatisfiesPrecondition(rule, v)) {
+    evals[static_cast<size_t>(worker)].ForEachSatisfying(
+        rules[static_cast<size_t>(unit.rule_index)],
+        [&](const Valuation& v) {
           hits.push_back(v);
-        }
-        return;
-      }
-      for (int row = unit.ranges[var].begin; row < unit.ranges[var].end;
-           ++row) {
-        v.rows[var] = row;
-        recurse(var + 1);
-      }
-    };
-    recurse(0);
+          return true;
+        },
+        {0, unit.rows.begin, unit.rows.end});
   };
   par::ScheduleReport local;
   {
@@ -728,18 +710,11 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
       }
     }
   }
-  // Vertex-variable rules + propagation rounds run through the ordinary
-  // incremental loop seeded by the tuples the first round touched.
-  for (const Ree& rule : rules) {
-    if (rule.num_vertex_vars == 0) continue;
-    eval.ForEachSatisfying(rule, [&](const Valuation& v) {
-      process_valuation(rule, v);
-      return true;
-    });
-  }
   result.rounds = 1;
   // The tail Loop() accounts for its own conflicts; record round 0's here.
   metrics.conflicts->Add(conflicts_.size() - conflicts_before);
+  // Propagation rounds run through the ordinary incremental loop seeded by
+  // the tuples the first round touched.
   ChaseResult tail = Loop(rules, std::move(next_dirty),
                           /*initial_full_scan=*/false);
   result.rounds += tail.rounds;

@@ -103,22 +103,22 @@ class ChaseEngine {
   ChaseResult RunIncremental(const std::vector<rules::Ree>& rules,
                              const std::vector<std::pair<int, int64_t>>& dirty);
 
-  /// Batch mode with HyperCube data-partitioned parallelism for the first
-  /// (dominant) round: rule×block work units are executed under the worker
-  /// pool, producing the schedule accounting used by the scalability
+  /// Batch mode with data-partitioned parallelism for the first (dominant)
+  /// round: one work unit per (rule, slice of the rule's first tuple
+  /// variable), vertex-variable rules included, executed under the worker
+  /// pool and producing the schedule accounting used by the scalability
   /// benches (Fig 4(l)); later rounds are small and run serially.
   ///
-  /// Workers only *evaluate* preconditions — each unit accumulates its
-  /// satisfying valuations into a per-unit buffer, the fix store stays
-  /// read-only, and the buffers are merged at the pool's barrier in unit
-  /// order. Consequences are then applied serially (re-verifying each
-  /// precondition against the growing overlay), so the chase reaches the
-  /// same fixpoint as Run() for every worker count; valuations a round-0
-  /// fix newly enables are picked up by the serial propagation rounds
-  /// through the dirty set.
+  /// Workers only *evaluate* preconditions — each unit enumerates its slice
+  /// with the serial indexed enumeration into a per-unit buffer, the fix
+  /// store stays read-only, and the buffers are merged at the pool's
+  /// barrier in unit order. Consequences are then applied serially
+  /// (re-verifying each precondition against the growing overlay), so the
+  /// chase reaches the same fixpoint as Run() for every worker count;
+  /// valuations a round-0 fix newly enables are picked up by the serial
+  /// propagation rounds through the dirty set.
   ChaseResult RunParallel(const std::vector<rules::Ree>& rules,
-                          int num_workers, int block_rows,
-                          par::ScheduleReport* schedule);
+                          int num_workers, par::ScheduleReport* schedule);
 
   /// Applies U to a copy of the database: validated values overwrite cells,
   /// EIDs become canonical.

@@ -443,8 +443,7 @@ std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrorsParallel(
   }
   CorrectionResult local;
   local.poly_fixes = ApplyPolyFixes(engine.get());
-  local.chase = engine->RunParallel(rules, num_workers,
-                                    options_.detector.block_rows, schedule);
+  local.chase = engine->RunParallel(rules, num_workers, schedule);
   local.passes = 1;
   if (result != nullptr) *result = local;
   last_engine_ = engine;

@@ -52,6 +52,9 @@ struct RockOptions {
   Variant variant = Variant::kRock;
   discovery::MinerOptions miner;
   chase::ChaseOptions chase;
+  /// Detection knobs (ML blocking, batched ML scoring, fault plan). The
+  /// parallel paths partition every rule by row slices of its first tuple
+  /// variable (par::BuildRowUnits), so they take no block size.
   detect::DetectorOptions detector;
   /// Discover and enforce polynomial expressions over numeric attributes
   /// (§5.4); disabled for kNoMl.
@@ -173,7 +176,8 @@ class Rock {
       const std::vector<std::pair<int, int64_t>>& dirty) const;
 
   /// Parallel detection on `num_workers` worker threads, with schedule
-  /// accounting.
+  /// accounting. Returns the same report as DetectErrors at every worker
+  /// count.
   detect::DetectionReport DetectErrorsParallel(
       const std::vector<rules::Ree>& rules, int num_workers,
       par::ScheduleReport* schedule) const;
@@ -189,8 +193,8 @@ class Rock {
       CorrectionResult* result);
 
   /// Parallel correction: the dominant first chase round runs under the
-  /// worker pool (block size from RockOptions::detector.block_rows), with
-  /// any SetFaultInjection schedule applied and recovered. Produces the
+  /// worker pool, one unit per (rule, row slice), with any
+  /// SetFaultInjection schedule applied and recovered. Produces the
   /// same fix store as CorrectErrors under the kRock variant; fills
   /// `schedule` with the pool accounting when non-null.
   std::shared_ptr<chase::ChaseEngine> CorrectErrorsParallel(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
-#include <unordered_set>
 
 #include "src/common/hash.h"
 #include "src/common/timer.h"
@@ -70,6 +69,13 @@ void PublishCacheGauges(const ml::MlScoreCache* cache, size_t scratch_peak) {
     metrics.ml_cache_entries->Set(static_cast<int64_t>(cache->size()));
     metrics.ml_cache_bytes->Set(static_cast<int64_t>(cache->ApproxBytes()));
   }
+}
+
+/// Rows of the relation a rule's first tuple variable ranges over (0 when
+/// the rule has none).
+size_t FirstVarRows(const Database& db, const rules::Ree& rule) {
+  return rule.tuple_vars.empty() ? 0
+                                 : db.relation(rule.tuple_vars[0]).size();
 }
 
 }  // namespace
@@ -283,124 +289,105 @@ void ErrorDetector::RecordViolation(const Ree& rule, const Valuation& v,
   report->errors.push_back(std::move(record));
 }
 
-bool ErrorDetector::DetectWithBlocking(const Ree& rule,
-                                       const rules::Evaluator& eval,
-                                       ml::BatchScratch* scratch,
-                                       DetectionReport* report) const {
-  if (!options_.use_ml_blocking) return false;
-  if (rule.tuple_vars.size() != 2 || rule.num_vertex_vars != 0) return false;
-  if (rule.tuple_vars[0] != rule.tuple_vars[1]) return false;
-  if (ctx_.models == nullptr) return false;
+struct ErrorDetector::Blocking {
+  const Predicate* ml_pred = nullptr;
+  const ml::PairClassifier* model = nullptr;
+  ml::LshBlocker blocker;
+};
+
+std::unique_ptr<const ErrorDetector::Blocking> ErrorDetector::BuildBlocking(
+    const Ree& rule, const rules::Evaluator& eval) const {
+  if (!options_.use_ml_blocking) return nullptr;
+  if (rule.tuple_vars.size() != 2 || rule.num_vertex_vars != 0) {
+    return nullptr;
+  }
+  if (rule.tuple_vars[0] != rule.tuple_vars[1]) return nullptr;
+  if (ctx_.models == nullptr) return nullptr;
 
   // Qualify: an ML pair predicate links the variables, and no equality
   // attr-compare between the two variables exists (which would already
   // hash-join).
-  const Predicate* ml_pred = nullptr;
+  auto blocking = std::make_unique<Blocking>();
   for (const Predicate& p : rule.precondition) {
     if (p.kind == PredicateKind::kMlPair && p.var != p.var2) {
-      ml_pred = &p;
+      blocking->ml_pred = &p;
     }
     if (p.kind == PredicateKind::kAttrCompare && p.op == rules::CmpOp::kEq &&
         p.var != p.var2 && p.attr != rules::kEidAttr) {
-      return false;  // equality join available; indexing beats blocking
+      return nullptr;  // equality join available; indexing beats blocking
     }
   }
-  if (ml_pred == nullptr) return false;
-  const ml::PairClassifier* model = ctx_.models->FindPair(ml_pred->model);
-  if (model == nullptr) return false;
+  if (blocking->ml_pred == nullptr) return nullptr;
+  blocking->model = ctx_.models->FindPair(blocking->ml_pred->model);
+  if (blocking->model == nullptr) return nullptr;
 
   // Filter: LSH blocking over the ML predicate's attribute tokens.
-  int rel = rule.tuple_vars[0];
-  const Relation& relation = ctx_.db->relation(rel);
-  ml::LshBlocker blocker;
+  const size_t rows = ctx_.db->relation(rule.tuple_vars[0]).size();
   Valuation v;
   v.rows.assign(2, 0);
-  for (size_t row = 0; row < relation.size(); ++row) {
+  for (size_t row = 0; row < rows; ++row) {
     v.rows[0] = static_cast<int>(row);
     std::vector<Value> values;
-    for (int attr : ml_pred->attrs_b) {
+    for (int attr : blocking->ml_pred->attrs_b) {
       values.push_back(eval.GetCell(rule, v, 0, attr));
     }
-    blocker.Add(static_cast<int64_t>(row), model->BlockTokens(values));
+    blocking->blocker.Add(static_cast<int64_t>(row),
+                          blocking->model->BlockTokens(values));
+  }
+  return blocking;
+}
+
+void ErrorDetector::DetectSlice(const Ree& rule, rules::RowRange slice,
+                                const Blocking* blocking,
+                                const rules::Evaluator& eval,
+                                ml::BatchScratch* scratch,
+                                DetectionReport* report) const {
+  const DetectMetrics& metrics = DetectMetrics::Get();
+  if (blocking == nullptr) {
+    // Warm the score memo with one batch per model before the per-pair
+    // enumeration; misses during enumeration still score-and-insert.
+    metrics.ml_batched_pairs->Add(eval.WarmMlCache(rule, scratch, slice));
+    eval.ForEachSatisfying(
+        rule,
+        [&](const Valuation& v) {
+          ++report->exhaustive_pairs_checked;
+          if (!eval.Satisfies(rule, v, rule.consequence)) {
+            RecordViolation(rule, v, eval, report);
+          }
+          return true;
+        },
+        slice);
+    return;
   }
 
-  // Materialize the candidate pairs (the block) in verify order.
+  // Materialize the slice's candidate pairs (the block) in verify order.
+  const Predicate& ml_pred = *blocking->ml_pred;
   std::vector<std::pair<int, int>> pairs;
-  for (size_t row = 0; row < relation.size(); ++row) {
-    v.rows[0] = static_cast<int>(row);
+  Valuation v;
+  v.rows.assign(2, 0);
+  for (int row = slice.begin; row < slice.end; ++row) {
+    v.rows[0] = row;
     std::vector<Value> values;
-    for (int attr : ml_pred->attrs_a) {
+    for (int attr : ml_pred.attrs_a) {
       values.push_back(eval.GetCell(rule, v, 0, attr));
     }
-    for (int64_t candidate : blocker.Candidates(model->BlockTokens(values))) {
-      if (candidate == static_cast<int64_t>(row)) continue;
-      pairs.emplace_back(static_cast<int>(row), static_cast<int>(candidate));
+    for (int64_t candidate :
+         blocking->blocker.Candidates(blocking->model->BlockTokens(values))) {
+      if (candidate == row) continue;
+      pairs.emplace_back(row, static_cast<int>(candidate));
     }
   }
 
-  // Batch pre-pass: score the block's uncached ML pairs with one
-  // ScoreBatch per model, so the verify loop's Satisfies calls hit the
-  // memo. The memoized doubles are exactly what the scalar path computes,
-  // so the verify outcome is unchanged.
-  ml::MlScoreCache* cache = eval.context().ml_cache;
-  if (cache != nullptr && scratch != nullptr) {
-    std::vector<const Predicate*> ml_preds;
-    for (const Predicate& p : rule.precondition) {
-      if (p.kind == PredicateKind::kMlPair) ml_preds.push_back(&p);
-    }
-    std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash>
-        queued;
-    struct Pending {
-      const ml::PairClassifier* pending_model = nullptr;
-      ml::PairBatch batch;
-      std::vector<ml::MlScoreCache::Key> keys;
-    };
-    std::map<std::string, Pending> pending;
-    size_t pending_pairs = 0;
-    size_t scored = 0;
-    std::vector<double> scores;
-    auto flush = [&] {
-      for (auto& [name, entry] : pending) {
-        if (entry.batch.empty()) continue;
-        entry.pending_model->ScoreBatch(entry.batch, scratch, &scores);
-        cache->InsertBatch(entry.keys, scores);
-        scored += scores.size();
-        entry.batch.Clear();
-        entry.keys.clear();
-      }
-      pending_pairs = 0;
-    };
-    for (const auto& [row, candidate] : pairs) {
-      v.rows[0] = row;
-      v.rows[1] = candidate;
-      for (const Predicate* p : ml_preds) {
-        const ml::PairClassifier* pair_model =
-            ctx_.models->FindPair(p->model);
-        if (pair_model == nullptr) continue;
-        std::vector<Value> a, b;
-        a.reserve(p->attrs_a.size());
-        b.reserve(p->attrs_b.size());
-        for (int attr : p->attrs_a) {
-          a.push_back(eval.GetCell(rule, v, p->var, attr));
-        }
-        for (int attr : p->attrs_b) {
-          b.push_back(eval.GetCell(rule, v, p->var2, attr));
-        }
-        const ml::MlScoreCache::Key key =
-            ml::MlScoreCache::MakeKey(p->model, a, b);
-        if (!queued.insert(key).second) continue;
-        if (cache->Contains(key)) continue;
-        Pending& entry = pending[p->model];
-        entry.pending_model = pair_model;
-        entry.batch.Add(std::move(a), std::move(b));
-        entry.keys.push_back(key);
-        // Bound pre-pass memory on huge blocks.
-        if (++pending_pairs >= 4096) flush();
-      }
-    }
-    flush();
-    DetectMetrics::Get().ml_batched_pairs->Add(scored);
+  // Batch pre-pass: score the block's uncached ML pairs so the verify
+  // loop's Satisfies calls hit the memo. The memoized doubles are exactly
+  // what the scalar path computes, so the verify outcome is unchanged.
+  rules::MlWarmer warmer(eval, rule, scratch);
+  for (const auto& [row, candidate] : pairs) {
+    v.rows[0] = row;
+    v.rows[1] = candidate;
+    warmer.Add(v);
   }
+  metrics.ml_batched_pairs->Add(warmer.Finish());
 
   // Verify: evaluate the full precondition on candidate pairs only.
   for (const auto& [row, candidate] : pairs) {
@@ -412,15 +399,6 @@ bool ErrorDetector::DetectWithBlocking(const Ree& rule,
       RecordViolation(rule, v, eval, report);
     }
   }
-  return true;
-}
-
-void ErrorDetector::DetectRule(const Ree& rule, const rules::Evaluator& eval,
-                               DetectionReport* report) const {
-  eval.ForEachViolation(rule, [&](const Valuation& v) {
-    RecordViolation(rule, v, eval, report);
-    return true;
-  });
 }
 
 DetectionReport ErrorDetector::Detect(
@@ -433,12 +411,10 @@ DetectionReport ErrorDetector::Detect(
   size_t scratch_peak = 0;
   for (const Ree& rule : rules) {
     Timer timer;
-    if (!DetectWithBlocking(rule, eval, &scratch, &report)) {
-      // Warm the score memo with one batch per model before the per-pair
-      // enumeration; misses inside DetectRule still score-and-insert.
-      metrics.ml_batched_pairs->Add(eval.WarmMlCache(rule, &scratch));
-      DetectRule(rule, eval, &report);
-    }
+    const rules::RowRange all{
+        0, 0, static_cast<int>(FirstVarRows(*ctx_.db, rule))};
+    DetectSlice(rule, all, BuildBlocking(rule, eval).get(), eval, &scratch,
+                &report);
     scratch_peak = std::max(scratch_peak, scratch.ApproxBytes());
     scratch.Reset();
     metrics.rule_seconds->Observe(timer.ElapsedSeconds());
@@ -465,8 +441,9 @@ DetectionReport ErrorDetector::DetectIncremental(
         if (drel != rel) continue;
         int row = ctx_.db->relation(rel).RowOfTid(dtid);
         if (row < 0) continue;
-        DetectMetrics::Get().ml_batched_pairs->Add(eval.WarmMlCache(
-            rule, &scratch, static_cast<int>(var), row));
+        const rules::RowRange delta{static_cast<int>(var), row, row + 1};
+        DetectMetrics::Get().ml_batched_pairs->Add(
+            eval.WarmMlCache(rule, &scratch, delta));
         eval.ForEachSatisfying(
             rule,
             [&](const Valuation& v) {
@@ -476,7 +453,7 @@ DetectionReport ErrorDetector::DetectIncremental(
               }
               return true;
             },
-            static_cast<int>(var), row);
+            delta);
       }
     }
     scratch.Reset();
@@ -484,136 +461,24 @@ DetectionReport ErrorDetector::DetectIncremental(
   return report;
 }
 
-void ErrorDetector::WarmRanges(const Ree& rule,
-                               const std::vector<par::WorkUnit::Range>& ranges,
-                               const rules::Evaluator& eval,
-                               ml::BatchScratch* scratch) const {
-  ml::MlScoreCache* cache = eval.context().ml_cache;
-  if (cache == nullptr || scratch == nullptr || ctx_.models == nullptr) {
-    return;
-  }
-  if (rule.num_vertex_vars != 0) return;
-  std::vector<const Predicate*> ml_preds;
-  std::vector<const Predicate*> non_ml;
-  for (const Predicate& p : rule.precondition) {
-    if (p.kind == PredicateKind::kMlPair) {
-      ml_preds.push_back(&p);
-    } else {
-      non_ml.push_back(&p);
-    }
-  }
-  if (ml_preds.empty()) return;
-
-  struct Pending {
-    const ml::PairClassifier* pending_model = nullptr;
-    ml::PairBatch batch;
-    std::vector<ml::MlScoreCache::Key> keys;
-  };
-  std::map<std::string, Pending> pending;
-  std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash> queued;
-  size_t pending_pairs = 0;
-  size_t scored = 0;
-  std::vector<double> scores;
-  auto flush = [&] {
-    for (auto& [name, entry] : pending) {
-      if (entry.batch.empty()) continue;
-      entry.pending_model->ScoreBatch(entry.batch, scratch, &scores);
-      cache->InsertBatch(entry.keys, scores);
-      scored += scores.size();
-      entry.batch.Clear();
-      entry.keys.clear();
-    }
-    pending_pairs = 0;
-  };
-
-  Valuation v;
-  v.rows.assign(rule.tuple_vars.size(), 0);
-  v.vertices.clear();
-  std::function<void(size_t)> recurse = [&](size_t var) {
-    if (var == rule.tuple_vars.size()) {
-      // Collect ML pairs only for valuations passing every non-ML
-      // predicate: a superset of the pairs the real pass scores (which
-      // short-circuits in precondition order), minus those where a later
-      // non-ML predicate fails — the latter just fall back to per-pair
-      // scoring on their cache miss.
-      for (const Predicate* p : non_ml) {
-        if (!eval.Satisfies(rule, v, *p)) return;
-      }
-      for (const Predicate* p : ml_preds) {
-        const ml::PairClassifier* pair_model =
-            ctx_.models->FindPair(p->model);
-        if (pair_model == nullptr) continue;
-        std::vector<Value> a, b;
-        a.reserve(p->attrs_a.size());
-        b.reserve(p->attrs_b.size());
-        for (int attr : p->attrs_a) {
-          a.push_back(eval.GetCell(rule, v, p->var, attr));
-        }
-        for (int attr : p->attrs_b) {
-          b.push_back(eval.GetCell(rule, v, p->var2, attr));
-        }
-        const ml::MlScoreCache::Key key =
-            ml::MlScoreCache::MakeKey(p->model, a, b);
-        if (!queued.insert(key).second) continue;
-        if (cache->Contains(key)) continue;
-        Pending& entry = pending[p->model];
-        entry.pending_model = pair_model;
-        entry.batch.Add(std::move(a), std::move(b));
-        entry.keys.push_back(key);
-        if (++pending_pairs >= 4096) flush();
-      }
-      return;
-    }
-    for (int row = ranges[var].begin; row < ranges[var].end; ++row) {
-      v.rows[var] = row;
-      recurse(var + 1);
-    }
-  };
-  recurse(0);
-  flush();
-  DetectMetrics::Get().ml_batched_pairs->Add(scored);
-}
-
-void ErrorDetector::DetectRuleInRanges(
-    const Ree& rule, const std::vector<par::WorkUnit::Range>& ranges,
-    const rules::Evaluator& eval, ml::BatchScratch* scratch,
-    DetectionReport* report) const {
-  // Block-local nested-loop evaluation — the HyperCube executor's unit
-  // body. Correctness comes from covering every block combination.
-  if (rule.num_vertex_vars == 0) {
-    WarmRanges(rule, ranges, eval, scratch);
-  }
-  Valuation v;
-  v.rows.assign(rule.tuple_vars.size(), 0);
-  v.vertices.assign(static_cast<size_t>(rule.num_vertex_vars), -1);
-
-  std::function<void(size_t)> recurse = [&](size_t var) {
-    if (var == rule.tuple_vars.size()) {
-      ++report->exhaustive_pairs_checked;
-      if (eval.SatisfiesPrecondition(rule, v) &&
-          !eval.Satisfies(rule, v, rule.consequence)) {
-        RecordViolation(rule, v, eval, report);
-      }
-      return;
-    }
-    for (int row = ranges[var].begin; row < ranges[var].end; ++row) {
-      v.rows[var] = row;
-      recurse(var + 1);
-    }
-  };
-  if (rule.num_vertex_vars == 0) recurse(0);
-}
-
 DetectionReport ErrorDetector::DetectParallel(
     const std::vector<Ree>& rules, int num_workers,
     par::ScheduleReport* schedule) const {
   ROCK_OBS_SPAN("detect.parallel");
+  const rules::EvalContext cached_ctx = CachedContext();
   std::vector<par::WorkUnit> units;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    std::vector<par::WorkUnit> rule_units = par::BuildHyperCubeUnits(
-        *ctx_.db, static_cast<int>(r), rules[r].tuple_vars,
-        options_.block_rows);
-    units.insert(units.end(), rule_units.begin(), rule_units.end());
+  std::vector<std::unique_ptr<const Blocking>> blockings;
+  {
+    const rules::Evaluator eval(cached_ctx);
+    for (size_t r = 0; r < rules.size(); ++r) {
+      const Ree& rule = rules[r];
+      std::vector<par::WorkUnit> rule_units = par::BuildRowUnits(
+          static_cast<int>(r), rule.tuple_vars.empty() ? -1
+                                                       : rule.tuple_vars[0],
+          FirstVarRows(*ctx_.db, rule));
+      units.insert(units.end(), rule_units.begin(), rule_units.end());
+      blockings.push_back(BuildBlocking(rule, eval));
+    }
   }
 
   par::PoolOptions pool_options;
@@ -622,11 +487,11 @@ DetectionReport ErrorDetector::DetectParallel(
   par::WorkerPool pool(num_workers, pool_options);
   // One evaluator and batch scratch per worker (the evaluator caches
   // equality indexes; the scratch is not thread-safe) and one report per
-  // unit: workers share only the sharded ML score memo, whose content-
-  // keyed first-insert-wins entries are value-identical no matter which
-  // worker lands first, and merging reports in unit order makes the result
-  // independent of worker count and stealing.
-  const rules::EvalContext cached_ctx = CachedContext();
+  // unit: workers share only the read-only blocking indexes and the
+  // sharded ML score memo, whose content-keyed first-insert-wins entries
+  // are value-identical no matter which worker lands first. Each unit
+  // enumerates one slice of the serial enumeration order, so merging the
+  // reports in unit order reproduces Detect().
   std::vector<rules::Evaluator> evals;
   evals.reserve(static_cast<size_t>(pool.num_workers()));
   for (int w = 0; w < pool.num_workers(); ++w) evals.emplace_back(cached_ctx);
@@ -638,9 +503,10 @@ DetectionReport ErrorDetector::DetectParallel(
                        int worker) {
     unit_reports[unit_index] = DetectionReport();  // replay overwrites
     ml::BatchScratch& scratch = scratches[static_cast<size_t>(worker)];
-    DetectRuleInRanges(rules[static_cast<size_t>(u.rule_index)], u.ranges,
-                       evals[static_cast<size_t>(worker)], &scratch,
-                       &unit_reports[unit_index]);
+    const size_t r = static_cast<size_t>(u.rule_index);
+    DetectSlice(rules[r], {0, u.rows.begin, u.rows.end}, blockings[r].get(),
+                evals[static_cast<size_t>(worker)], &scratch,
+                &unit_reports[unit_index]);
     size_t bytes = scratch.ApproxBytes();
     size_t seen = scratch_peak.load(std::memory_order_relaxed);
     while (bytes > seen &&

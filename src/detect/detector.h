@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <unordered_map>
 #include <set>
@@ -23,7 +24,7 @@ const char* ErrorClassName(ErrorClass error_class);
 
 /// One detected error: a violation of one rule, localized to cells.
 struct ErrorRecord {
-  ErrorClass error_class;
+  ErrorClass error_class = ErrorClass::kConflict;
   std::string rule_id;
   /// Cells implicated by the violated consequence; attr = -1 denotes the
   /// whole tuple (duplicates).
@@ -39,16 +40,23 @@ struct ErrorRecord {
     }
   };
   std::vector<Cell> cells;
+
+  bool operator==(const ErrorRecord&) const = default;
 };
 
 struct DetectionReport {
   std::vector<ErrorRecord> errors;
   /// Raw violation count (several violations may implicate the same cell).
   size_t violations = 0;
-  /// Valuations whose ML predicates were evaluated via the blocking filter
-  /// vs. exhaustively (for the §5.4 filter-and-verify accounting).
+  /// Valuations checked against a rule's consequence: candidate pairs the
+  /// LSH blocking filter produced (verified against the whole rule) vs.
+  /// valuations the indexed enumeration produced (for the §5.4
+  /// filter-and-verify accounting).
   size_t blocked_pairs_checked = 0;
   size_t exhaustive_pairs_checked = 0;
+
+  /// Field for field: errors in order, and every counter.
+  bool operator==(const DetectionReport&) const = default;
 
   /// Distinct implicated cells.
   std::set<ErrorRecord::Cell> DirtyCells() const;
@@ -61,8 +69,6 @@ struct DetectorOptions {
   /// only link between its two variables is an ML predicate, candidate
   /// pairs come from an LSH blocking index instead of the cross product.
   bool use_ml_blocking = true;
-  /// Rows per virtual block for HyperCube partitioning (parallel mode).
-  int block_rows = 512;
   /// Deterministic fault schedule injected into DetectParallel's pool (not
   /// owned; nullptr disables injection). Units the pool abandons are
   /// replayed serially into their own per-unit reports before the unit-
@@ -70,7 +76,7 @@ struct DetectorOptions {
   const par::FaultPlan* fault_plan = nullptr;
   /// Retry discipline for the pool when a fault plan is set.
   par::RetryPolicy retry;
-  /// Batched ML predicate evaluation: each (rule, block) warms a shared
+  /// Batched ML predicate evaluation: each (rule, slice) warms a shared
   /// score memo with one ScoreBatch per model before verification, and
   /// Satisfies then hits the memo instead of re-scoring per pair. Cached
   /// scores are the exact doubles the scalar path computes, so reports are
@@ -82,7 +88,9 @@ struct DetectorOptions {
 };
 
 /// Error detection (paper §3): violations of REE++s in Σ, batch and
-/// incremental, with data-partitioned parallelism via HyperCube work units.
+/// incremental. Batch and parallel detection run one per-rule body over
+/// slices of the rule's first tuple variable: serial detection over the
+/// whole relation, parallel detection one slice per work unit.
 class ErrorDetector {
  public:
   explicit ErrorDetector(rules::EvalContext ctx);
@@ -97,12 +105,12 @@ class ErrorDetector {
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
 
-  /// Parallel detection: HyperCube units executed under the worker pool;
-  /// fills `schedule` with the placement/stealing accounting used by the
-  /// scalability benches. Each unit accumulates into its own report and the
-  /// per-unit reports are merged in unit order, so the result is bitwise
-  /// identical for every worker count, and covers the same dirty cells as
-  /// Detect().
+  /// Parallel detection: one work unit per (rule, slice of its first tuple
+  /// variable) executed under the worker pool; fills `schedule` with the
+  /// placement/stealing accounting used by the scalability benches. Each
+  /// unit accumulates into its own report and the per-unit reports are
+  /// merged in unit order, so the result equals Detect() field for field
+  /// at every worker count and under any fault plan.
   DetectionReport DetectParallel(const std::vector<rules::Ree>& rules,
                                  int num_workers,
                                  par::ScheduleReport* schedule) const;
@@ -143,28 +151,23 @@ class ErrorDetector {
   void RecordViolation(const rules::Ree& rule, const rules::Valuation& v,
                        const rules::Evaluator& eval,
                        DetectionReport* report) const;
-  void DetectRule(const rules::Ree& rule, const rules::Evaluator& eval,
-                  DetectionReport* report) const;
-  /// Blocking-accelerated path for two-variable ML rules; returns false
-  /// when the rule does not qualify (caller falls back to DetectRule).
-  /// With a score memo active and `scratch` non-null, the candidate pairs
-  /// are batch-scored per model before the verify loop.
-  bool DetectWithBlocking(const rules::Ree& rule,
-                          const rules::Evaluator& eval,
-                          ml::BatchScratch* scratch,
-                          DetectionReport* report) const;
-  void DetectRuleInRanges(const rules::Ree& rule,
-                          const std::vector<par::WorkUnit::Range>& ranges,
-                          const rules::Evaluator& eval,
-                          ml::BatchScratch* scratch,
-                          DetectionReport* report) const;
-  /// Batch pre-pass for DetectRuleInRanges: scores the block's uncached ML
-  /// pairs (valuations passing every non-ML predicate) with one ScoreBatch
-  /// per model.
-  void WarmRanges(const rules::Ree& rule,
-                  const std::vector<par::WorkUnit::Range>& ranges,
-                  const rules::Evaluator& eval,
-                  ml::BatchScratch* scratch) const;
+  /// LSH blocking index of a rule that qualifies for filter-and-verify
+  /// (paper §5.4). Built once per rule per detection call and read
+  /// concurrently by every slice of that rule.
+  struct Blocking;
+  /// The rule's blocking index, or nullptr when the rule does not qualify:
+  /// two variables over one relation, no vertex variables, an ML pair
+  /// predicate linking them and no equality join between them.
+  std::unique_ptr<const Blocking> BuildBlocking(
+      const rules::Ree& rule, const rules::Evaluator& eval) const;
+  /// The per-rule body of every batch path: detects the rule's violations
+  /// whose first tuple variable binds a row of `slice`, in the serial
+  /// enumeration order. With `blocking`, the slice's candidate pairs come
+  /// from the blocking index; otherwise the slice is warmed (one ScoreBatch
+  /// per model) and enumerated through the evaluator's indexes.
+  void DetectSlice(const rules::Ree& rule, rules::RowRange slice,
+                   const Blocking* blocking, const rules::Evaluator& eval,
+                   ml::BatchScratch* scratch, DetectionReport* report) const;
 };
 
 }  // namespace rock::detect

@@ -148,60 +148,18 @@ void PublishBreakdown(const ScheduleReport& report) {
 }  // namespace
 
 std::string WorkUnit::PlacementKey() const {
-  std::string key = "u" + std::to_string(rule_index);
-  for (const Range& r : ranges) {
-    key += ":" + std::to_string(r.rel) + "." + std::to_string(r.begin);
-  }
-  return key;
+  return "u" + std::to_string(rule_index) + ":" + std::to_string(rows.rel) +
+         "." + std::to_string(rows.begin);
 }
 
-double CostModel::Estimate(const WorkUnit& unit, int join_attr) const {
-  double cost = 1.0;
-  for (const WorkUnit::Range& r : unit.ranges) {
-    cost *= std::max(1, r.end - r.begin);
-  }
-  if (join_attr >= 0 && unit.ranges.size() >= 2) {
-    const ColumnStats& stats =
-        stats_->Get(unit.ranges[1].rel, join_attr);
-    if (stats.num_distinct > 0) {
-      // Equality join selectivity ~ 1 / distinct values.
-      cost /= static_cast<double>(stats.num_distinct);
-    }
-  }
-  return std::max(cost, 1.0);
-}
-
-std::vector<WorkUnit> BuildHyperCubeUnits(const Database& db, int rule_index,
-                                          const std::vector<int>& tuple_vars,
-                                          int block_rows) {
-  std::vector<WorkUnit> units;
-  // Block boundaries per variable.
-  std::vector<std::vector<std::pair<int, int>>> blocks(tuple_vars.size());
-  for (size_t var = 0; var < tuple_vars.size(); ++var) {
-    int size = static_cast<int>(db.relation(tuple_vars[var]).size());
-    for (int begin = 0; begin < size; begin += block_rows) {
-      blocks[var].emplace_back(begin, std::min(begin + block_rows, size));
-    }
-    if (blocks[var].empty()) blocks[var].emplace_back(0, 0);
-  }
-  // Cross product of block choices (the HyperCube grid).
-  std::vector<size_t> choice(tuple_vars.size(), 0);
-  while (true) {
-    WorkUnit unit;
-    unit.rule_index = rule_index;
-    for (size_t var = 0; var < tuple_vars.size(); ++var) {
-      auto [begin, end] = blocks[var][choice[var]];
-      unit.ranges.push_back({tuple_vars[var], begin, end});
-    }
-    units.push_back(std::move(unit));
-    // Advance the odometer.
-    size_t var = 0;
-    while (var < choice.size()) {
-      if (++choice[var] < blocks[var].size()) break;
-      choice[var] = 0;
-      ++var;
-    }
-    if (var == choice.size()) break;
+std::vector<WorkUnit> BuildRowUnits(int rule_index, int rel, size_t rows) {
+  const size_t slices =
+      std::max<size_t>(1, std::min<size_t>(rows, kMaxRowSlices));
+  std::vector<WorkUnit> units(slices);
+  for (size_t i = 0; i < slices; ++i) {
+    units[i].rule_index = rule_index;
+    units[i].rows = {rel, static_cast<int>(i * rows / slices),
+                     static_cast<int>((i + 1) * rows / slices)};
   }
   return units;
 }

@@ -7,50 +7,38 @@
 
 #include "src/crystal/hash_ring.h"
 #include "src/par/fault.h"
-#include "src/storage/stats.h"
 
 namespace rock::par {
 
 /// A work unit T = (φ, D_T) (paper §5.2): one rule against one data
-/// partition. Partitions follow the HyperCube scheme of [41]: each tuple
-/// variable's relation is cut into virtual blocks and a unit covers one
-/// block combination.
+/// partition — a contiguous slice of the rows of the rule's first tuple
+/// variable. The unit's body runs the serial, indexed evaluation with that
+/// variable bound to the slice; the other variables are reached through
+/// the evaluator's indexes and blocking, exactly as in serial detection.
 struct WorkUnit {
   int rule_index = -1;
-  /// Per tuple variable: (relation index, block begin row, block end row).
+  /// Relation index and row slice [begin, end) of the first tuple variable.
   struct Range {
     int rel = -1;
     int begin = 0;
     int end = 0;
   };
-  std::vector<Range> ranges;
-  /// Estimated cost from the cost model (used for placement accounting).
-  double est_cost = 1.0;
+  Range rows;
 
-  /// Placement key: units hash onto the ring by their block coordinates.
+  /// Placement key: units hash onto the ring by their slice coordinates.
   std::string PlacementKey() const;
 };
 
-/// Cost estimation from Crystal's metadata (paper §5.2 (2)): a unit's cost
-/// scales with the product of its block sizes, discounted by the
-/// selectivity of its equality join (estimated from distinct counts).
-class CostModel {
- public:
-  explicit CostModel(const DatabaseStats* stats) : stats_(stats) {}
+/// Maximum number of slices a relation is cut into.
+inline constexpr int kMaxRowSlices = 64;
 
-  /// Estimate for a unit whose rule joins on `join_attr` of the second
-  /// variable's relation (-1 = no join restriction known).
-  double Estimate(const WorkUnit& unit, int join_attr) const;
-
- private:
-  const DatabaseStats* stats_;
-};
-
-/// Builds HyperCube work units for a rule shape: each variable's relation
-/// is split into ceil(size / block_rows) blocks; one unit per combination.
-std::vector<WorkUnit> BuildHyperCubeUnits(const Database& db, int rule_index,
-                                          const std::vector<int>& tuple_vars,
-                                          int block_rows);
+/// Work units of rule `rule_index` over relation `rel` of `rows` rows:
+/// min(rows, kMaxRowSlices) contiguous slices that cover [0, rows) once, in
+/// order, with sizes differing by at most one; one empty unit when rows is
+/// 0. The partition depends on the relation size only, never on the worker
+/// count, so reports merged in unit order are identical at every worker
+/// count and a 1-worker measurement replays at any other.
+std::vector<WorkUnit> BuildRowUnits(int rule_index, int rel, size_t rows);
 
 /// Idle time of one worker over one execution: wall-clock minus busy time,
 /// clamped at zero. The clamp matters for stragglers measured with

@@ -366,7 +366,7 @@ bool Evaluator::LookupCandidates(int rel, int attr, const Value& value,
 
 void Evaluator::ForEachSatisfying(
     const Ree& rule, const std::function<bool(const Valuation&)>& cb,
-    int pinned_var, int pinned_row) const {
+    RowRange range) const {
   // ready_preds[d] = predicates fully bound once vars 0..d are assigned
   // (vertex-var predicates are deferred to the vertex phase).
   size_t num_vars = rule.tuple_vars.size();
@@ -384,28 +384,27 @@ void Evaluator::ForEachSatisfying(
   v.rows.assign(num_vars, -1);
   v.vertices.assign(static_cast<size_t>(rule.num_vertex_vars), -1);
   bool keep_going = true;
-  Recurse(rule, v, 0, ready, cb, keep_going, pinned_var, pinned_row);
+  Recurse(rule, v, 0, ready, cb, keep_going, range);
 }
 
 size_t Evaluator::WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
-                              int pinned_var, int pinned_row) const {
+                              RowRange range) const {
   if (ctx_.ml_cache == nullptr || ctx_.models == nullptr) return 0;
   if (rule.num_vertex_vars != 0) return 0;
-  std::vector<const Predicate*> ml_preds;
-  for (const Predicate& p : rule.precondition) {
-    if (p.kind == PredicateKind::kMlPair) ml_preds.push_back(&p);
-  }
-  if (ml_preds.empty()) return 0;
   // Every ML predicate must bind at the deepest variable: the warm
   // enumeration below skips ML predicates entirely, which is free only
   // when they never prune an enumeration prefix.
   const size_t num_vars = rule.tuple_vars.size();
   const int last = static_cast<int>(num_vars) - 1;
-  for (const Predicate* p : ml_preds) {
+  bool any_ml = false;
+  for (const Predicate& p : rule.precondition) {
+    if (p.kind != PredicateKind::kMlPair) continue;
+    any_ml = true;
     int max_var = -1;
-    for (int tv : p->TupleVars()) max_var = std::max(max_var, tv);
+    for (int tv : p.TupleVars()) max_var = std::max(max_var, tv);
     if (max_var != last) return 0;
   }
+  if (!any_ml) return 0;
 
   // Ready lists as in ForEachSatisfying, minus the ML predicates.
   std::vector<std::vector<const Predicate*>> ready(num_vars);
@@ -420,61 +419,76 @@ size_t Evaluator::WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
     }
   }
 
-  // One pending batch per model; pairs dedup against the cache and the
-  // round's own pending set (many valuations repeat the same cell values).
-  struct Pending {
-    const ml::PairClassifier* model = nullptr;
-    ml::PairBatch batch;
-    std::vector<ml::MlScoreCache::Key> keys;
-  };
-  std::map<std::string, Pending> pending;
-  std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash> queued;
-
-  auto collect = [&](const Valuation& v) {
-    for (const Predicate* p : ml_preds) {
-      const ml::PairClassifier* model = ctx_.models->FindPair(p->model);
-      if (model == nullptr) continue;
-      std::vector<Value> a, b;
-      a.reserve(p->attrs_a.size());
-      b.reserve(p->attrs_b.size());
-      for (int attr : p->attrs_a) a.push_back(GetCell(rule, v, p->var, attr));
-      for (int attr : p->attrs_b) {
-        b.push_back(GetCell(rule, v, p->var2, attr));
-      }
-      const ml::MlScoreCache::Key key =
-          ml::MlScoreCache::MakeKey(p->model, a, b);
-      if (!queued.insert(key).second) continue;
-      if (ctx_.ml_cache->Contains(key)) continue;
-      Pending& entry = pending[p->model];
-      entry.model = model;
-      entry.batch.Add(std::move(a), std::move(b));
-      entry.keys.push_back(key);
-    }
-    return true;
-  };
-
+  MlWarmer warmer(*this, rule, scratch);
   Valuation v;
   v.rows.assign(num_vars, -1);
   v.vertices.clear();
   bool keep_going = true;
-  Recurse(rule, v, 0, ready, collect, keep_going, pinned_var, pinned_row);
+  Recurse(
+      rule, v, 0, ready,
+      [&](const Valuation& satisfying) {
+        warmer.Add(satisfying);
+        return true;
+      },
+      keep_going, range);
+  return warmer.Finish();
+}
 
-  size_t scored = 0;
-  std::vector<double> scores;
-  for (auto& [name, entry] : pending) {
-    if (entry.batch.empty()) continue;
-    entry.model->ScoreBatch(entry.batch, scratch, &scores);
-    ctx_.ml_cache->InsertBatch(entry.keys, scores);
-    scored += scores.size();
+MlWarmer::MlWarmer(const Evaluator& eval, const Ree& rule,
+                   ml::BatchScratch* scratch)
+    : eval_(eval), rule_(rule), scratch_(scratch),
+      cache_(eval.context().ml_cache) {
+  if (cache_ == nullptr || eval.context().models == nullptr) return;
+  for (const Predicate& p : rule.precondition) {
+    if (p.kind == PredicateKind::kMlPair) ml_preds_.push_back(&p);
   }
-  return scored;
+}
+
+void MlWarmer::Add(const Valuation& v) {
+  for (const Predicate* p : ml_preds_) {
+    const ml::PairClassifier* model =
+        eval_.context().models->FindPair(p->model);
+    if (model == nullptr) continue;
+    std::vector<Value> a, b;
+    a.reserve(p->attrs_a.size());
+    b.reserve(p->attrs_b.size());
+    for (int attr : p->attrs_a) {
+      a.push_back(eval_.GetCell(rule_, v, p->var, attr));
+    }
+    for (int attr : p->attrs_b) {
+      b.push_back(eval_.GetCell(rule_, v, p->var2, attr));
+    }
+    const ml::MlScoreCache::Key key =
+        ml::MlScoreCache::MakeKey(p->model, a, b);
+    if (!queued_.insert(key).second) continue;
+    if (cache_->Contains(key)) continue;
+    Pending& entry = pending_[p->model];
+    entry.model = model;
+    entry.batch.Add(std::move(a), std::move(b));
+    entry.keys.push_back(key);
+    if (++pending_pairs_ >= 4096) Finish();
+  }
+}
+
+size_t MlWarmer::Finish() {
+  std::vector<double> scores;
+  for (auto& [name, entry] : pending_) {
+    if (entry.batch.empty()) continue;
+    entry.model->ScoreBatch(entry.batch, scratch_, &scores);
+    cache_->InsertBatch(entry.keys, scores);
+    scored_ += scores.size();
+    entry.batch.Clear();
+    entry.keys.clear();
+  }
+  pending_pairs_ = 0;
+  return scored_;
 }
 
 void Evaluator::Recurse(
     const Ree& rule, Valuation& v, size_t depth,
     const std::vector<std::vector<const Predicate*>>& ready_preds,
     const std::function<bool(const Valuation&)>& cb, bool& keep_going,
-    int pinned_var, int pinned_row) const {
+    RowRange range) const {
   if (!keep_going) return;
   if (depth == rule.tuple_vars.size()) {
     // All tuple variables bound; handle vertex variables (if any), checking
@@ -522,28 +536,27 @@ void Evaluator::Recurse(
         return;
       }
     }
-    Recurse(rule, v, depth + 1, ready_preds, cb, keep_going, pinned_var,
-            pinned_row);
+    Recurse(rule, v, depth + 1, ready_preds, cb, keep_going, range);
     v.rows[depth] = -1;
   };
 
-  if (pinned_var == static_cast<int>(depth)) {
-    if (pinned_row >= 0 && static_cast<size_t>(pinned_row) < relation.size()) {
-      try_row(pinned_row);
-    }
-    return;
-  }
-
+  // Rows [begin, end) this depth may bind; candidate lists are ascending,
+  // so the slice of them is a binary-searched subrange.
+  const bool sliced = range.var == static_cast<int>(depth);
+  const int begin = sliced ? std::max(0, range.begin) : 0;
+  const int end = sliced ? std::min(static_cast<int>(relation.size()),
+                                    range.end)
+                         : static_cast<int>(relation.size());
   if (restricted) {
-    for (int row : candidate_rows) {
-      if (!keep_going) break;
-      try_row(row);
+    auto first = candidate_rows.begin();
+    auto last = candidate_rows.end();
+    if (sliced) {
+      first = std::lower_bound(first, last, begin);
+      last = std::lower_bound(first, last, end);
     }
+    for (; first != last && keep_going; ++first) try_row(*first);
   } else {
-    for (size_t row = 0; row < relation.size(); ++row) {
-      if (!keep_going) break;
-      try_row(static_cast<int>(row));
-    }
+    for (int row = begin; row < end && keep_going; ++row) try_row(row);
   }
 }
 

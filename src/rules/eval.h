@@ -3,7 +3,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/kg/graph.h"
@@ -86,6 +88,14 @@ struct Valuation {
   }
 };
 
+/// Rows [begin, end) of tuple variable `var`, the slice an enumeration
+/// binds that variable to. var = -1 restricts nothing.
+struct RowRange {
+  int var = -1;
+  int begin = 0;
+  int end = 0;
+};
+
 /// Evaluates REE++s over a database (+ optional graph/models/overlay).
 /// Satisfaction follows §2: comparisons touching null are unsatisfied
 /// (except the explicit null(t[A]) predicate); ML predicates delegate to
@@ -130,21 +140,25 @@ class Evaluator {
   /// Enumerates valuations with h |= X. The callback returns false to stop
   /// early. Equality predicates against already-bound variables and
   /// constants are pushed into hash-index lookups; HER predicates restrict
-  /// vertex candidates via the model's blocking index.
+  /// vertex candidates via the model's blocking index. Valuations come in
+  /// ascending row order of variable 0, then of each later variable's
+  /// candidates.
   ///
-  /// When pinned_var >= 0, that tuple variable is fixed to row pinned_row —
-  /// the delta enumeration used by incremental detection and the
-  /// incremental chase (only valuations touching an updated tuple fire).
+  /// `range` binds one tuple variable only to rows inside [begin, end):
+  /// {var, row, row + 1} is the delta enumeration of incremental detection
+  /// and the lazy chase (only valuations touching an updated tuple fire);
+  /// {0, begin, end} is one data-parallel work unit. Concatenating the
+  /// enumerations of contiguous slices of variable 0 in slice order yields
+  /// exactly the unrestricted enumeration.
   void ForEachSatisfying(const Ree& rule,
                          const std::function<bool(const Valuation&)>& cb,
-                         int pinned_var = -1, int pinned_row = -1) const;
+                         RowRange range = {}) const;
 
   /// Pre-scores the rule's ML pair predicates into ctx().ml_cache with one
-  /// ScoreBatch per model: enumerates valuations satisfying the *non-ML*
-  /// precondition predicates, collects each ML predicate's (a, b) value
-  /// pair, dedups against the cache and the round's pending set, then
-  /// scores every pending batch through the model's batched path. Later
-  /// Satisfies calls hit the memo instead of re-scoring per pair.
+  /// ScoreBatch per model (see MlWarmer): enumerates valuations satisfying
+  /// the *non-ML* precondition predicates within `range` and warms their
+  /// ML pairs. Later Satisfies calls hit the memo instead of re-scoring
+  /// per pair.
   ///
   /// Warms only rules where every ML pair predicate binds at the deepest
   /// tuple variable and no vertex variables exist — skipping the ML
@@ -154,7 +168,7 @@ class Evaluator {
   /// cache). Cached values equal the scalar path's bitwise, so warming
   /// never changes detection results. Returns the number of pairs scored.
   size_t WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
-                     int pinned_var = -1, int pinned_row = -1) const;
+                     RowRange range = {}) const;
 
   /// Enumerates violations: h |= X but h !|= p0.
   void ForEachViolation(const Ree& rule,
@@ -181,10 +195,42 @@ class Evaluator {
   void Recurse(const Ree& rule, Valuation& v, size_t depth,
                const std::vector<std::vector<const Predicate*>>& ready_preds,
                const std::function<bool(const Valuation&)>& cb,
-               bool& keep_going, int pinned_var, int pinned_row) const;
+               bool& keep_going, RowRange range) const;
   bool AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,
                       const std::function<bool(const Valuation&)>& cb,
                       bool& keep_going) const;
+};
+
+/// The ML warm pre-pass shared by every detection path: queues the (a, b)
+/// value pairs of a rule's ML pair predicates for the valuations it is
+/// given, skips pairs the memo already holds or the pass already queued,
+/// and scores them with one ScoreBatch per model (in rounds of at most
+/// 4096 pairs, to bound memory) into ctx().ml_cache. Does nothing when the
+/// context has no memo or no models.
+class MlWarmer {
+ public:
+  MlWarmer(const Evaluator& eval, const Ree& rule, ml::BatchScratch* scratch);
+
+  /// Queues `v`'s uncached ML pairs.
+  void Add(const Valuation& v);
+  /// Scores what is still queued; returns the pairs scored by this warmer.
+  size_t Finish();
+
+ private:
+  struct Pending {
+    const ml::PairClassifier* model = nullptr;
+    ml::PairBatch batch;
+    std::vector<ml::MlScoreCache::Key> keys;
+  };
+  const Evaluator& eval_;
+  const Ree& rule_;
+  ml::BatchScratch* scratch_;
+  ml::MlScoreCache* cache_;
+  std::vector<const Predicate*> ml_preds_;
+  std::map<std::string, Pending> pending_;
+  std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash> queued_;
+  size_t pending_pairs_ = 0;
+  size_t scored_ = 0;
 };
 
 }  // namespace rock::rules

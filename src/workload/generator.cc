@@ -316,6 +316,10 @@ GeneratedData MakeBankData(const GeneratorOptions& options) {
     const Tuple& current = customer.tuple(static_cast<size_t>(row));
     if (touched.count(current.tid)) continue;
     touched.insert(current.tid);
+    // AddRow below appends to the same relation and may reallocate it,
+    // which invalidates `current`: copy what the log entry needs first.
+    const int64_t current_tid = current.tid;
+    const Value clean_city = current.values[3];
     size_t old_branch = rng.NextBounded(20);
     size_t old_city = old_branch % 10;
     std::vector<Value> values = current.values;
@@ -339,8 +343,8 @@ GeneratedData MakeBankData(const GeneratorOptions& options) {
     entry.rel = kCustomer;
     entry.tid = stale_tid;
     entry.attr = 3;
-    entry.tid2 = current.tid;
-    entry.clean_value = current.values[3];
+    entry.tid2 = current_tid;
+    entry.clean_value = clean_city;
     data.errors.push_back(entry);
     touched.insert(stale_tid);
   }

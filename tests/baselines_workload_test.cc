@@ -83,6 +83,37 @@ TEST(GeneratorTest, ErrorLogMatchesData) {
   }
 }
 
+TEST(GeneratorTest, StaleLogSurvivesCustomerReallocation) {
+  // The stale-version loop appends to Customer while it logs the current
+  // version. A data set whose Customer relation crosses 512 tuples inside
+  // that loop makes an append reallocate; every kStale entry must still log
+  // the current tuple's city as generated.
+  bool crossed = false;
+  for (size_t rows = 400; rows <= 520 && !crossed; rows += 8) {
+    GeneratorOptions options = SmallOptions();
+    options.rows = rows;
+    auto data = workload::MakeBankData(options);
+    const Relation& customer = data.db.relation(0);
+    size_t stale = 0;
+    for (const auto& entry : data.errors) {
+      if (entry.type == InjectedError::kStale) ++stale;
+    }
+    if (customer.size() - stale > 512 || customer.size() <= 512) continue;
+    crossed = true;
+    for (const auto& entry : data.errors) {
+      if (entry.type != InjectedError::kStale) continue;
+      int current = customer.RowOfTid(entry.tid2);
+      ASSERT_GE(current, 0);
+      const Value& city =
+          customer.tuple(static_cast<size_t>(current)).value(entry.attr);
+      EXPECT_TRUE(city == entry.clean_value)
+          << "rows=" << rows << " tid2=" << entry.tid2 << ": "
+          << city.ToString() << " vs " << entry.clean_value.ToString();
+    }
+  }
+  EXPECT_TRUE(crossed) << "no size crossed 512 Customer tuples mid-loop";
+}
+
 TEST(GeneratorTest, CleanTuplesCarryNoErrors) {
   auto data = workload::MakeLogisticsData(SmallOptions());
   std::set<std::pair<int, int64_t>> truth = workload::TruthTuples(data);

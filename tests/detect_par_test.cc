@@ -1,12 +1,16 @@
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include <gtest/gtest.h>
 
+#include "src/core/engine.h"
 #include "src/detect/detector.h"
 #include "src/ml/library.h"
 #include "src/par/executor.h"
 #include "src/rules/parser.h"
 #include "src/workload/ecommerce.h"
+#include "src/workload/generator.h"
 
 namespace rock {
 namespace {
@@ -134,16 +138,23 @@ TEST_F(DetectTest, IncrementalOnlySeesDelta) {
 TEST_F(DetectTest, ParallelMatchesSerial) {
   std::vector<rules::Ree> rules = {
       Parse("Trans(t0) ^ Trans(t1) ^ t0.com = t1.com -> t0.mfg = t1.mfg"),
-      Parse("Store(t0) ^ t0.location = 'Beijing' -> t0.area_code = '010'")};
+      Parse("Store(t0) ^ t0.location = 'Beijing' -> t0.area_code = '010'"),
+      Parse("Trans(t0) ^ Trans(t1) ^ MER(t0[com], t1[com]) -> "
+            "t0.mfg = t1.mfg")};
   detect::ErrorDetector detector(Ctx());
   auto serial = detector.Detect(rules);
+  EXPECT_GT(serial.blocked_pairs_checked, 0u);
+  EXPECT_GT(serial.exhaustive_pairs_checked, 0u);
   for (int workers : {1, 3, 8}) {
     par::ScheduleReport schedule;
-    detect::DetectorOptions options;
-    options.block_rows = 2;
-    detect::ErrorDetector parallel(Ctx(), options);
+    detect::ErrorDetector parallel(Ctx());
     auto report = parallel.DetectParallel(rules, workers, &schedule);
-    EXPECT_EQ(report.DirtyCells(), serial.DirtyCells()) << " x" << workers;
+    // Field for field: errors in order, violations and both pair counters.
+    EXPECT_EQ(report.violations, serial.violations) << " x" << workers;
+    EXPECT_EQ(report.blocked_pairs_checked, serial.blocked_pairs_checked);
+    EXPECT_EQ(report.exhaustive_pairs_checked,
+              serial.exhaustive_pairs_checked);
+    EXPECT_TRUE(report == serial) << " x" << workers;
     EXPECT_EQ(schedule.num_workers, workers);
     EXPECT_GT(schedule.makespan_seconds, 0.0);
     EXPECT_LE(schedule.makespan_seconds, schedule.serial_seconds + 1e-9);
@@ -155,8 +166,8 @@ TEST_F(DetectTest, PairFrequencyCacheSafeUnderConcurrentFirstUse) {
   // Regression for the pair-frequency cache's check-then-insert: the first
   // DetectParallel run populates the (rel, guard, cons) table from several
   // worker threads at once. Fresh detectors each iteration keep the cache
-  // cold so every run exercises the racy first-miss path; the reported
-  // cells must match the serial result every time (under TSan this also
+  // cold so every run exercises the racy first-miss path; the report
+  // must match the serial one every time (under TSan this also
   // proves the double-checked insert is race-free).
   std::vector<rules::Ree> rules = {
       Parse("Trans(t0) ^ Trans(t1) ^ t0.com = t1.com -> t0.mfg = t1.mfg")};
@@ -165,44 +176,38 @@ TEST_F(DetectTest, PairFrequencyCacheSafeUnderConcurrentFirstUse) {
   ASSERT_FALSE(serial.DirtyCells().empty());
   for (int iteration = 0; iteration < 20; ++iteration) {
     par::ScheduleReport schedule;
-    detect::DetectorOptions options;
-    options.block_rows = 1;  // many small units -> real thread contention
-    detect::ErrorDetector parallel(Ctx(), options);
+    // Trans has fewer rows than kMaxRowSlices: one-row units, so the
+    // workers really contend.
+    detect::ErrorDetector parallel(Ctx());
     auto report = parallel.DetectParallel(rules, 8, &schedule);
-    ASSERT_EQ(report.DirtyCells(), serial.DirtyCells())
-        << "iteration " << iteration;
+    ASSERT_TRUE(report == serial) << "iteration " << iteration;
   }
 }
 
 // ---------- par ----------
 
-TEST(HyperCubeTest, UnitsCoverCrossProduct) {
-  EcommerceData data = MakeEcommerceData();
-  auto units = par::BuildHyperCubeUnits(data.db, 0, {0, 0}, 2);
-  // Person has 5 rows -> 3 blocks per variable -> 9 units.
-  EXPECT_EQ(units.size(), 9u);
-  // Every (row_a, row_b) combination is covered exactly once.
-  std::vector<std::vector<int>> covered(5, std::vector<int>(5, 0));
-  for (const auto& unit : units) {
-    for (int a = unit.ranges[0].begin; a < unit.ranges[0].end; ++a) {
-      for (int b = unit.ranges[1].begin; b < unit.ranges[1].end; ++b) {
-        covered[static_cast<size_t>(a)][static_cast<size_t>(b)]++;
-      }
+TEST(RowUnitsTest, SlicesCoverRowsOnceInOrder) {
+  for (size_t rows : {size_t{1}, size_t{5}, size_t{64}, size_t{65},
+                      size_t{1000}}) {
+    auto units = par::BuildRowUnits(3, 2, rows);
+    ASSERT_EQ(units.size(), std::min<size_t>(rows, par::kMaxRowSlices));
+    int next = 0;
+    for (const par::WorkUnit& unit : units) {
+      EXPECT_EQ(unit.rule_index, 3);
+      EXPECT_EQ(unit.rows.rel, 2);
+      EXPECT_EQ(unit.rows.begin, next) << rows;
+      EXPECT_GT(unit.rows.end, unit.rows.begin) << rows;
+      next = unit.rows.end;
     }
-  }
-  for (const auto& row : covered) {
-    for (int count : row) EXPECT_EQ(count, 1);
+    EXPECT_EQ(next, static_cast<int>(rows));
   }
 }
 
-TEST(HyperCubeTest, EmptyRelationYieldsEmptyUnit) {
-  DatabaseSchema schema;
-  ASSERT_TRUE(
-      schema.AddRelation(Schema("E", {{"x", ValueType::kInt}})).ok());
-  Database db(std::move(schema));
-  auto units = par::BuildHyperCubeUnits(db, 0, {0}, 4);
+TEST(RowUnitsTest, EmptyRelationYieldsOneEmptyUnit) {
+  auto units = par::BuildRowUnits(0, 0, 0);
   ASSERT_EQ(units.size(), 1u);
-  EXPECT_EQ(units[0].ranges[0].begin, units[0].ranges[0].end);
+  EXPECT_EQ(units[0].rows.begin, 0);
+  EXPECT_EQ(units[0].rows.end, 0);
 }
 
 TEST(WorkerPoolTest, ExecutesEveryUnitOnce) {
@@ -210,7 +215,7 @@ TEST(WorkerPoolTest, ExecutesEveryUnitOnce) {
   for (int i = 0; i < 40; ++i) {
     par::WorkUnit unit;
     unit.rule_index = i;
-    unit.ranges.push_back({0, i, i + 1});
+    unit.rows = {0, i, i + 1};
     units.push_back(unit);
   }
   std::vector<int> executed(40, 0);
@@ -244,7 +249,7 @@ TEST(WorkerPoolTest, ReplayedMakespanShrinksWithWorkers) {
   for (int i = 0; i < 64; ++i) {
     par::WorkUnit unit;
     unit.rule_index = i;
-    unit.ranges.push_back({0, i, i + 1});
+    unit.rows = {0, i, i + 1};
     units.push_back(unit);
   }
   // Equal units and stealing keep every worker busy until the queues
@@ -266,7 +271,7 @@ TEST(WorkerPoolTest, ReplayedStealingKeepsWorkersBusy) {
   for (int i = 0; i < 100; ++i) {
     par::WorkUnit unit;
     unit.rule_index = 0;  // same rule
-    unit.ranges.push_back({0, i, i + 1});
+    unit.rows = {0, i, i + 1};
     units.push_back(unit);
   }
   auto report = par::WorkerPool(10).Replay(EqualDurations(units, 1e-3));
@@ -282,17 +287,60 @@ TEST(WorkerPoolTest, ReplayedStealingKeepsWorkersBusy) {
   EXPECT_LE(max_executed, 100 / 10 + 1);
 }
 
-TEST(CostModelTest, JoinSelectivityDiscountsCost) {
-  EcommerceData data = MakeEcommerceData();
-  DatabaseStats stats = DatabaseStats::Compute(data.db);
-  par::CostModel model(&stats);
-  par::WorkUnit unit;
-  unit.ranges.push_back({data.trans, 0, 5});
-  unit.ranges.push_back({data.trans, 0, 5});
-  double cross = model.Estimate(unit, -1);
-  double joined = model.Estimate(unit, 2);  // join on com (4 distinct)
-  EXPECT_GT(cross, joined);
-  EXPECT_DOUBLE_EQ(cross, 25.0);
+// The Logistics rule set with the KG rule r4 (a vertex variable reached
+// through the HER blocking index) and a pure-ML ER rule (LSH blocking): the
+// parallel paths must reproduce serial detection field for field on both.
+TEST(DetectParallelLogisticsTest, KgAndPureMlRulesMatchSerialFieldForField) {
+  workload::GeneratorOptions options;
+  options.rows = 200;
+  options.error_rate = 0.08;
+  options.seed = 5;
+  workload::GeneratedData data = workload::MakeLogisticsData(options);
+  core::Rock rock(&data.db, &data.graph);
+  core::ModelTrainingSpec spec;
+  spec.path_synonyms = {{"area", {"AreaOf"}}, {"city", {"CityOf"}}};
+  rock.TrainModels(spec);
+  auto rules = rock.LoadRules(data.rule_text);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  auto ml_only = rules::ParseRee(
+      "Shipment(t0) ^ Shipment(t1) ^ MER(t0[recipient], t1[recipient]) "
+      "-> t0.eid = t1.eid",
+      data.db.schema());
+  ASSERT_TRUE(ml_only.ok()) << ml_only.status().ToString();
+  ml_only->id = "ml_only_er";
+  rules->push_back(std::move(*ml_only));
+
+  rules::EvalContext ctx;
+  ctx.db = &data.db;
+  ctx.graph = &data.graph;
+  ctx.models = rock.models();
+  const detect::DetectionReport serial =
+      detect::ErrorDetector(ctx).Detect(*rules);
+  std::map<std::string, size_t> errors_by_rule;
+  for (const detect::ErrorRecord& error : serial.errors) {
+    ++errors_by_rule[error.rule_id];
+  }
+  ASSERT_GT(errors_by_rule["r4"], 0u);
+  ASSERT_GT(errors_by_rule["ml_only_er"], 0u);
+  ASSERT_GT(serial.blocked_pairs_checked, 0u);
+
+  for (int workers : {1, 2, 5}) {
+    par::ScheduleReport schedule;
+    auto report =
+        detect::ErrorDetector(ctx).DetectParallel(*rules, workers, &schedule);
+    EXPECT_EQ(report.violations, serial.violations) << " x" << workers;
+    EXPECT_TRUE(report == serial) << " x" << workers;
+  }
+
+  par::FaultPlan plan = par::FaultPlan::FromSeed(11, 64, 2);
+  detect::DetectorOptions faulty;
+  faulty.fault_plan = &plan;
+  faulty.retry.backoff_base_seconds = 1e-4;
+  par::ScheduleReport schedule;
+  auto report = detect::ErrorDetector(ctx, faulty)
+                    .DetectParallel(*rules, 2, &schedule);
+  EXPECT_GT(schedule.faults.injected, 0) << plan.ToSpec();
+  EXPECT_TRUE(report == serial) << plan.ToSpec();
 }
 
 }  // namespace

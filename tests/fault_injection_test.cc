@@ -89,7 +89,7 @@ std::vector<par::WorkUnit> MakeUnits(int count, int rule_index = 0) {
   for (int i = 0; i < count; ++i) {
     par::WorkUnit unit;
     unit.rule_index = rule_index;
-    unit.ranges.push_back({0, i, i + 1});
+    unit.rows = {0, i, i + 1};
     units.push_back(unit);
   }
   return units;
@@ -194,7 +194,7 @@ TEST(FaultPoolTest, CrashDuringStealRedistributesWithoutLoss) {
   for (int i = 0; i < 48; ++i) {
     par::WorkUnit unit;
     unit.rule_index = 7;
-    unit.ranges.push_back({0, 0, 0});  // identical block coordinates
+    unit.rows = {0, 0, 0};  // identical block coordinates
     units.push_back(unit);
   }
   par::FaultPlan plan = MustParse("crash:20@1;crash:31@1");
@@ -344,22 +344,19 @@ TEST_P(FaultEquivalenceTest, DetectionSurvivesFaultsBitIdentically) {
   ctx.db = &data.db;
   ctx.graph = &data.graph;
   ctx.models = rock.models();
-  // Fault-free parallel baseline: the full report, bitwise. (Serial
-  // Detect() may route ML rules through the blocking index, so its pair
-  // accounting legitimately differs; its dirty cells must still match.)
-  detect::DetectorOptions clean_options;
-  clean_options.block_rows = 16;
-  detect::ErrorDetector clean(ctx, clean_options);
-  par::ScheduleReport clean_schedule;
-  auto clean_report = clean.DetectParallel(*rules, 2, &clean_schedule);
-  std::string expected = ReportFingerprint(clean_report);
+  // Fault-free baseline: the serial report, which the fault-free parallel
+  // run must reproduce field for field.
   detect::ErrorDetector serial(ctx);
-  EXPECT_EQ(clean_report.DirtyCells(), serial.Detect(*rules).DirtyCells());
+  const detect::DetectionReport serial_report = serial.Detect(*rules);
+  std::string expected = ReportFingerprint(serial_report);
+  detect::ErrorDetector clean(ctx);
+  par::ScheduleReport clean_schedule;
+  EXPECT_TRUE(clean.DetectParallel(*rules, 2, &clean_schedule) ==
+              serial_report);
 
   for (int workers : {2, 3, 5}) {
     par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
     detect::DetectorOptions options;
-    options.block_rows = 16;
     options.fault_plan = &plan;
     options.retry.backoff_base_seconds = 1e-4;
     detect::ErrorDetector faulty(ctx, options);
@@ -404,8 +401,7 @@ TEST_P(FaultEquivalenceTest, ChaseSurvivesFaultsBitIdentically) {
       (void)ignored;
     }
     par::ScheduleReport schedule;
-    auto result = engine.RunParallel(*rules, workers, /*block_rows=*/16,
-                                     &schedule);
+    auto result = engine.RunParallel(*rules, workers, &schedule);
     EXPECT_EQ(FixStoreDigest(engine, data.db), expected_digest)
         << GetParam() << " x" << workers << " plan=" << plan.ToSpec();
     EXPECT_EQ(ProvenanceFingerprint(engine.ProvenanceSummary()),

@@ -47,7 +47,7 @@ std::vector<par::WorkUnit> MakeUnits(int count, int rule_index = 0) {
   for (int i = 0; i < count; ++i) {
     par::WorkUnit unit;
     unit.rule_index = rule_index;
-    unit.ranges.push_back({0, i, i + 1});
+    unit.rows = {0, i, i + 1};
     units.push_back(unit);
   }
   return units;
@@ -134,7 +134,7 @@ TEST(ThreadedPoolTest, StealsUnderSkewedPlacement) {
   for (int i = 0; i < 64; ++i) {
     par::WorkUnit unit;
     unit.rule_index = 7;
-    unit.ranges.push_back({0, 0, 0});  // identical block coordinates
+    unit.rows = {0, 0, 0};  // identical block coordinates
     units.push_back(unit);
   }
   par::WorkerPool pool(4);
@@ -187,7 +187,7 @@ TEST(ThreadedPoolTest, StealRacesDrainOnWorkerDeathStress) {
     for (int i = 0; i < kUnits; ++i) {
       par::WorkUnit unit;
       unit.rule_index = round;
-      unit.ranges.push_back({0, 0, 0});  // identical block coordinates
+      unit.rows = {0, 0, 0};  // identical block coordinates
       units.push_back(unit);
     }
     std::vector<std::atomic<int>> executed(kUnits);
@@ -226,7 +226,7 @@ TEST(ReplayTest, ReplayIsDeterministicAndFillsBreakdowns) {
   par::ScheduleReport measured =
       measure.Execute(units, [](const par::WorkUnit& unit) {
         volatile double x = 0;
-        for (int i = 0; i < 2000 * (unit.ranges[0].begin % 5 + 1); ++i) {
+        for (int i = 0; i < 2000 * (unit.rows.begin % 5 + 1); ++i) {
           x = x + i;
         }
       });
@@ -301,9 +301,7 @@ TEST_F(ParDetectTest, ReportIdenticalAcrossWorkerCounts) {
             "t0.area_code = t1.area_code")};
   std::string baseline;
   for (int workers : {1, 2, 4, 7}) {
-    detect::DetectorOptions options;
-    options.block_rows = 2;
-    detect::ErrorDetector detector(Ctx(), options);
+    detect::ErrorDetector detector(Ctx());
     par::ScheduleReport schedule;
     auto report = detector.DetectParallel(rules, workers, &schedule);
     std::string fingerprint = ReportFingerprint(report);
@@ -336,9 +334,7 @@ TEST_F(ParDetectTest, ThreadedStressOverGeneratedWorkload) {
   std::string baseline;
   for (int repeat = 0; repeat < 3; ++repeat) {
     for (int workers : {2, 5}) {
-      detect::DetectorOptions options;
-      options.block_rows = 8;
-      detect::ErrorDetector detector(ctx, options);
+      detect::ErrorDetector detector(ctx);
       par::ScheduleReport schedule;
       auto report = detector.DetectParallel(*rules, workers, &schedule);
       std::string fingerprint = ReportFingerprint(report);

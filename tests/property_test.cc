@@ -220,14 +220,14 @@ TEST_P(ParallelEquivalenceTest, DetectionIndependentOfWorkerCount) {
   ctx.graph = &data.graph;
   ctx.models = rock.models();
   detect::ErrorDetector serial(ctx);
-  auto expected = serial.Detect(*rules).DirtyCells();
+  const detect::DetectionReport expected = serial.Detect(*rules);
 
-  detect::DetectorOptions options;
-  options.block_rows = 16;
-  detect::ErrorDetector parallel(ctx, options);
+  // Field for field: errors in order, violations and both pair counters.
+  detect::ErrorDetector parallel(ctx);
   par::ScheduleReport schedule;
   auto report = parallel.DetectParallel(*rules, GetParam(), &schedule);
-  EXPECT_EQ(report.DirtyCells(), expected);
+  EXPECT_EQ(report.violations, expected.violations);
+  EXPECT_TRUE(report == expected);
   EXPECT_EQ(schedule.num_workers, GetParam());
 }
 
@@ -256,8 +256,7 @@ TEST_P(ParallelEquivalenceTest, ChaseIndependentOfWorkerCount) {
     (void)ignored;
   }
   par::ScheduleReport schedule;
-  parallel_engine.RunParallel(*rules, GetParam(), /*block_rows=*/16,
-                              &schedule);
+  parallel_engine.RunParallel(*rules, GetParam(), &schedule);
   EXPECT_EQ(FixStoreDigest(parallel_engine, parallel_data.db), expected);
 }
 
@@ -357,8 +356,7 @@ TEST_P(DelayPermutationTest, UnitOrderPermutationsNeverChangeChaseOutput) {
       (void)ignored;
     }
     par::ScheduleReport schedule;
-    engine.RunParallel(*rules, /*num_workers=*/4, /*block_rows=*/16,
-                       &schedule);
+    engine.RunParallel(*rules, /*num_workers=*/4, &schedule);
     return FixStoreDigest(engine, run_data.db);
   };
   std::string expected = digest_under(nullptr);

@@ -304,8 +304,7 @@ TEST(ChaseProvenanceTest, ProofsIdenticalAcrossWorkerCountsAndSerial) {
     workload::EcommerceData data = workload::MakeEcommerceData();
     ChaseEngine engine(&data.db, nullptr, &models);
     par::ScheduleReport schedule;
-    engine.RunParallel(rules_for(data.db), workers, /*block_rows=*/4,
-                       &schedule);
+    engine.RunParallel(rules_for(data.db), workers, &schedule);
     std::vector<std::string> texts;
     for (const chase::CellFix& fix : engine.CellFixes()) {
       texts.push_back(engine.Explain(fix.rel, fix.tid, fix.attr).ToText());
