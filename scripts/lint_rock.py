@@ -19,6 +19,11 @@ Enforces repo conventions that neither the compiler nor clang-tidy check:
                      outside src/common/timer.h (SteadySeconds, Timer) and
                      src/obs/resource.cc (ThreadCpuSeconds): one wall clock
                      and one CPU clock, each with one owner.
+  raw-enumeration    no ForEachSatisfying( calls under src/detect/,
+                     src/chase/, src/core/ or src/serve/: detection and the
+                     chase enumerate through rules::Evaluator::Enumerate,
+                     the one enumerator that owns scopes, delta seeds and
+                     blocking.
   unregistered-test  every tests/*.cc is picked up by tests/CMakeLists.txt
                      (the glob takes *_test.cc; anything else must be named
                      there explicitly or it silently never runs).
@@ -65,6 +70,8 @@ RAW_SOCKET_RE = re.compile(
 RAW_CLOCK_RE = re.compile(
     r"steady_clock::now\b|(?<![A-Za-z0-9_])clock_gettime\s*\(")
 CLOCK_OWNERS = ("src/common/timer.h", "src/obs/resource.cc")
+RAW_ENUMERATION_RE = re.compile(r"\bForEachSatisfying\s*\(")
+ENUMERATE_ONLY = ("src/detect/", "src/chase/", "src/core/", "src/serve/")
 
 
 def strip_comments_and_strings(text):
@@ -135,6 +142,10 @@ def lint_file(path, text):
           "read the clock through rock::SteadySeconds / Timer "
           "(src/common/timer.h) or obs::ThreadCpuSeconds",
           skip=not path.startswith("src/") or path in CLOCK_OWNERS)
+    check("raw-enumeration", RAW_ENUMERATION_RE,
+          "enumerate valuations through rules::Evaluator::Enumerate (one "
+          "enumerator for detection and the chase)",
+          skip=not path.startswith(ENUMERATE_ONLY))
 
     if is_header and "#pragma once" not in text:
         findings.append((path, 1, "pragma-once",
@@ -216,6 +227,21 @@ SELF_TEST_CASES = [
      "raw-clock"),
     ("src/obs/resource.cc", "clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);\n",
      None),
+    ("src/detect/detector.cc",
+     "eval.ForEachSatisfying(rule, cb);\n", "raw-enumeration"),
+    ("src/chase/chase.cc",
+     "eval.ForEachSatisfying (rule, cb, {0, b, e});\n", "raw-enumeration"),
+    ("src/core/engine.cc", "evaluator.ForEachSatisfying(rule, cb);\n",
+     "raw-enumeration"),
+    ("src/serve/server.cc", "eval.ForEachSatisfying(rule, cb);\n",
+     "raw-enumeration"),
+    ("src/detect/detector.cc",
+     "eval.Enumerate(rule, scope, blocking, scratch, sink);\n", None),
+    ("src/detect/detector.cc",
+     "// unlike ForEachSatisfying(rule, cb)\n", None),
+    ("src/rules/eval.cc", "ForEachSatisfying(rule, cb);\n", None),
+    ("src/discovery/miner.cc", "eval.ForEachSatisfying(rule, cb);\n", None),
+    ("tests/rules_test.cc", "eval.ForEachSatisfying(rule, cb);\n", None),
     # Signal/timer seam confinement is rock_analyze.py's signal-safety
     # check now.
     ("src/core/engine.cc", "sigaction(SIGPROF, &sa, nullptr);\n", None),

@@ -1,7 +1,7 @@
 #include "src/chase/chase.h"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
@@ -103,7 +103,7 @@ rules::EvalContext ChaseEngine::Context() const {
 
 ChaseResult ChaseEngine::Run(const std::vector<Ree>& rules) {
   ROCK_OBS_SPAN("chase.run");
-  return Loop(rules, {}, /*initial_full_scan=*/true);
+  return Loop(rules, Blockings(rules), rules::Scope{});
 }
 
 ChaseResult ChaseEngine::RunIncremental(
@@ -115,7 +115,17 @@ ChaseResult ChaseEngine::RunIncremental(
   for (const auto& [rel, tid] : dirty) {
     fixes_.RegisterTuple(rel, tid);
   }
-  return Loop(rules, dirty, /*initial_full_scan=*/false);
+  const rules::DeltaRows delta(*db_, dirty);
+  return Loop(rules, Blockings(rules), rules::Scope::Delta(delta));
+}
+
+std::vector<std::unique_ptr<const rules::Blocking>> ChaseEngine::Blockings(
+    const std::vector<Ree>& rules) const {
+  std::vector<std::unique_ptr<const rules::Blocking>> out;
+  for (const Ree& rule : rules) {
+    out.push_back(rules::Blocking::For(rule, Context()));
+  }
+  return out;
 }
 
 void ChaseEngine::MarkEntityDirty(
@@ -529,26 +539,28 @@ size_t ChaseEngine::ApplyConsequence(
   return 0;
 }
 
-ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
-                              std::vector<std::pair<int, int64_t>> dirty,
-                              bool initial_full_scan) {
+void ChaseEngine::Admit(const Ree& rule, const Valuation& v,
+                        const rules::Evaluator& eval,
+                        std::vector<std::pair<int, int64_t>>* newly_dirty,
+                        ChaseResult* result) {
+  if (options_.certain_fixes_only && !PremisesValidated(rule, v)) return;
+  const ChaseMetrics& metrics = ChaseMetrics::Get();
+  ++result->applications;
+  metrics.applications->Add(1);
+  size_t new_fixes = ApplyConsequence(rule, v, eval, newly_dirty);
+  result->fixes_applied += new_fixes;
+  if (new_fixes > 0) metrics.FixCounter(rule.Task())->Add(new_fixes);
+}
+
+ChaseResult ChaseEngine::Loop(
+    const std::vector<Ree>& rules,
+    const std::vector<std::unique_ptr<const rules::Blocking>>& blockings,
+    rules::Scope scope) {
   ChaseResult result;
   rules::Evaluator eval(Context());
   const ChaseMetrics& metrics = ChaseMetrics::Get();
   size_t conflicts_before = conflicts_.size();
-
-  auto process_valuation = [&](const Ree& rule, const Valuation& v,
-                               std::vector<std::pair<int, int64_t>>* next) {
-    if (options_.certain_fixes_only && !PremisesValidated(rule, v)) {
-      return true;
-    }
-    ++result.applications;
-    metrics.applications->Add(1);
-    size_t new_fixes = ApplyConsequence(rule, v, eval, next);
-    result.fixes_applied += new_fixes;
-    if (new_fixes > 0) metrics.FixCounter(rule.Task())->Add(new_fixes);
-    return true;
-  };
+  std::optional<rules::DeltaRows> touched;
 
   for (int round = 0; round < options_.max_rounds; ++round) {
     ROCK_OBS_SPAN("chase.round");
@@ -558,46 +570,20 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
     std::vector<std::pair<int, int64_t>> next_dirty;
     size_t fixes_before = result.fixes_applied;
 
-    if (round == 0 && initial_full_scan) {
-      for (const Ree& rule : rules) {
-        eval.ForEachSatisfying(rule, [&](const Valuation& v) {
-          return process_valuation(rule, v, &next_dirty);
-        });
-      }
-    } else {
-      // Lazy activation: re-examine only valuations touching dirty tuples.
-      std::sort(dirty.begin(), dirty.end());
-      dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-      std::set<std::vector<int>> seen;  // dedup valuations per rule
-      for (const Ree& rule : rules) {
-        seen.clear();
-        for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {
-          int rel = rule.tuple_vars[var];
-          for (const auto& [drel, dtid] : dirty) {
-            if (drel != rel) continue;
-            int row = db_->relation(rel).RowOfTid(dtid);
-            if (row < 0) continue;
-            eval.ForEachSatisfying(
-                rule,
-                [&](const Valuation& v) {
-                  if (!seen.insert(v.rows).second) return true;
-                  return process_valuation(rule, v, &next_dirty);
-                },
-                {static_cast<int>(var), row, row + 1});
-          }
-        }
-      }
+    for (size_t r = 0; r < rules.size(); ++r) {
+      auto admit = [&](const Valuation& v) {
+        Admit(rules[r], v, eval, &next_dirty, &result);
+      };
+      eval.Enumerate(rules[r], scope, blockings[r].get(), /*scratch=*/nullptr,
+                     admit);
     }
 
-    if (result.fixes_applied == fixes_before) {
+    if (result.fixes_applied == fixes_before || next_dirty.empty()) {
       result.converged = true;
       break;
     }
-    dirty = std::move(next_dirty);
-    if (dirty.empty()) {
-      result.converged = true;
-      break;
-    }
+    touched.emplace(*db_, next_dirty);
+    scope = rules::Scope::Delta(*touched);
   }
   metrics.current_round->Set(0);
   metrics.conflicts->Add(conflicts_.size() - conflicts_before);
@@ -620,17 +606,10 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   size_t conflicts_before = conflicts_.size();
   std::vector<std::pair<int, int64_t>> next_dirty;
 
-  auto process_valuation = [&](const Ree& rule, const Valuation& v) {
-    if (options_.certain_fixes_only && !PremisesValidated(rule, v)) return;
-    ++result.applications;
-    metrics.applications->Add(1);
-    size_t new_fixes = ApplyConsequence(rule, v, eval, &next_dirty);
-    result.fixes_applied += new_fixes;
-    if (new_fixes > 0) metrics.FixCounter(rule.Task())->Add(new_fixes);
-  };
-
   // Round 0 under the worker pool: one unit per (rule, slice of the rule's
   // first tuple variable).
+  const std::vector<std::unique_ptr<const rules::Blocking>> blockings =
+      Blockings(rules);
   std::vector<par::WorkUnit> units;
   for (size_t r = 0; r < rules.size(); ++r) {
     const Ree& rule = rules[r];
@@ -666,13 +645,11 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
                        int worker) {
     std::vector<Valuation>& hits = unit_hits[unit_index];
     hits.clear();  // replayed units overwrite, never append
-    evals[static_cast<size_t>(worker)].ForEachSatisfying(
-        rules[static_cast<size_t>(unit.rule_index)],
-        [&](const Valuation& v) {
-          hits.push_back(v);
-          return true;
-        },
-        {0, unit.rows.begin, unit.rows.end});
+    const size_t r = static_cast<size_t>(unit.rule_index);
+    evals[static_cast<size_t>(worker)].Enumerate(
+        rules[r], rules::Scope::Rows(unit.rows.begin, unit.rows.end),
+        blockings[r].get(), /*scratch=*/nullptr,
+        [&](const Valuation& v) { hits.push_back(v); });
   };
   par::ScheduleReport local;
   {
@@ -706,7 +683,7 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
           rules[static_cast<size_t>(units[unit_index].rule_index)];
       for (const Valuation& v : unit_hits[unit_index]) {
         if (!eval.SatisfiesPrecondition(rule, v)) continue;
-        process_valuation(rule, v);
+        Admit(rule, v, eval, &next_dirty, &result);
       }
     }
   }
@@ -715,8 +692,8 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   metrics.conflicts->Add(conflicts_.size() - conflicts_before);
   // Propagation rounds run through the ordinary incremental loop seeded by
   // the tuples the first round touched.
-  ChaseResult tail = Loop(rules, std::move(next_dirty),
-                          /*initial_full_scan=*/false);
+  const rules::DeltaRows touched(*db_, next_dirty);
+  ChaseResult tail = Loop(rules, blockings, rules::Scope::Delta(touched));
   result.rounds += tail.rounds;
   result.fixes_applied += tail.fixes_applied;
   result.applications += tail.applications;

@@ -110,7 +110,7 @@ class ChaseEngine {
   /// benches (Fig 4(l)); later rounds are small and run serially.
   ///
   /// Workers only *evaluate* preconditions — each unit enumerates its slice
-  /// with the serial indexed enumeration into a per-unit buffer, the fix
+  /// with the serial enumerator into a per-unit buffer, the fix
   /// store stays read-only, and the buffers are merged at the pool's
   /// barrier in unit order. Consequences are then applied serially
   /// (re-verifying each precondition against the growing overlay), so the
@@ -158,10 +158,21 @@ class ChaseEngine {
 
   rules::EvalContext Context() const;
 
-  /// Runs the chase loop from an initial dirty set (empty = full scan).
-  ChaseResult Loop(const std::vector<rules::Ree>& rules,
-                   std::vector<std::pair<int, int64_t>> dirty,
-                   bool initial_full_scan);
+  std::vector<std::unique_ptr<const rules::Blocking>> Blockings(
+      const std::vector<rules::Ree>& rules) const;
+
+  /// Chases to fixpoint: round 0 enumerates `scope`, later rounds the
+  /// tuples the previous round touched.
+  ChaseResult Loop(
+      const std::vector<rules::Ree>& rules,
+      const std::vector<std::unique_ptr<const rules::Blocking>>& blockings,
+      rules::Scope scope);
+
+  /// Admits one satisfying valuation (certain-fix check) and applies it.
+  void Admit(const rules::Ree& rule, const rules::Valuation& v,
+             const rules::Evaluator& eval,
+             std::vector<std::pair<int, int64_t>>* newly_dirty,
+             ChaseResult* result);
 
   /// Applies one admitted rule application; appends to `newly_dirty` the
   /// tuples whose repaired view changed. Returns number of new fixes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
@@ -199,32 +200,49 @@ std::vector<PolyRule> Rock::DiscoverPolynomials() {
   return poly_rules_;
 }
 
-void Rock::DetectPolyViolations(detect::DetectionReport* report) const {
+namespace {
+
+std::string PolyRuleId(const PolyRule& poly) {
+  return "poly_" + std::to_string(poly.rel) + "_" +
+         std::to_string(poly.expr.target_attr);
+}
+
+/// The value `poly` predicts for t's null or deviating target cell.
+std::optional<double> PolyMisfit(const PolyRule& poly, const Tuple& t,
+                                 double tolerance) {
+  auto predicted = poly.expr.Evaluate(t);
+  if (!predicted.ok()) return std::nullopt;
+  const Value& actual = t.value(poly.expr.target_attr);
+  double scale = std::max(1.0, std::abs(*predicted));
+  if (!actual.is_null() &&
+      std::abs(actual.AsDouble() - *predicted) / scale <= tolerance) {
+    return std::nullopt;
+  }
+  return *predicted;
+}
+
+}  // namespace
+
+void Rock::DetectPolyViolations(const rules::DeltaRows* delta,
+                                detect::DetectionReport* report) const {
   for (const PolyRule& poly : poly_rules_) {
     const Relation& relation = db_->relation(poly.rel);
-    for (size_t row = 0; row < relation.size(); ++row) {
+    auto check = [&](size_t row) {
       const Tuple& t = relation.tuple(row);
-      auto predicted = poly.expr.Evaluate(t);
-      if (!predicted.ok()) continue;  // some input is null
-      const Value& actual = t.values[static_cast<size_t>(
-          poly.expr.target_attr)];
+      if (!PolyMisfit(poly, t, options_.poly_tolerance)) return;
       detect::ErrorRecord record;
-      record.rule_id = "poly_" + std::to_string(poly.rel) + "_" +
-                       std::to_string(poly.expr.target_attr);
-      if (actual.is_null()) {
-        record.error_class = detect::ErrorClass::kMissing;
-      } else {
-        double scale = std::max(1.0, std::abs(*predicted));
-        if (std::abs(actual.AsDouble() - *predicted) / scale <=
-            options_.poly_tolerance) {
-          continue;
-        }
-        record.error_class = detect::ErrorClass::kConflict;
-      }
-      record.cells.push_back(
-          {poly.rel, t.tid, poly.expr.target_attr});
+      record.rule_id = PolyRuleId(poly);
+      record.error_class = t.value(poly.expr.target_attr).is_null()
+                               ? detect::ErrorClass::kMissing
+                               : detect::ErrorClass::kConflict;
+      record.cells.push_back({poly.rel, t.tid, poly.expr.target_attr});
       report->errors.push_back(std::move(record));
       ++report->violations;
+    };
+    if (delta == nullptr) {
+      for (size_t row = 0; row < relation.size(); ++row) check(row);
+    } else {
+      for (int row : delta->rows(poly.rel)) check(static_cast<size_t>(row));
     }
   }
 }
@@ -287,7 +305,7 @@ detect::DetectionReport Rock::DetectErrors(
   ROCK_OBS_SPAN("rock.detect");
   detect::ErrorDetector detector(Context(), options_.detector);
   detect::DetectionReport report = detector.Detect(rules);
-  DetectPolyViolations(&report);
+  DetectPolyViolations(/*delta=*/nullptr, &report);
   return report;
 }
 
@@ -296,7 +314,10 @@ detect::DetectionReport Rock::DetectErrorsIncremental(
     const std::vector<std::pair<int, int64_t>>& dirty) const {
   ROCK_OBS_SPAN("rock.detect_errors_incremental");
   detect::ErrorDetector detector(Context(), options_.detector);
-  return detector.DetectIncremental(rules, dirty);
+  detect::DetectionReport report = detector.DetectIncremental(rules, dirty);
+  const rules::DeltaRows delta(*db_, dirty);
+  DetectPolyViolations(&delta, &report);
+  return report;
 }
 
 detect::DetectionReport Rock::DetectErrorsParallel(
@@ -306,7 +327,7 @@ detect::DetectionReport Rock::DetectErrorsParallel(
   detect::ErrorDetector detector(Context(), options_.detector);
   detect::DetectionReport report =
       detector.DetectParallel(rules, num_workers, schedule);
-  DetectPolyViolations(&report);
+  DetectPolyViolations(/*delta=*/nullptr, &report);
   return report;
 }
 
@@ -316,26 +337,17 @@ size_t Rock::ApplyPolyFixes(chase::ChaseEngine* engine) const {
   size_t applied = 0;
   for (const PolyRule& poly : poly_rules_) {
     const Relation& relation = db_->relation(poly.rel);
-    std::string rule_id = "poly_" + std::to_string(poly.rel) + "_" +
-                          std::to_string(poly.expr.target_attr);
     for (size_t row = 0; row < relation.size(); ++row) {
       const Tuple& t = relation.tuple(row);
-      auto predicted = poly.expr.Evaluate(t);
-      if (!predicted.ok()) continue;
-      const Value& actual =
-          t.values[static_cast<size_t>(poly.expr.target_attr)];
-      double scale = std::max(1.0, std::abs(*predicted));
-      bool needs_fix =
-          actual.is_null() ||
-          std::abs(actual.AsDouble() - *predicted) / scale >
-              options_.poly_tolerance;
-      if (!needs_fix) continue;
+      std::optional<double> predicted =
+          PolyMisfit(poly, t, options_.poly_tolerance);
+      if (!predicted) continue;
       // Round to cents to match the generators' monetary values.
       double rounded = std::round(*predicted * 100.0) / 100.0;
       bool changed = false;
       Status s = engine->fix_store().SetValue(
           poly.rel, t.tid, poly.expr.target_attr, Value::Double(rounded),
-          rule_id, &changed);
+          PolyRuleId(poly), &changed);
       if (s.ok() && changed) ++applied;
     }
   }

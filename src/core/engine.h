@@ -170,7 +170,8 @@ class Rock {
   detect::DetectionReport DetectErrors(
       const std::vector<rules::Ree>& rules) const;
 
-  /// Incremental detection over ΔD.
+  /// Incremental detection over ΔD (violations + polynomial violations);
+  /// with every tuple in ΔD it equals DetectErrors.
   detect::DetectionReport DetectErrorsIncremental(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
@@ -281,8 +282,9 @@ class Rock {
   std::unique_ptr<obs::TelemetryServer> telemetry_server_;
 
   rules::EvalContext Context() const;
-  /// Appends polynomial violations to `report`.
-  void DetectPolyViolations(detect::DetectionReport* report) const;
+  /// Appends polynomial violations of ΔD's rows (all rows if null).
+  void DetectPolyViolations(const rules::DeltaRows* delta,
+                            detect::DetectionReport* report) const;
   /// Applies polynomial repairs/imputations into `engine`'s fix store.
   size_t ApplyPolyFixes(chase::ChaseEngine* engine) const;
 };

@@ -6,7 +6,6 @@
 
 #include "src/common/hash.h"
 #include "src/common/timer.h"
-#include "src/ml/lsh.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -69,13 +68,6 @@ void PublishCacheGauges(const ml::MlScoreCache* cache, size_t scratch_peak) {
     metrics.ml_cache_entries->Set(static_cast<int64_t>(cache->size()));
     metrics.ml_cache_bytes->Set(static_cast<int64_t>(cache->ApproxBytes()));
   }
-}
-
-/// Rows of the relation a rule's first tuple variable ranges over (0 when
-/// the rule has none).
-size_t FirstVarRows(const Database& db, const rules::Ree& rule) {
-  return rule.tuple_vars.empty() ? 0
-                                 : db.relation(rule.tuple_vars[0]).size();
 }
 
 }  // namespace
@@ -289,121 +281,31 @@ void ErrorDetector::RecordViolation(const Ree& rule, const Valuation& v,
   report->errors.push_back(std::move(record));
 }
 
-struct ErrorDetector::Blocking {
-  const Predicate* ml_pred = nullptr;
-  const ml::PairClassifier* model = nullptr;
-  ml::LshBlocker blocker;
-};
-
-std::unique_ptr<const ErrorDetector::Blocking> ErrorDetector::BuildBlocking(
-    const Ree& rule, const rules::Evaluator& eval) const {
+std::unique_ptr<const rules::Blocking> ErrorDetector::BlockingFor(
+    const Ree& rule) const {
   if (!options_.use_ml_blocking) return nullptr;
-  if (rule.tuple_vars.size() != 2 || rule.num_vertex_vars != 0) {
-    return nullptr;
-  }
-  if (rule.tuple_vars[0] != rule.tuple_vars[1]) return nullptr;
-  if (ctx_.models == nullptr) return nullptr;
-
-  // Qualify: an ML pair predicate links the variables, and no equality
-  // attr-compare between the two variables exists (which would already
-  // hash-join).
-  auto blocking = std::make_unique<Blocking>();
-  for (const Predicate& p : rule.precondition) {
-    if (p.kind == PredicateKind::kMlPair && p.var != p.var2) {
-      blocking->ml_pred = &p;
-    }
-    if (p.kind == PredicateKind::kAttrCompare && p.op == rules::CmpOp::kEq &&
-        p.var != p.var2 && p.attr != rules::kEidAttr) {
-      return nullptr;  // equality join available; indexing beats blocking
-    }
-  }
-  if (blocking->ml_pred == nullptr) return nullptr;
-  blocking->model = ctx_.models->FindPair(blocking->ml_pred->model);
-  if (blocking->model == nullptr) return nullptr;
-
-  // Filter: LSH blocking over the ML predicate's attribute tokens.
-  const size_t rows = ctx_.db->relation(rule.tuple_vars[0]).size();
-  Valuation v;
-  v.rows.assign(2, 0);
-  for (size_t row = 0; row < rows; ++row) {
-    v.rows[0] = static_cast<int>(row);
-    std::vector<Value> values;
-    for (int attr : blocking->ml_pred->attrs_b) {
-      values.push_back(eval.GetCell(rule, v, 0, attr));
-    }
-    blocking->blocker.Add(static_cast<int64_t>(row),
-                          blocking->model->BlockTokens(values));
-  }
-  return blocking;
+  return rules::Blocking::For(rule, ctx_);
 }
 
-void ErrorDetector::DetectSlice(const Ree& rule, rules::RowRange slice,
-                                const Blocking* blocking,
-                                const rules::Evaluator& eval,
-                                ml::BatchScratch* scratch,
-                                DetectionReport* report) const {
-  const DetectMetrics& metrics = DetectMetrics::Get();
-  if (blocking == nullptr) {
-    // Warm the score memo with one batch per model before the per-pair
-    // enumeration; misses during enumeration still score-and-insert.
-    metrics.ml_batched_pairs->Add(eval.WarmMlCache(rule, scratch, slice));
-    eval.ForEachSatisfying(
-        rule,
-        [&](const Valuation& v) {
-          ++report->exhaustive_pairs_checked;
-          if (!eval.Satisfies(rule, v, rule.consequence)) {
-            RecordViolation(rule, v, eval, report);
-          }
-          return true;
-        },
-        slice);
-    return;
-  }
-
-  // Materialize the slice's candidate pairs (the block) in verify order.
-  const Predicate& ml_pred = *blocking->ml_pred;
-  std::vector<std::pair<int, int>> pairs;
-  Valuation v;
-  v.rows.assign(2, 0);
-  for (int row = slice.begin; row < slice.end; ++row) {
-    v.rows[0] = row;
-    std::vector<Value> values;
-    for (int attr : ml_pred.attrs_a) {
-      values.push_back(eval.GetCell(rule, v, 0, attr));
-    }
-    for (int64_t candidate :
-         blocking->blocker.Candidates(blocking->model->BlockTokens(values))) {
-      if (candidate == row) continue;
-      pairs.emplace_back(row, static_cast<int>(candidate));
-    }
-  }
-
-  // Batch pre-pass: score the block's uncached ML pairs so the verify
-  // loop's Satisfies calls hit the memo. The memoized doubles are exactly
-  // what the scalar path computes, so the verify outcome is unchanged.
-  rules::MlWarmer warmer(eval, rule, scratch);
-  for (const auto& [row, candidate] : pairs) {
-    v.rows[0] = row;
-    v.rows[1] = candidate;
-    warmer.Add(v);
-  }
-  metrics.ml_batched_pairs->Add(warmer.Finish());
-
-  // Verify: evaluate the full precondition on candidate pairs only.
-  for (const auto& [row, candidate] : pairs) {
-    v.rows[0] = row;
-    v.rows[1] = candidate;
-    ++report->blocked_pairs_checked;
-    if (!eval.SatisfiesPrecondition(rule, v)) continue;
+void ErrorDetector::DetectRule(const Ree& rule, const rules::Scope& scope,
+                               const rules::Blocking* blocking,
+                               const rules::Evaluator& eval,
+                               ml::BatchScratch* scratch,
+                               DetectionReport* report) const {
+  auto check = [&](const Valuation& v) {
+    if (blocking == nullptr) ++report->exhaustive_pairs_checked;
     if (!eval.Satisfies(rule, v, rule.consequence)) {
       RecordViolation(rule, v, eval, report);
     }
-  }
+  };
+  const rules::EnumerateStats stats =
+      eval.Enumerate(rule, scope, blocking, scratch, check);
+  report->blocked_pairs_checked += stats.blocked_pairs;
+  DetectMetrics::Get().ml_batched_pairs->Add(stats.ml_batched_pairs);
 }
 
-DetectionReport ErrorDetector::Detect(
-    const std::vector<Ree>& rules) const {
-  ROCK_OBS_SPAN("detect.batch");
+DetectionReport ErrorDetector::DetectScope(const std::vector<Ree>& rules,
+                                           const rules::Scope& scope) const {
   const DetectMetrics& metrics = DetectMetrics::Get();
   DetectionReport report;
   rules::Evaluator eval(CachedContext());
@@ -411,10 +313,7 @@ DetectionReport ErrorDetector::Detect(
   size_t scratch_peak = 0;
   for (const Ree& rule : rules) {
     Timer timer;
-    const rules::RowRange all{
-        0, 0, static_cast<int>(FirstVarRows(*ctx_.db, rule))};
-    DetectSlice(rule, all, BuildBlocking(rule, eval).get(), eval, &scratch,
-                &report);
+    DetectRule(rule, scope, BlockingFor(rule).get(), eval, &scratch, &report);
     scratch_peak = std::max(scratch_peak, scratch.ApproxBytes());
     scratch.Reset();
     metrics.rule_seconds->Observe(timer.ElapsedSeconds());
@@ -425,40 +324,17 @@ DetectionReport ErrorDetector::Detect(
   return report;
 }
 
+DetectionReport ErrorDetector::Detect(const std::vector<Ree>& rules) const {
+  ROCK_OBS_SPAN("detect.batch");
+  return DetectScope(rules, rules::Scope{});
+}
+
 DetectionReport ErrorDetector::DetectIncremental(
     const std::vector<Ree>& rules,
     const std::vector<std::pair<int, int64_t>>& dirty) const {
   ROCK_OBS_SPAN("detect.incremental");
-  DetectionReport report;
-  rules::Evaluator eval(CachedContext());
-  ml::BatchScratch scratch;
-  std::set<std::vector<int>> seen;
-  for (const Ree& rule : rules) {
-    seen.clear();
-    for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {
-      int rel = rule.tuple_vars[var];
-      for (const auto& [drel, dtid] : dirty) {
-        if (drel != rel) continue;
-        int row = ctx_.db->relation(rel).RowOfTid(dtid);
-        if (row < 0) continue;
-        const rules::RowRange delta{static_cast<int>(var), row, row + 1};
-        DetectMetrics::Get().ml_batched_pairs->Add(
-            eval.WarmMlCache(rule, &scratch, delta));
-        eval.ForEachSatisfying(
-            rule,
-            [&](const Valuation& v) {
-              if (!seen.insert(v.rows).second) return true;
-              if (!eval.Satisfies(rule, v, rule.consequence)) {
-                RecordViolation(rule, v, eval, &report);
-              }
-              return true;
-            },
-            delta);
-      }
-    }
-    scratch.Reset();
-  }
-  return report;
+  const rules::DeltaRows delta(*ctx_.db, dirty);
+  return DetectScope(rules, rules::Scope::Delta(delta));
 }
 
 DetectionReport ErrorDetector::DetectParallel(
@@ -467,18 +343,14 @@ DetectionReport ErrorDetector::DetectParallel(
   ROCK_OBS_SPAN("detect.parallel");
   const rules::EvalContext cached_ctx = CachedContext();
   std::vector<par::WorkUnit> units;
-  std::vector<std::unique_ptr<const Blocking>> blockings;
-  {
-    const rules::Evaluator eval(cached_ctx);
-    for (size_t r = 0; r < rules.size(); ++r) {
-      const Ree& rule = rules[r];
-      std::vector<par::WorkUnit> rule_units = par::BuildRowUnits(
-          static_cast<int>(r), rule.tuple_vars.empty() ? -1
-                                                       : rule.tuple_vars[0],
-          FirstVarRows(*ctx_.db, rule));
-      units.insert(units.end(), rule_units.begin(), rule_units.end());
-      blockings.push_back(BuildBlocking(rule, eval));
-    }
+  std::vector<std::unique_ptr<const rules::Blocking>> blockings;
+  for (size_t r = 0; r < rules.size(); ++r) {
+    const Ree& rule = rules[r];
+    const int rel = rule.tuple_vars.empty() ? -1 : rule.tuple_vars[0];
+    std::vector<par::WorkUnit> rule_units = par::BuildRowUnits(
+        static_cast<int>(r), rel, rel < 0 ? 0 : ctx_.db->relation(rel).size());
+    units.insert(units.end(), rule_units.begin(), rule_units.end());
+    blockings.push_back(BlockingFor(rule));
   }
 
   par::PoolOptions pool_options;
@@ -504,9 +376,9 @@ DetectionReport ErrorDetector::DetectParallel(
     unit_reports[unit_index] = DetectionReport();  // replay overwrites
     ml::BatchScratch& scratch = scratches[static_cast<size_t>(worker)];
     const size_t r = static_cast<size_t>(u.rule_index);
-    DetectSlice(rules[r], {0, u.rows.begin, u.rows.end}, blockings[r].get(),
-                evals[static_cast<size_t>(worker)], &scratch,
-                &unit_reports[unit_index]);
+    DetectRule(rules[r], rules::Scope::Rows(u.rows.begin, u.rows.end),
+               blockings[r].get(), evals[static_cast<size_t>(worker)], &scratch,
+               &unit_reports[unit_index]);
     size_t bytes = scratch.ApproxBytes();
     size_t seen = scratch_peak.load(std::memory_order_relaxed);
     while (bytes > seen &&

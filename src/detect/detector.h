@@ -67,7 +67,8 @@ struct DetectionReport {
 struct DetectorOptions {
   /// Filter-and-verify for ML pair predicates (paper §5.4): when a rule's
   /// only link between its two variables is an ML predicate, candidate
-  /// pairs come from an LSH blocking index instead of the cross product.
+  /// pairs come from an LSH blocking index instead of the cross product
+  /// (rules::Blocking says which rules qualify), on every path.
   bool use_ml_blocking = true;
   /// Deterministic fault schedule injected into DetectParallel's pool (not
   /// owned; nullptr disables injection). Units the pool abandons are
@@ -88,9 +89,8 @@ struct DetectorOptions {
 };
 
 /// Error detection (paper §3): violations of REE++s in Σ, batch and
-/// incremental. Batch and parallel detection run one per-rule body over
-/// slices of the rule's first tuple variable: serial detection over the
-/// whole relation, parallel detection one slice per work unit.
+/// incremental. Every path runs one per-rule body (DetectRule) over a
+/// rules::Scope: the whole data, one row slice per parallel unit, or ΔD.
 class ErrorDetector {
  public:
   explicit ErrorDetector(rules::EvalContext ctx);
@@ -99,8 +99,8 @@ class ErrorDetector {
   /// Batch detection over the full database.
   DetectionReport Detect(const std::vector<rules::Ree>& rules) const;
 
-  /// Incremental detection: only violations whose valuation touches a
-  /// tuple in `dirty` (ΔD) are reported.
+  /// Incremental detection: the violations whose valuation binds a tuple
+  /// in `dirty` (ΔD), each once. With every tuple dirty it equals Detect().
   DetectionReport DetectIncremental(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
@@ -151,23 +151,16 @@ class ErrorDetector {
   void RecordViolation(const rules::Ree& rule, const rules::Valuation& v,
                        const rules::Evaluator& eval,
                        DetectionReport* report) const;
-  /// LSH blocking index of a rule that qualifies for filter-and-verify
-  /// (paper §5.4). Built once per rule per detection call and read
-  /// concurrently by every slice of that rule.
-  struct Blocking;
-  /// The rule's blocking index, or nullptr when the rule does not qualify:
-  /// two variables over one relation, no vertex variables, an ML pair
-  /// predicate linking them and no equality join between them.
-  std::unique_ptr<const Blocking> BuildBlocking(
-      const rules::Ree& rule, const rules::Evaluator& eval) const;
-  /// The per-rule body of every batch path: detects the rule's violations
-  /// whose first tuple variable binds a row of `slice`, in the serial
-  /// enumeration order. With `blocking`, the slice's candidate pairs come
-  /// from the blocking index; otherwise the slice is warmed (one ScoreBatch
-  /// per model) and enumerated through the evaluator's indexes.
-  void DetectSlice(const rules::Ree& rule, rules::RowRange slice,
-                   const Blocking* blocking, const rules::Evaluator& eval,
-                   ml::BatchScratch* scratch, DetectionReport* report) const;
+  /// rules::Blocking::For, or nullptr when blocking is off.
+  std::unique_ptr<const rules::Blocking> BlockingFor(
+      const rules::Ree& rule) const;
+  /// Serial detection of every rule over one scope.
+  DetectionReport DetectScope(const std::vector<rules::Ree>& rules,
+                              const rules::Scope& scope) const;
+  /// Records the violations among the rule's valuations in `scope`.
+  void DetectRule(const rules::Ree& rule, const rules::Scope& scope,
+                  const rules::Blocking* blocking, const rules::Evaluator& eval,
+                  ml::BatchScratch* scratch, DetectionReport* report) const;
 };
 
 }  // namespace rock::detect

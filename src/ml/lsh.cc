@@ -1,7 +1,6 @@
 #include "src/ml/lsh.h"
 
 #include <algorithm>
-#include <set>
 
 #include "src/common/hash.h"
 #include "src/common/strings.h"
@@ -96,29 +95,15 @@ void LshBlocker::Add(int64_t id, const std::vector<std::string>& tokens) {
 std::vector<int64_t> LshBlocker::Candidates(
     const std::vector<std::string>& tokens) const {
   std::vector<uint64_t> hashes = BandHashes(tokens);
-  std::set<int64_t> out;
+  std::vector<int64_t> out;
   for (size_t band = 0; band < bands_.size(); ++band) {
     auto it = bands_[band].find(hashes[band]);
     if (it == bands_[band].end()) continue;
-    out.insert(it->second.begin(), it->second.end());
+    out.insert(out.end(), it->second.begin(), it->second.end());
   }
-  return std::vector<int64_t>(out.begin(), out.end());
-}
-
-std::vector<std::pair<int64_t, int64_t>> LshBlocker::CandidatePairs() const {
-  std::set<std::pair<int64_t, int64_t>> pairs;
-  for (const auto& band : bands_) {
-    for (const auto& [hash, ids] : band) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        for (size_t j = i + 1; j < ids.size(); ++j) {
-          int64_t a = std::min(ids[i], ids[j]);
-          int64_t b = std::max(ids[i], ids[j]);
-          if (a != b) pairs.emplace(a, b);
-        }
-      }
-    }
-  }
-  return std::vector<std::pair<int64_t, int64_t>>(pairs.begin(), pairs.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 std::vector<std::string> BlockingTokens(const std::vector<Value>& values) {

@@ -58,9 +58,6 @@ class LshBlocker {
   /// nothing; the caller filters self-pairs).
   std::vector<int64_t> Candidates(const std::vector<std::string>& tokens) const;
 
-  /// All candidate pairs (i < j) across the index.
-  std::vector<std::pair<int64_t, int64_t>> CandidatePairs() const;
-
   size_t size() const { return num_records_; }
 
  private:

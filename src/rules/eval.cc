@@ -1,6 +1,7 @@
 #include "src/rules/eval.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_set>
 
 #include "src/common/logging.h"
@@ -364,53 +365,186 @@ bool Evaluator::LookupCandidates(int rel, int attr, const Value& value,
   return true;
 }
 
-void Evaluator::ForEachSatisfying(
-    const Ree& rule, const std::function<bool(const Valuation&)>& cb,
-    RowRange range) const {
-  // ready_preds[d] = predicates fully bound once vars 0..d are assigned
-  // (vertex-var predicates are deferred to the vertex phase).
-  size_t num_vars = rule.tuple_vars.size();
-  std::vector<std::vector<const Predicate*>> ready(num_vars);
+DeltaRows::DeltaRows(const Database& db,
+                     const std::vector<std::pair<int, int64_t>>& tids)
+    : rows_(db.num_relations()) {
+  for (const auto& [rel, tid] : tids) {
+    if (rel < 0 || static_cast<size_t>(rel) >= db.num_relations()) continue;
+    const int row = db.relation(rel).RowOfTid(tid);
+    if (row >= 0) rows_[static_cast<size_t>(rel)].push_back(row);
+  }
+  for (std::vector<int>& rows : rows_) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  }
+}
+
+bool DeltaRows::Contains(int rel, int row) const {
+  return std::binary_search(rows(rel).begin(), rows(rel).end(), row);
+}
+
+std::unique_ptr<const Blocking> Blocking::For(const Ree& rule,
+                                              const EvalContext& ctx) {
+  if (rule.tuple_vars.size() != 2 || rule.num_vertex_vars != 0) {
+    return nullptr;
+  }
+  if (rule.tuple_vars[0] != rule.tuple_vars[1]) return nullptr;
+  if (ctx.models == nullptr) return nullptr;
+
+  auto blocking = std::make_unique<Blocking>();
   for (const Predicate& p : rule.precondition) {
-    if (p.vertex_var >= 0) continue;
-    int max_var = -1;
-    for (int tv : p.TupleVars()) max_var = std::max(max_var, tv);
-    if (max_var < 0) max_var = 0;
-    if (static_cast<size_t>(max_var) < num_vars) {
-      ready[static_cast<size_t>(max_var)].push_back(&p);
+    if (p.kind == PredicateKind::kMlPair && p.var != p.var2) {
+      blocking->ml_pred_ = &p;
+    }
+    if (p.kind == PredicateKind::kAttrCompare && p.op == CmpOp::kEq &&
+        p.var != p.var2 && p.attr != kEidAttr) {
+      return nullptr;  // equality join available; indexing beats blocking
     }
   }
+  if (blocking->ml_pred_ == nullptr ||
+      blocking->ml_pred_->attrs_a != blocking->ml_pred_->attrs_b) {
+    return nullptr;
+  }
+  blocking->model_ = ctx.models->FindPair(blocking->ml_pred_->model);
+  if (blocking->model_ == nullptr) return nullptr;
+
+  const Relation& relation = ctx.db->relation(rule.tuple_vars[0]);
+  for (size_t row = 0; row < relation.size(); ++row) {
+    std::vector<Value> values;
+    for (int attr : blocking->ml_pred_->attrs_a) {
+      values.push_back(relation.tuple(row).value(attr));
+    }
+    blocking->blocker_.Add(static_cast<int64_t>(row),
+                           blocking->model_->BlockTokens(values));
+  }
+  return blocking;
+}
+
+std::vector<int> Blocking::Candidates(const Evaluator& eval, const Ree& rule,
+                                      int row) const {
   Valuation v;
-  v.rows.assign(num_vars, -1);
-  v.vertices.assign(static_cast<size_t>(rule.num_vertex_vars), -1);
-  bool keep_going = true;
-  Recurse(rule, v, 0, ready, cb, keep_going, range);
+  v.rows.assign(2, row);
+  std::vector<Value> values;
+  for (int attr : ml_pred_->attrs_a) {
+    values.push_back(eval.GetCell(rule, v, 0, attr));
+  }
+  std::vector<int> out;
+  for (int64_t candidate : blocker_.Candidates(model_->BlockTokens(values))) {
+    if (candidate != row) out.push_back(static_cast<int>(candidate));
+  }
+  const CellOverlay* overlay = eval.context().overlay;
+  if (overlay == nullptr) return out;
+  // As in LookupCandidates: the index holds raw tokens, so rows whose
+  // blocked cells the overlay changed join every block.
+  const int rel = rule.tuple_vars[0];
+  const Relation& relation = eval.context().db->relation(rel);
+  for (int attr : ml_pred_->attrs_a) {
+    for (int64_t tid : overlay->PatchedTids(rel, attr)) {
+      const int patched = relation.RowOfTid(tid);
+      if (patched < 0 || patched == row) continue;
+      std::optional<Value> cell = overlay->GetCell(rel, tid, attr);
+      const Tuple& t = relation.tuple(static_cast<size_t>(patched));
+      if (cell.has_value() && !(*cell == t.value(attr))) out.push_back(patched);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+void Evaluator::ForEachSatisfying(
+    const Ree& rule, const std::function<bool(const Valuation&)>& cb) const {
+  Walk(rule, Scope{}, /*blocking=*/nullptr, /*skip_ml=*/false, cb);
+}
+
+EnumerateStats Evaluator::Enumerate(
+    const Ree& rule, const Scope& scope, const Blocking* blocking,
+    ml::BatchScratch* scratch,
+    const std::function<void(const Valuation&)>& sink) const {
+  EnumerateStats stats;
+  stats.ml_batched_pairs = WarmMlCache(rule, scratch, scope, blocking);
+  const std::function<bool(const Valuation&)> emit = [&](const Valuation& v) {
+    sink(v);
+    return true;
+  };
+  stats.blocked_pairs = Walk(rule, scope, blocking, /*skip_ml=*/false, emit);
+  return stats;
 }
 
 size_t Evaluator::WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
-                              RowRange range) const {
+                              const Scope& scope,
+                              const Blocking* blocking) const {
   if (ctx_.ml_cache == nullptr || ctx_.models == nullptr) return 0;
   if (rule.num_vertex_vars != 0) return 0;
   // Every ML predicate must bind at the deepest variable: the warm
   // enumeration below skips ML predicates entirely, which is free only
   // when they never prune an enumeration prefix.
-  const size_t num_vars = rule.tuple_vars.size();
-  const int last = static_cast<int>(num_vars) - 1;
-  bool any_ml = false;
+  const int last = static_cast<int>(rule.tuple_vars.size()) - 1;
+  std::vector<const Predicate*> ml_preds;
   for (const Predicate& p : rule.precondition) {
     if (p.kind != PredicateKind::kMlPair) continue;
-    any_ml = true;
     int max_var = -1;
     for (int tv : p.TupleVars()) max_var = std::max(max_var, tv);
     if (max_var != last) return 0;
+    ml_preds.push_back(&p);
   }
-  if (!any_ml) return 0;
+  if (ml_preds.empty()) return 0;
 
-  // Ready lists as in ForEachSatisfying, minus the ML predicates.
+  struct Pending {
+    const ml::PairClassifier* model = nullptr;
+    ml::PairBatch batch;
+    std::vector<ml::MlScoreCache::Key> keys;
+  };
+  std::map<std::string, Pending> pending;
+  std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash> queued;
+  size_t pending_pairs = 0;
+  size_t scored = 0;
+  auto flush = [&] {
+    std::vector<double> scores;
+    for (auto& [name, entry] : pending) {
+      if (entry.batch.empty()) continue;
+      entry.model->ScoreBatch(entry.batch, scratch, &scores);
+      ctx_.ml_cache->InsertBatch(entry.keys, scores);
+      scored += scores.size();
+      entry.batch.Clear();
+      entry.keys.clear();
+    }
+    pending_pairs = 0;
+  };
+  Walk(rule, scope, blocking, /*skip_ml=*/true, [&](const Valuation& v) {
+    for (const Predicate* p : ml_preds) {
+      const ml::PairClassifier* model = ctx_.models->FindPair(p->model);
+      if (model == nullptr) continue;
+      std::vector<Value> a, b;
+      for (int attr : p->attrs_a) a.push_back(GetCell(rule, v, p->var, attr));
+      for (int attr : p->attrs_b) b.push_back(GetCell(rule, v, p->var2, attr));
+      const ml::MlScoreCache::Key key =
+          ml::MlScoreCache::MakeKey(p->model, a, b);
+      if (!queued.insert(key).second || ctx_.ml_cache->Contains(key)) {
+        continue;
+      }
+      Pending& entry = pending[p->model];
+      entry.model = model;
+      entry.batch.Add(std::move(a), std::move(b));
+      entry.keys.push_back(key);
+      if (++pending_pairs >= 4096) flush();
+    }
+    return true;
+  });
+  flush();
+  return scored;
+}
+
+size_t Evaluator::Walk(const Ree& rule, const Scope& scope,
+                       const Blocking* blocking, bool skip_ml,
+                       const std::function<bool(const Valuation&)>& cb) const {
+  // ready[d] = predicates fully bound once vars 0..d are assigned (vertex-
+  // var predicates are deferred to the vertex phase).
+  const size_t num_vars = rule.tuple_vars.size();
   std::vector<std::vector<const Predicate*>> ready(num_vars);
   for (const Predicate& p : rule.precondition) {
     if (p.vertex_var >= 0) continue;
-    if (p.kind == PredicateKind::kMlPair) continue;
+    if (skip_ml && p.kind == PredicateKind::kMlPair) continue;
     int max_var = -1;
     for (int tv : p.TupleVars()) max_var = std::max(max_var, tv);
     if (max_var < 0) max_var = 0;
@@ -418,92 +552,55 @@ size_t Evaluator::WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
       ready[static_cast<size_t>(max_var)].push_back(&p);
     }
   }
-
-  MlWarmer warmer(*this, rule, scratch);
+  Pass pass{ready, cb, blocking};
   Valuation v;
   v.rows.assign(num_vars, -1);
-  v.vertices.clear();
-  bool keep_going = true;
-  Recurse(
-      rule, v, 0, ready,
-      [&](const Valuation& satisfying) {
-        warmer.Add(satisfying);
-        return true;
-      },
-      keep_going, range);
-  return warmer.Finish();
-}
-
-MlWarmer::MlWarmer(const Evaluator& eval, const Ree& rule,
-                   ml::BatchScratch* scratch)
-    : eval_(eval), rule_(rule), scratch_(scratch),
-      cache_(eval.context().ml_cache) {
-  if (cache_ == nullptr || eval.context().models == nullptr) return;
-  for (const Predicate& p : rule.precondition) {
-    if (p.kind == PredicateKind::kMlPair) ml_preds_.push_back(&p);
+  v.vertices.assign(static_cast<size_t>(rule.num_vertex_vars), -1);
+  if (scope.delta == nullptr) {
+    pass.begin = scope.begin;
+    pass.end = scope.end;
+    Recurse(rule, v, 0, pass);
+    return pass.blocked_pairs;
   }
-}
-
-void MlWarmer::Add(const Valuation& v) {
-  for (const Predicate* p : ml_preds_) {
-    const ml::PairClassifier* model =
-        eval_.context().models->FindPair(p->model);
-    if (model == nullptr) continue;
-    std::vector<Value> a, b;
-    a.reserve(p->attrs_a.size());
-    b.reserve(p->attrs_b.size());
-    for (int attr : p->attrs_a) {
-      a.push_back(eval_.GetCell(rule_, v, p->var, attr));
+  pass.delta = scope.delta;
+  for (size_t var = 0; var < num_vars; ++var) {
+    for (int row : scope.delta->rows(rule.tuple_vars[var])) {
+      pass.var = static_cast<int>(var);
+      pass.begin = row;
+      pass.end = row + 1;
+      Recurse(rule, v, 0, pass);
     }
-    for (int attr : p->attrs_b) {
-      b.push_back(eval_.GetCell(rule_, v, p->var2, attr));
-    }
-    const ml::MlScoreCache::Key key =
-        ml::MlScoreCache::MakeKey(p->model, a, b);
-    if (!queued_.insert(key).second) continue;
-    if (cache_->Contains(key)) continue;
-    Pending& entry = pending_[p->model];
-    entry.model = model;
-    entry.batch.Add(std::move(a), std::move(b));
-    entry.keys.push_back(key);
-    if (++pending_pairs_ >= 4096) Finish();
   }
+  return pass.blocked_pairs;
 }
 
-size_t MlWarmer::Finish() {
-  std::vector<double> scores;
-  for (auto& [name, entry] : pending_) {
-    if (entry.batch.empty()) continue;
-    entry.model->ScoreBatch(entry.batch, scratch_, &scores);
-    cache_->InsertBatch(entry.keys, scores);
-    scored_ += scores.size();
-    entry.batch.Clear();
-    entry.keys.clear();
-  }
-  pending_pairs_ = 0;
-  return scored_;
-}
-
-void Evaluator::Recurse(
-    const Ree& rule, Valuation& v, size_t depth,
-    const std::vector<std::vector<const Predicate*>>& ready_preds,
-    const std::function<bool(const Valuation&)>& cb, bool& keep_going,
-    RowRange range) const {
-  if (!keep_going) return;
+void Evaluator::Recurse(const Ree& rule, Valuation& v, size_t depth,
+                        Pass& pass) const {
+  if (!pass.keep_going) return;
   if (depth == rule.tuple_vars.size()) {
     // All tuple variables bound; handle vertex variables (if any), checking
     // the remaining predicates inside AssignVertices.
-    AssignVertices(rule, v, 0, cb, keep_going);
+    AssignVertices(rule, v, 0, pass);
     return;
   }
   int rel = rule.tuple_vars[depth];
   const Relation& relation = ctx_.db->relation(rel);
 
-  // Try to restrict candidates by an equality predicate whose other side is
-  // already bound (join index) or constant.
+  // A blocked rule's variable 1 ranges over the LSH candidates of variable
+  // 0's row — or, when a delta seed binds variable 1, the reverse.
   std::vector<int> candidate_rows;
   bool restricted = false;
-  for (const Predicate* p : ready_preds[depth]) {
+  const bool filtered = pass.blocking != nullptr &&
+                        static_cast<int>(depth) == (pass.var == 1 ? 0 : 1);
+  if (filtered) {
+    const int probe = depth == 1 ? v.rows[0] : pass.begin;
+    candidate_rows = pass.blocking->Candidates(*this, rule, probe);
+    restricted = true;
+  }
+  // Otherwise try to restrict candidates by an equality predicate whose
+  // other side is already bound (join index) or constant.
+  for (const Predicate* p : pass.ready[depth]) {
+    if (restricted) break;
     if (p->op != CmpOp::kEq) continue;
     if (p->kind == PredicateKind::kConstant &&
         p->var == static_cast<int>(depth)) {
@@ -524,28 +621,32 @@ void Evaluator::Recurse(
         restricted = LookupCandidates(rel, p->attr, bound, &candidate_rows);
       }
     }
-    if (restricted) break;
   }
 
+  // A delta seed on a later variable keeps this one off ΔD (semi-naive).
+  const bool old_rows_only =
+      pass.delta != nullptr && static_cast<int>(depth) < pass.var;
   auto try_row = [&](int row) {
-    if (!keep_going) return;
+    if (!pass.keep_going) return;
+    if (old_rows_only && pass.delta->Contains(rel, row)) return;
+    if (filtered) ++pass.blocked_pairs;
     v.rows[depth] = row;
-    for (const Predicate* p : ready_preds[depth]) {
+    for (const Predicate* p : pass.ready[depth]) {
       if (!Satisfies(rule, v, *p)) {
         v.rows[depth] = -1;
         return;
       }
     }
-    Recurse(rule, v, depth + 1, ready_preds, cb, keep_going, range);
+    Recurse(rule, v, depth + 1, pass);
     v.rows[depth] = -1;
   };
 
   // Rows [begin, end) this depth may bind; candidate lists are ascending,
   // so the slice of them is a binary-searched subrange.
-  const bool sliced = range.var == static_cast<int>(depth);
-  const int begin = sliced ? std::max(0, range.begin) : 0;
+  const bool sliced = pass.var == static_cast<int>(depth);
+  const int begin = sliced ? std::max(0, pass.begin) : 0;
   const int end = sliced ? std::min(static_cast<int>(relation.size()),
-                                    range.end)
+                                    pass.end)
                          : static_cast<int>(relation.size());
   if (restricted) {
     auto first = candidate_rows.begin();
@@ -554,27 +655,26 @@ void Evaluator::Recurse(
       first = std::lower_bound(first, last, begin);
       last = std::lower_bound(first, last, end);
     }
-    for (; first != last && keep_going; ++first) try_row(*first);
+    for (; first != last && pass.keep_going; ++first) try_row(*first);
   } else {
-    for (int row = begin; row < end && keep_going; ++row) try_row(row);
+    for (int row = begin; row < end && pass.keep_going; ++row) try_row(row);
   }
 }
 
-bool Evaluator::AssignVertices(
-    const Ree& rule, Valuation& v, int vertex_depth,
-    const std::function<bool(const Valuation&)>& cb, bool& keep_going) const {
-  if (!keep_going) return false;
+void Evaluator::AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,
+                               Pass& pass) const {
+  if (!pass.keep_going) return;
   if (vertex_depth == rule.num_vertex_vars) {
     // Check every predicate involving vertex variables (tuple-only
     // predicates were already checked during Recurse).
     for (const Predicate& p : rule.precondition) {
       if (p.vertex_var < 0) continue;
-      if (!Satisfies(rule, v, p)) return true;
+      if (!Satisfies(rule, v, p)) return;
     }
-    if (!cb(v)) keep_going = false;
-    return true;
+    if (!pass.cb(v)) pass.keep_going = false;
+    return;
   }
-  if (ctx_.graph == nullptr) return true;
+  if (ctx_.graph == nullptr) return;
 
   // Restrict candidates by a HER predicate's blocking index when present.
   std::vector<kg::VertexId> candidates;
@@ -593,12 +693,11 @@ bool Evaluator::AssignVertices(
   if (!restricted) candidates = ctx_.graph->AllVertices();
 
   for (kg::VertexId x : candidates) {
-    if (!keep_going) break;
+    if (!pass.keep_going) break;
     v.vertices[static_cast<size_t>(vertex_depth)] = x;
-    AssignVertices(rule, v, vertex_depth + 1, cb, keep_going);
+    AssignVertices(rule, v, vertex_depth + 1, pass);
     v.vertices[static_cast<size_t>(vertex_depth)] = -1;
   }
-  return true;
 }
 
 void Evaluator::ForEachViolation(

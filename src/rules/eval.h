@@ -1,15 +1,17 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/kg/graph.h"
 #include "src/ml/library.h"
+#include "src/ml/lsh.h"
 #include "src/obs/provenance.h"
 #include "src/rules/ree.h"
 #include "src/storage/relation.h"
@@ -88,12 +90,68 @@ struct Valuation {
   }
 };
 
-/// Rows [begin, end) of tuple variable `var`, the slice an enumeration
-/// binds that variable to. var = -1 restricts nothing.
-struct RowRange {
-  int var = -1;
+/// ΔD as rows: per relation, the distinct rows of the given tids,
+/// ascending (unknown tids dropped).
+class DeltaRows {
+ public:
+  DeltaRows(const Database& db,
+            const std::vector<std::pair<int, int64_t>>& tids);
+
+  const std::vector<int>& rows(int rel) const {
+    return rows_[static_cast<size_t>(rel)];
+  }
+  bool Contains(int rel, int row) const;
+
+ private:
+  std::vector<std::vector<int>> rows_;
+};
+
+/// What one enumeration covers: every valuation (the default), those
+/// binding variable 0 to a row in [begin, end) (one parallel work unit), or
+/// exactly those binding at least one ΔD row, each once. Delta seeds are
+/// semi-naive: a seed on variable i binds it to a ΔD row, variables before
+/// i skip ΔD's rows, variables after i range over all rows. Seeds run
+/// variable by variable, rows ascending, so with ΔD = D the enumeration is
+/// the unrestricted one, in its order.
+struct Scope {
   int begin = 0;
-  int end = 0;
+  int end = std::numeric_limits<int>::max();
+  const DeltaRows* delta = nullptr;
+
+  static Scope Rows(int begin, int end) { return {begin, end, nullptr}; }
+  static Scope Delta(const DeltaRows& delta) { return {0, 0, &delta}; }
+};
+
+/// What one Enumerate call checked: candidate pairs the blocking filter
+/// proposed, and ML pairs the warm pre-pass scored.
+struct EnumerateStats {
+  size_t blocked_pairs = 0;
+  size_t ml_batched_pairs = 0;
+};
+
+class Evaluator;
+
+/// LSH blocking (filter-and-verify, paper §5.4) of a rule with two tuple
+/// variables over one relation, no vertex variables, no equality join, and
+/// an ML pair predicate linking them over the same attributes on both
+/// sides — so candidates are symmetric and a variable-1 seed can probe in
+/// reverse. Indexes every row's raw tokens; read-only once built.
+class Blocking {
+ public:
+  /// The rule's index, or nullptr when the rule does not qualify.
+  static std::unique_ptr<const Blocking> For(const Ree& rule,
+                                             const EvalContext& ctx);
+
+  /// Rows other than `row` sharing an LSH band with its (overlay-aware)
+  /// tokens, plus the rows whose blocked cells the overlay changed;
+  /// ascending.
+  std::vector<int> Candidates(const Evaluator& eval, const Ree& rule,
+                              int row) const;
+
+ private:
+  const Predicate* ml_pred_ = nullptr;
+  const ml::PairClassifier* model_ = nullptr;
+  ml::LshBlocker blocker_;
 };
 
 /// Evaluates REE++s over a database (+ optional graph/models/overlay).
@@ -143,22 +201,23 @@ class Evaluator {
   /// vertex candidates via the model's blocking index. Valuations come in
   /// ascending row order of variable 0, then of each later variable's
   /// candidates.
-  ///
-  /// `range` binds one tuple variable only to rows inside [begin, end):
-  /// {var, row, row + 1} is the delta enumeration of incremental detection
-  /// and the lazy chase (only valuations touching an updated tuple fire);
-  /// {0, begin, end} is one data-parallel work unit. Concatenating the
-  /// enumerations of contiguous slices of variable 0 in slice order yields
-  /// exactly the unrestricted enumeration.
   void ForEachSatisfying(const Ree& rule,
-                         const std::function<bool(const Valuation&)>& cb,
-                         RowRange range = {}) const;
+                         const std::function<bool(const Valuation&)>& cb) const;
+
+  /// The one enumerator of detection and the chase: every valuation in
+  /// `scope` with h |= X, in ForEachSatisfying's order, after warming
+  /// their ML pairs (WarmMlCache). With `blocking`, variable 1 ranges over
+  /// the LSH candidates of variable 0 (filter) and X verifies them.
+  EnumerateStats Enumerate(
+      const Ree& rule, const Scope& scope, const Blocking* blocking,
+      ml::BatchScratch* scratch,
+      const std::function<void(const Valuation&)>& sink) const;
 
   /// Pre-scores the rule's ML pair predicates into ctx().ml_cache with one
-  /// ScoreBatch per model (see MlWarmer): enumerates valuations satisfying
-  /// the *non-ML* precondition predicates within `range` and warms their
-  /// ML pairs. Later Satisfies calls hit the memo instead of re-scoring
-  /// per pair.
+  /// ScoreBatch per model (in rounds of at most 4096 pairs): enumerates
+  /// the valuations of `scope` satisfying the *non-ML* precondition
+  /// predicates and queues their uncached ML pairs. Later Satisfies calls
+  /// hit the memo instead of re-scoring per pair.
   ///
   /// Warms only rules where every ML pair predicate binds at the deepest
   /// tuple variable and no vertex variables exist — skipping the ML
@@ -168,7 +227,8 @@ class Evaluator {
   /// cache). Cached values equal the scalar path's bitwise, so warming
   /// never changes detection results. Returns the number of pairs scored.
   size_t WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
-                     RowRange range = {}) const;
+                     const Scope& scope = {},
+                     const Blocking* blocking = nullptr) const;
 
   /// Enumerates violations: h |= X but h !|= p0.
   void ForEachViolation(const Ree& rule,
@@ -192,45 +252,28 @@ class Evaluator {
   /// restriction is possible.
   bool LookupCandidates(int rel, int attr, const Value& value,
                         std::vector<int>* out) const;
-  void Recurse(const Ree& rule, Valuation& v, size_t depth,
-               const std::vector<std::vector<const Predicate*>>& ready_preds,
-               const std::function<bool(const Valuation&)>& cb,
-               bool& keep_going, RowRange range) const;
-  bool AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,
-                      const std::function<bool(const Valuation&)>& cb,
-                      bool& keep_going) const;
-};
 
-/// The ML warm pre-pass shared by every detection path: queues the (a, b)
-/// value pairs of a rule's ML pair predicates for the valuations it is
-/// given, skips pairs the memo already holds or the pass already queued,
-/// and scores them with one ScoreBatch per model (in rounds of at most
-/// 4096 pairs, to bound memory) into ctx().ml_cache. Does nothing when the
-/// context has no memo or no models.
-class MlWarmer {
- public:
-  MlWarmer(const Evaluator& eval, const Ree& rule, ml::BatchScratch* scratch);
-
-  /// Queues `v`'s uncached ML pairs.
-  void Add(const Valuation& v);
-  /// Scores what is still queued; returns the pairs scored by this warmer.
-  size_t Finish();
-
- private:
-  struct Pending {
-    const ml::PairClassifier* model = nullptr;
-    ml::PairBatch batch;
-    std::vector<ml::MlScoreCache::Key> keys;
+  /// One pass: `var` bound to rows [begin, end); with `delta`, variables
+  /// before `var` kept off ΔD.
+  struct Pass {
+    const std::vector<std::vector<const Predicate*>>& ready;
+    const std::function<bool(const Valuation&)>& cb;
+    const Blocking* blocking = nullptr;
+    int var = 0;
+    int begin = 0;
+    int end = 0;
+    const DeltaRows* delta = nullptr;
+    size_t blocked_pairs = 0;
+    bool keep_going = true;
   };
-  const Evaluator& eval_;
-  const Ree& rule_;
-  ml::BatchScratch* scratch_;
-  ml::MlScoreCache* cache_;
-  std::vector<const Predicate*> ml_preds_;
-  std::map<std::string, Pending> pending_;
-  std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash> queued_;
-  size_t pending_pairs_ = 0;
-  size_t scored_ = 0;
+  /// Runs `cb` on the valuations of `scope` satisfying X (minus its ML
+  /// predicates if `skip_ml`); returns the blocked pairs proposed.
+  size_t Walk(const Ree& rule, const Scope& scope, const Blocking* blocking,
+              bool skip_ml,
+              const std::function<bool(const Valuation&)>& cb) const;
+  void Recurse(const Ree& rule, Valuation& v, size_t depth, Pass& pass) const;
+  void AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,
+                      Pass& pass) const;
 };
 
 }  // namespace rock::rules

@@ -6,6 +6,7 @@
 #include "src/chase/fix_store.h"
 #include "src/common/mutex.h"
 #include "src/common/rng.h"
+#include "src/detect/detector.h"
 #include "src/ml/correlation.h"
 #include "src/ml/her.h"
 #include "src/ml/library.h"
@@ -423,6 +424,62 @@ TEST_F(ChaseTest, GraphExtractionFillsLocation) {
                                                store.tuple(1).tid, 3);
   ASSERT_TRUE(loc.has_value());
   EXPECT_EQ(loc->AsString(), "Beijing");
+}
+
+// A valuation is its tuple rows *and* its vertex bindings: when one tuple
+// HER-matches two graph vertices, detection and the chase must see two
+// valuations on every path, the incremental and lazy ones included.
+TEST_F(ChaseTest, TwinVertexValuationsSurviveDeltaEnumeration) {
+  // A twin of the "Apple Taobao Flagship" vertex, located elsewhere.
+  const kg::VertexId twin = data_.graph.AddVertex("Apple Taobao Flagship");
+  const kg::VertexId hangzhou = data_.graph.AddVertex("Hangzhou");
+  ASSERT_TRUE(data_.graph.AddEdge(twin, "LocationAt", hangzhou).ok());
+  auto her = std::make_shared<ml::HerModel>();
+  her->IndexGraph(data_.graph);
+  models_.RegisterHer(her);
+  auto matcher = std::make_shared<ml::PathMatchModel>();
+  matcher->AddSynonym("location", {"LocationAt"});
+  models_.RegisterPathMatcher(matcher);
+  std::vector<Ree> rules = {Parse(
+      "Store(t0) ^ vertex(x0, G) ^ HER(t0, x0) ^ "
+      "match(t0.location, x0.(LocationAt)) -> "
+      "t0.location = val(x0.(LocationAt))")};
+  const Relation& store = data_.db.relation(data_.store);
+  const int64_t flagship = store.tuple(1).tid;  // null location
+  std::vector<std::pair<int, int64_t>> all_stores;
+  for (size_t row = 0; row < store.size(); ++row) {
+    all_stores.emplace_back(data_.store, store.tuple(row).tid);
+  }
+
+  rules::EvalContext ctx;
+  ctx.db = &data_.db;
+  ctx.graph = &data_.graph;
+  ctx.models = &models_;
+  const detect::ErrorDetector detector(ctx);
+  const detect::DetectionReport batch = detector.Detect(rules);
+  size_t flagship_errors = 0;
+  for (const detect::ErrorRecord& error : batch.errors) {
+    if (error.cells[0].tid == flagship) ++flagship_errors;
+  }
+  ASSERT_EQ(flagship_errors, 2u);  // one per matched vertex
+  EXPECT_TRUE(detector.DetectIncremental(rules, all_stores) == batch);
+  const detect::DetectionReport one_tuple =
+      detector.DetectIncremental(rules, {{data_.store, flagship}});
+  EXPECT_EQ(one_tuple.violations, flagship_errors);
+
+  // The twin's valuation conflicts with the location the original vertex
+  // deduces, in the full round and in every lazy round alike.
+  ChaseEngine full(&data_.db, &data_.graph, &models_);
+  const ChaseResult full_result = full.Run(rules);
+  ChaseEngine lazy(&data_.db, &data_.graph, &models_);
+  const ChaseResult lazy_result = lazy.RunIncremental(rules, all_stores);
+  ASSERT_FALSE(full_result.conflicts.empty());
+  EXPECT_EQ(lazy_result.applications, full_result.applications);
+  EXPECT_EQ(lazy_result.conflicts.size(), full_result.conflicts.size());
+  EXPECT_EQ(lazy.CellFixes().size(), full.CellFixes().size());
+  ChaseEngine one(&data_.db, &data_.graph, &models_);
+  EXPECT_FALSE(
+      one.RunIncremental(rules, {{data_.store, flagship}}).conflicts.empty());
 }
 
 TEST_F(ChaseTest, IncrementalChaseOnlyTouchesDelta) {

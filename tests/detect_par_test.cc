@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/core/engine.h"
 #include "src/detect/detector.h"
 #include "src/ml/library.h"
@@ -289,7 +290,8 @@ TEST(WorkerPoolTest, ReplayedStealingKeepsWorkersBusy) {
 
 // The Logistics rule set with the KG rule r4 (a vertex variable reached
 // through the HER blocking index) and a pure-ML ER rule (LSH blocking): the
-// parallel paths must reproduce serial detection field for field on both.
+// parallel and incremental paths must reproduce serial detection field for
+// field on both.
 TEST(DetectParallelLogisticsTest, KgAndPureMlRulesMatchSerialFieldForField) {
   workload::GeneratorOptions options;
   options.rows = 200;
@@ -331,6 +333,25 @@ TEST(DetectParallelLogisticsTest, KgAndPureMlRulesMatchSerialFieldForField) {
     EXPECT_EQ(report.violations, serial.violations) << " x" << workers;
     EXPECT_TRUE(report == serial) << " x" << workers;
   }
+
+  // Incremental detection seeded with every tuple, shuffled and with
+  // duplicates, is batch detection: blocking included, each valuation once.
+  std::vector<std::pair<int, int64_t>> everything;
+  for (size_t rel = 0; rel < data.db.num_relations(); ++rel) {
+    const Relation& relation = data.db.relation(static_cast<int>(rel));
+    for (size_t row = 0; row < relation.size(); ++row) {
+      everything.emplace_back(static_cast<int>(rel), relation.tuple(row).tid);
+    }
+  }
+  const std::vector<std::pair<int, int64_t>> repeated(
+      everything.begin(), everything.begin() + 40);
+  everything.insert(everything.end(), repeated.begin(), repeated.end());
+  Rng rng(5);
+  rng.Shuffle(everything);
+  auto incremental =
+      detect::ErrorDetector(ctx).DetectIncremental(*rules, everything);
+  EXPECT_EQ(incremental.violations, serial.violations);
+  EXPECT_TRUE(incremental == serial);
 
   par::FaultPlan plan = par::FaultPlan::FromSeed(11, 64, 2);
   detect::DetectorOptions faulty;

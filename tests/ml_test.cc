@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -191,14 +192,35 @@ TEST(LshBlockerTest, NearDuplicatesBecomeCandidates) {
             candidates.end());
 }
 
-TEST(LshBlockerTest, CandidatePairsAreOrderedAndDeduped) {
+// Incremental detection probes the index with a delta row's own tokens
+// for pairs in either orientation, which is exact only because band
+// collision is symmetric.
+TEST(LshBlockerTest, ProbesAreSymmetricSortedAndDeduped) {
+  const std::vector<std::vector<std::string>> records = {
+      {"shared", "tokens", "block"},
+      {"shared", "tokens", "blocks"},
+      {"shared", "tokens", "block"},
+      {"james", "smith", "beijing"},
+      {"james", "smith", "beijin"},
+      {"unrelated", "tokens", "here"},
+  };
   LshBlocker blocker;
-  for (int64_t id = 0; id < 6; ++id) {
-    blocker.Add(id, {"shared", "tokens", "block"});
+  for (size_t id = 0; id < records.size(); ++id) {
+    blocker.Add(static_cast<int64_t>(id), records[id]);
   }
-  auto pairs = blocker.CandidatePairs();
-  EXPECT_EQ(pairs.size(), 15u);  // C(6,2)
-  for (const auto& [a, b] : pairs) EXPECT_LT(a, b);
+  auto proposes = [&](size_t a, size_t b) {
+    std::vector<int64_t> ids = blocker.Candidates(records[a]);
+    return std::binary_search(ids.begin(), ids.end(), static_cast<int64_t>(b));
+  };
+  for (size_t a = 0; a < records.size(); ++a) {
+    std::vector<int64_t> ids = blocker.Candidates(records[a]);
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+    for (size_t b = 0; b < records.size(); ++b) {
+      EXPECT_EQ(proposes(a, b), proposes(b, a)) << a << " vs " << b;
+    }
+  }
+  EXPECT_GE(blocker.Candidates(records[0]).size(), 2u);  // 0 and 2 equal
 }
 
 TEST(SimHashTest, SimilarVectorsHaveCloseHashes) {

@@ -3,7 +3,9 @@
 // Church-Rosser convergence, batch ≡ incremental, serial ≡ parallel,
 // rule-language round-trips, and certain-fix justification.
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,18 @@ core::ModelTrainingSpec SpecFor(const std::string& app) {
     spec.path_synonyms = {{"area", {"AreaOf"}}, {"city", {"CityOf"}}};
   }
   return spec;
+}
+
+/// (rel, tid) of every tuple in `db`.
+std::vector<std::pair<int, int64_t>> AllTuples(const Database& db) {
+  std::vector<std::pair<int, int64_t>> out;
+  for (size_t rel = 0; rel < db.num_relations(); ++rel) {
+    const Relation& relation = db.relation(static_cast<int>(rel));
+    for (size_t row = 0; row < relation.size(); ++row) {
+      out.emplace_back(static_cast<int>(rel), relation.tuple(row).tid);
+    }
+  }
+  return out;
 }
 
 /// Canonical serialization of a chase outcome for equality comparison.
@@ -177,32 +191,132 @@ TEST_P(IncrementalEquivalenceTest, AllDirtyIncrementalEqualsBatch) {
   auto rules = rock.LoadRules(data.rule_text);
   ASSERT_TRUE(rules.ok());
 
+  rock.DiscoverPolynomials();
+
   auto batch = rock.DetectErrors(*rules);
-  std::vector<std::pair<int, int64_t>> everything;
-  for (size_t rel = 0; rel < data.db.num_relations(); ++rel) {
-    const Relation& relation = data.db.relation(static_cast<int>(rel));
-    for (size_t row = 0; row < relation.size(); ++row) {
-      everything.emplace_back(static_cast<int>(rel),
-                              relation.tuple(row).tid);
-    }
-  }
+  const std::vector<std::pair<int, int64_t>> everything = AllTuples(data.db);
   auto incremental = rock.DetectErrorsIncremental(*rules, everything);
-  // Polynomial violations are batch-only extras; compare rule violations
-  // via dirty tuples of rule-based errors.
-  std::set<std::pair<int, int64_t>> batch_tuples;
-  for (const auto& error : batch.errors) {
-    if (error.rule_id.rfind("poly_", 0) == 0) continue;
-    for (const auto& cell : error.cells) {
-      batch_tuples.emplace(cell.rel, cell.tid);
-    }
-  }
-  EXPECT_EQ(incremental.DirtyTuples(), batch_tuples);
+  // Field for field, polynomial violations included.
+  EXPECT_EQ(incremental.violations, batch.violations);
+  EXPECT_TRUE(incremental == batch);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Apps, IncrementalEquivalenceTest,
     ::testing::Values(AppParam{"Bank", 11}, AppParam{"Logistics", 11},
                       AppParam{"Sales", 11}));
+
+// ---------------- Blocked ML-only rules: splits and run modes ----------------
+
+/// A pure-ML ER rule per application: qualifies for LSH blocking.
+std::string MlOnlyErRule(const std::string& app) {
+  if (app == "Bank") {
+    return "Customer(t0) ^ Customer(t1) ^ MER(t0[name], t1[name]) -> "
+           "t0.eid = t1.eid";
+  }
+  if (app == "Sales") {
+    return "Client(t0) ^ Client(t1) ^ MER(t0[name], t1[name]) -> "
+           "t0.eid = t1.eid";
+  }
+  return "Shipment(t0) ^ Shipment(t1) ^ MER(t0[recipient], t1[recipient]) "
+         "-> t0.eid = t1.eid";
+}
+
+std::map<std::string, size_t> ViolationsByRule(
+    const detect::DetectionReport& report) {
+  std::map<std::string, size_t> out;
+  for (const detect::ErrorRecord& error : report.errors) ++out[error.rule_id];
+  return out;
+}
+
+class MlOnlyRuleTest : public ::testing::TestWithParam<AppParam> {};
+
+TEST_P(MlOnlyRuleTest, RestPlusDeltaDetectionEqualsWhole) {
+  workload::GeneratedData data = MakeData(GetParam(), 120);
+  core::Rock rock(&data.db, &data.graph);
+  rock.TrainModels(SpecFor(GetParam().app));
+  auto rules = rock.LoadRules(data.rule_text + MlOnlyErRule(GetParam().app));
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+
+  // D = D0 ∪ Δ at random; D0 keeps each tuple's tid and EID.
+  Rng rng(GetParam().seed ^ 0x5B117);
+  Database rest(data.db.schema());
+  std::vector<std::pair<int, int64_t>> delta;
+  for (size_t rel = 0; rel < data.db.num_relations(); ++rel) {
+    const Relation& relation = data.db.relation(static_cast<int>(rel));
+    for (size_t row = 0; row < relation.size(); ++row) {
+      const Tuple& t = relation.tuple(row);
+      if (rng.NextBernoulli(0.3)) {
+        delta.emplace_back(static_cast<int>(rel), t.tid);
+      } else {
+        ASSERT_TRUE(rest.relation(static_cast<int>(rel)).Append(t).ok());
+      }
+    }
+  }
+  ASSERT_FALSE(delta.empty());
+
+  rules::EvalContext ctx;
+  ctx.db = &data.db;
+  ctx.graph = &data.graph;
+  ctx.models = rock.models();
+  rules::EvalContext rest_ctx = ctx;
+  rest_ctx.db = &rest;
+  const detect::ErrorDetector detector(ctx);
+  const auto whole = ViolationsByRule(detector.Detect(*rules));
+  const detect::DetectionReport incremental =
+      detector.DetectIncremental(*rules, delta);
+  auto combined =
+      ViolationsByRule(detect::ErrorDetector(rest_ctx).Detect(*rules));
+  for (const auto& [rule_id, count] : ViolationsByRule(incremental)) {
+    combined[rule_id] += count;
+  }
+  ASSERT_GT(whole.count(rules->back().id), 0u);
+  EXPECT_EQ(combined, whole);
+
+  // Δ's order and duplicates do not matter.
+  std::vector<std::pair<int, int64_t>> shuffled = delta;
+  shuffled.insert(shuffled.end(), delta.begin(),
+                  delta.begin() + static_cast<long>(delta.size() / 2));
+  rng.Shuffle(shuffled);
+  EXPECT_TRUE(detector.DetectIncremental(*rules, shuffled) == incremental);
+}
+
+// The chase blocks the same rules detection does; its batch, lazy and
+// parallel runs must still reach one fixpoint.
+TEST_P(MlOnlyRuleTest, ChaseAgreesAcrossRunModes) {
+  workload::GeneratedData data = MakeData(GetParam(), 80);
+  core::Rock rock(&data.db, &data.graph);
+  rock.TrainModels(SpecFor(GetParam().app));
+  auto rules = rock.LoadRules(data.rule_text + MlOnlyErRule(GetParam().app));
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  rules::EvalContext ctx;
+  ctx.db = &data.db;
+  ctx.models = rock.models();
+  ASSERT_NE(rules::Blocking::For(rules->back(), ctx), nullptr);
+
+  const std::vector<std::pair<int, int64_t>> everything = AllTuples(data.db);
+  auto chase = [&](int mode) {
+    chase::ChaseEngine engine(&data.db, &data.graph, rock.models());
+    for (const auto& [rel, tid] : data.clean_tuples) {
+      Status ignored = engine.fix_store().AddGroundTruthTuple(rel, tid);
+      (void)ignored;
+    }
+    par::ScheduleReport schedule;
+    if (mode == 0) engine.Run(*rules);
+    if (mode == 1) engine.RunIncremental(*rules, everything);
+    if (mode == 2) engine.RunParallel(*rules, 3, &schedule);
+    return FixStoreDigest(engine, data.db);
+  };
+  const std::string serial = chase(0);
+  EXPECT_EQ(chase(1), serial);
+  EXPECT_EQ(chase(2), serial);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppsAndSeeds, MlOnlyRuleTest,
+    ::testing::Values(AppParam{"Bank", 11}, AppParam{"Logistics", 5},
+                      AppParam{"Logistics", 23}, AppParam{"Sales", 11},
+                      AppParam{"Sales", 29}));
 
 // ---------------- Serial ≡ parallel across worker counts ----------------
 
