@@ -103,7 +103,7 @@ rules::EvalContext ChaseEngine::Context() const {
 
 ChaseResult ChaseEngine::Run(const std::vector<Ree>& rules) {
   ROCK_OBS_SPAN("chase.run");
-  return Loop(rules, Blockings(rules), rules::Scope{});
+  return Loop(rules, Prepare(rules), rules::Scope{});
 }
 
 ChaseResult ChaseEngine::RunIncremental(
@@ -116,14 +116,16 @@ ChaseResult ChaseEngine::RunIncremental(
     fixes_.RegisterTuple(rel, tid);
   }
   const rules::DeltaRows delta(*db_, dirty);
-  return Loop(rules, Blockings(rules), rules::Scope::Delta(delta));
+  return Loop(rules, Prepare(rules), rules::Scope::Delta(delta));
 }
 
-std::vector<std::unique_ptr<const rules::Blocking>> ChaseEngine::Blockings(
+ChaseEngine::PreparedRules ChaseEngine::Prepare(
     const std::vector<Ree>& rules) const {
-  std::vector<std::unique_ptr<const rules::Blocking>> out;
+  PreparedRules out;
   for (const Ree& rule : rules) {
-    out.push_back(rules::Blocking::For(rule, Context()));
+    out.blockings.push_back(rules::Blocking::For(rule, Context()));
+    out.texts.push_back(obs::kProvenanceEnabled ? rule.ToString(db_->schema())
+                                                : std::string());
   }
   return out;
 }
@@ -243,7 +245,8 @@ Value ChaseEngine::ResolveMiConflict(int rel, int64_t tid, int attr,
 }
 
 size_t ChaseEngine::ApplyConsequence(
-    const Ree& rule, const Valuation& v, const rules::Evaluator& eval,
+    const Ree& rule, const std::string& rule_text, const Valuation& v,
+    const rules::Evaluator& eval,
     std::vector<std::pair<int, int64_t>>* newly_dirty) {
   // ApplyConsequence is the chase's single mutation funnel; both Loop and
   // RunParallel invoke it strictly after the parallel evaluation barrier,
@@ -264,7 +267,7 @@ size_t ChaseEngine::ApplyConsequence(
   obs::Witness witness;
   obs::ProvenanceRef prov;
   if constexpr (obs::kProvenanceEnabled) {
-    witness = eval.CaptureWitness(rule, v);
+    witness = eval.CaptureWitness(rule, v, rule_text);
     prov.witness = &witness;
   }
 
@@ -539,23 +542,22 @@ size_t ChaseEngine::ApplyConsequence(
   return 0;
 }
 
-void ChaseEngine::Admit(const Ree& rule, const Valuation& v,
-                        const rules::Evaluator& eval,
+void ChaseEngine::Admit(const Ree& rule, const std::string& rule_text,
+                        const Valuation& v, const rules::Evaluator& eval,
                         std::vector<std::pair<int, int64_t>>* newly_dirty,
                         ChaseResult* result) {
   if (options_.certain_fixes_only && !PremisesValidated(rule, v)) return;
   const ChaseMetrics& metrics = ChaseMetrics::Get();
   ++result->applications;
   metrics.applications->Add(1);
-  size_t new_fixes = ApplyConsequence(rule, v, eval, newly_dirty);
+  size_t new_fixes = ApplyConsequence(rule, rule_text, v, eval, newly_dirty);
   result->fixes_applied += new_fixes;
   if (new_fixes > 0) metrics.FixCounter(rule.Task())->Add(new_fixes);
 }
 
-ChaseResult ChaseEngine::Loop(
-    const std::vector<Ree>& rules,
-    const std::vector<std::unique_ptr<const rules::Blocking>>& blockings,
-    rules::Scope scope) {
+ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
+                              const PreparedRules& prepared,
+                              rules::Scope scope) {
   ChaseResult result;
   rules::Evaluator eval(Context());
   const ChaseMetrics& metrics = ChaseMetrics::Get();
@@ -572,10 +574,10 @@ ChaseResult ChaseEngine::Loop(
 
     for (size_t r = 0; r < rules.size(); ++r) {
       auto admit = [&](const Valuation& v) {
-        Admit(rules[r], v, eval, &next_dirty, &result);
+        Admit(rules[r], prepared.texts[r], v, eval, &next_dirty, &result);
       };
-      eval.Enumerate(rules[r], scope, blockings[r].get(), /*scratch=*/nullptr,
-                     admit);
+      eval.Enumerate(rules[r], scope, prepared.blockings[r].get(),
+                     /*scratch=*/nullptr, admit);
     }
 
     if (result.fixes_applied == fixes_before || next_dirty.empty()) {
@@ -608,8 +610,7 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
 
   // Round 0 under the worker pool: one unit per (rule, slice of the rule's
   // first tuple variable).
-  const std::vector<std::unique_ptr<const rules::Blocking>> blockings =
-      Blockings(rules);
+  const PreparedRules prepared = Prepare(rules);
   std::vector<par::WorkUnit> units;
   for (size_t r = 0; r < rules.size(); ++r) {
     const Ree& rule = rules[r];
@@ -648,7 +649,7 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
     const size_t r = static_cast<size_t>(unit.rule_index);
     evals[static_cast<size_t>(worker)].Enumerate(
         rules[r], rules::Scope::Rows(unit.rows.begin, unit.rows.end),
-        blockings[r].get(), /*scratch=*/nullptr,
+        prepared.blockings[r].get(), /*scratch=*/nullptr,
         [&](const Valuation& v) { hits.push_back(v); });
   };
   par::ScheduleReport local;
@@ -679,11 +680,10 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   {
     ROCK_OBS_SPAN("chase.parallel_apply");
     for (size_t unit_index = 0; unit_index < units.size(); ++unit_index) {
-      const Ree& rule =
-          rules[static_cast<size_t>(units[unit_index].rule_index)];
+      const size_t r = static_cast<size_t>(units[unit_index].rule_index);
       for (const Valuation& v : unit_hits[unit_index]) {
-        if (!eval.SatisfiesPrecondition(rule, v)) continue;
-        Admit(rule, v, eval, &next_dirty, &result);
+        if (!eval.SatisfiesPrecondition(rules[r], v)) continue;
+        Admit(rules[r], prepared.texts[r], v, eval, &next_dirty, &result);
       }
     }
   }
@@ -693,7 +693,7 @@ ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
   // Propagation rounds run through the ordinary incremental loop seeded by
   // the tuples the first round touched.
   const rules::DeltaRows touched(*db_, next_dirty);
-  ChaseResult tail = Loop(rules, blockings, rules::Scope::Delta(touched));
+  ChaseResult tail = Loop(rules, prepared, rules::Scope::Delta(touched));
   result.rounds += tail.rounds;
   result.fixes_applied += tail.fixes_applied;
   result.applications += tail.applications;

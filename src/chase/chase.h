@@ -158,25 +158,30 @@ class ChaseEngine {
 
   rules::EvalContext Context() const;
 
-  std::vector<std::unique_ptr<const rules::Blocking>> Blockings(
-      const std::vector<rules::Ree>& rules) const;
+  /// Per-rule state built once per chase run: the LSH blocking (null when
+  /// the rule does not qualify) and the rule text its witnesses cite
+  /// (empty when provenance capture is compiled out).
+  struct PreparedRules {
+    std::vector<std::unique_ptr<const rules::Blocking>> blockings;
+    std::vector<std::string> texts;
+  };
+  PreparedRules Prepare(const std::vector<rules::Ree>& rules) const;
 
   /// Chases to fixpoint: round 0 enumerates `scope`, later rounds the
   /// tuples the previous round touched.
-  ChaseResult Loop(
-      const std::vector<rules::Ree>& rules,
-      const std::vector<std::unique_ptr<const rules::Blocking>>& blockings,
-      rules::Scope scope);
+  ChaseResult Loop(const std::vector<rules::Ree>& rules,
+                   const PreparedRules& prepared, rules::Scope scope);
 
   /// Admits one satisfying valuation (certain-fix check) and applies it.
-  void Admit(const rules::Ree& rule, const rules::Valuation& v,
-             const rules::Evaluator& eval,
+  void Admit(const rules::Ree& rule, const std::string& rule_text,
+             const rules::Valuation& v, const rules::Evaluator& eval,
              std::vector<std::pair<int, int64_t>>* newly_dirty,
              ChaseResult* result);
 
   /// Applies one admitted rule application; appends to `newly_dirty` the
   /// tuples whose repaired view changed. Returns number of new fixes.
-  size_t ApplyConsequence(const rules::Ree& rule, const rules::Valuation& v,
+  size_t ApplyConsequence(const rules::Ree& rule, const std::string& rule_text,
+                          const rules::Valuation& v,
                           const rules::Evaluator& eval,
                           std::vector<std::pair<int, int64_t>>* newly_dirty);
 

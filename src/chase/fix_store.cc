@@ -391,14 +391,31 @@ std::vector<std::pair<int, int64_t>> FixStore::TuplesOfEntity(
 
 std::vector<int64_t> FixStore::PatchedTids(int rel, int attr) const {
   std::vector<int64_t> out;
-  auto lo = values_.lower_bound(std::make_tuple(rel, attr, INT64_MIN));
-  for (auto it = lo; it != values_.end(); ++it) {
-    if (std::get<0>(it->first) != rel || std::get<1>(it->first) != attr) {
-      break;
-    }
-    out.push_back(std::get<2>(it->first));
+  for (auto it =
+           changed_by_hash_.lower_bound(std::make_tuple(rel, attr, 0ull));
+       it != changed_by_hash_.end() && std::get<0>(it->first) == rel &&
+       std::get<1>(it->first) == attr;
+       ++it) {
+    out.insert(out.end(), it->second.begin(), it->second.end());
   }
+  std::sort(out.begin(), out.end());
   return out;
+}
+
+void FixStore::IndexChangedCell(int rel, int attr, const Tuple& t,
+                                const Value& v) {
+  // A cell validated to its raw value is already in the raw-value index.
+  if (v == t.value(attr)) return;
+  changed_by_hash_[std::make_tuple(rel, attr, v.Hash())].push_back(t.tid);
+}
+
+void FixStore::UnindexChangedCell(int rel, int attr, int64_t tid,
+                                  const Value& v) {
+  auto bucket = changed_by_hash_.find(std::make_tuple(rel, attr, v.Hash()));
+  if (bucket == changed_by_hash_.end()) return;
+  std::vector<int64_t>& tids = bucket->second;
+  tids.erase(std::remove(tids.begin(), tids.end(), tid), tids.end());
+  if (tids.empty()) changed_by_hash_.erase(bucket);
 }
 
 const Tuple* FixStore::FindTuple(int rel, int64_t tid) const {
@@ -537,7 +554,7 @@ Status FixStore::SetValue(int rel, int64_t tid, int attr, Value v,
         "attribute already validated to a different value: " +
         it->second.ToString() + " vs " + v.ToString());
   }
-  values_by_hash_[std::make_tuple(rel, attr, v.Hash())].push_back(tid);
+  IndexChangedCell(rel, attr, *t, v);
   values_.emplace(key, v);
   FixRecord record;
   record.kind = FixRecord::Kind::kSetValue;
@@ -567,19 +584,10 @@ Status FixStore::ReplaceValue(int rel, int64_t tid, int attr, Value v,
   }
   auto key = std::make_tuple(rel, attr, tid);
   auto old = values_.find(key);
-  if (old != values_.end() && !(old->second == v)) {
-    // Drop the superseded hash-bucket entry so PatchedTidsEq never serves
-    // this tid under the old value's hash (a stale entry would surface the
-    // tid as an equality candidate for a value it no longer holds).
-    auto bucket =
-        values_by_hash_.find(std::make_tuple(rel, attr, old->second.Hash()));
-    if (bucket != values_by_hash_.end()) {
-      auto& tids = bucket->second;
-      tids.erase(std::remove(tids.begin(), tids.end(), tid), tids.end());
-      if (tids.empty()) values_by_hash_.erase(bucket);
-    }
-  }
-  values_by_hash_[std::make_tuple(rel, attr, v.Hash())].push_back(tid);
+  // Move the tid out of the superseded bucket so PatchedTidsEq never
+  // serves it under a value it no longer holds.
+  if (old != values_.end()) UnindexChangedCell(rel, attr, tid, old->second);
+  IndexChangedCell(rel, attr, *t, v);
   values_[key] = v;
   FixRecord record;
   record.kind = FixRecord::Kind::kSetValue;
@@ -719,9 +727,13 @@ obs::ProofTree FixStore::ExplainMerge(int64_t eid_a, int64_t eid_b,
 
 std::vector<int64_t> FixStore::PatchedTidsEq(int rel, int attr,
                                              uint64_t value_hash) const {
-  auto it = values_by_hash_.find(std::make_tuple(rel, attr, value_hash));
-  if (it == values_by_hash_.end()) return {};
+  auto it = changed_by_hash_.find(std::make_tuple(rel, attr, value_hash));
+  if (it == changed_by_hash_.end()) return {};
   return it->second;
+}
+
+std::vector<int64_t> FixStore::EidClass(int64_t eid) const {
+  return eids_.Members(eid);
 }
 
 std::optional<Value> FixStore::GetCell(int rel, int64_t tid, int attr) const {

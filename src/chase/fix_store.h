@@ -244,6 +244,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   std::vector<int64_t> PatchedTids(int rel, int attr) const override;
   std::vector<int64_t> PatchedTidsEq(int rel, int attr,
                                      uint64_t value_hash) const override;
+  std::vector<int64_t> EidClass(int64_t eid) const override;
   std::optional<bool> Holds(int rel, int attr, int64_t tid1, int64_t tid2,
                             bool strict) const override;
 
@@ -294,19 +295,20 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   UnionFind eids_;
   // (rel, attr, tid) -> validated value.
   std::map<std::tuple<int, int, int64_t>, Value> values_;
-  // (rel, attr, value hash) -> tids validated to that value. ReplaceValue
-  // erases the superseded bucket entry so the index never serves a tid
-  // whose current validated value hashes differently.
+  // (rel, attr, value hash) -> tids whose validated value differs from the
+  // raw one and hashes so: the overlay's changed cells (PatchedTids,
+  // PatchedTidsEq). ReplaceValue moves the tid out of the superseded
+  // bucket, so the index never serves a tid whose current validated value
+  // hashes differently, nor one replaced back to its raw value.
   std::map<std::tuple<int, int, uint64_t>, std::vector<int64_t>>
-      values_by_hash_;
+      changed_by_hash_;
   // Distinctness constraints between canonical eids (stored unordered).
   std::set<std::pair<int64_t, int64_t>> distinct_;
   // (rel, attr) -> temporal order DAG.
   std::map<std::pair<int, int>, TemporalOrderStore> temporal_;
   std::vector<FixRecord> fixes_;
   size_t ground_truth_cells_ = 0;
-  // Raw eid -> tuples carrying it (for entity-level dirty propagation and
-  // PatchedTids).
+  // Raw eid -> tuples carrying it (for entity-level dirty propagation).
   std::map<int64_t, std::vector<std::pair<int, int64_t>>> eid_index_;
 
   // ---- Provenance capture (all empty when compiled out) ----
@@ -320,6 +322,13 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   std::map<std::pair<int64_t, int64_t>, int64_t> prov_by_distinct_;
 
   const Tuple* FindTuple(int rel, int64_t tid) const;
+
+  /// Lists the cell in changed_by_hash_ under `v` when `v` differs from
+  /// the raw value / drops it from `v`'s bucket.
+  void IndexChangedCell(int rel, int attr, const Tuple& t, const Value& v)
+      ROCK_REQUIRES(apply_role_);
+  void UnindexChangedCell(int rel, int attr, int64_t tid, const Value& v)
+      ROCK_REQUIRES(apply_role_);
 
   /// Copies the witness, upgrades premise sources against the validated
   /// state (raw -> ground-truth / prior-fix with upstream edges), and

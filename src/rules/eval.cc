@@ -1,6 +1,7 @@
 #include "src/rules/eval.h"
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <unordered_set>
 
@@ -8,6 +9,7 @@
 #include "src/ml/correlation.h"
 #include "src/ml/her.h"
 #include "src/ml/ranking.h"
+#include "src/obs/metrics.h"
 
 namespace rock::rules {
 
@@ -198,11 +200,11 @@ bool Evaluator::SatisfiesPrecondition(const Ree& rule,
   return true;
 }
 
-obs::Witness Evaluator::CaptureWitness(const Ree& rule,
-                                       const Valuation& v) const {
+obs::Witness Evaluator::CaptureWitness(const Ree& rule, const Valuation& v,
+                                       std::string rule_text) const {
   obs::Witness w;
   const DatabaseSchema& schema = ctx_.db->schema();
-  w.rule_text = rule.ToString(schema);
+  w.rule_text = std::move(rule_text);
   w.tuples.reserve(rule.tuple_vars.size());
   for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {
     obs::WitnessTuple t;
@@ -332,37 +334,82 @@ obs::Witness Evaluator::CaptureWitness(const Ree& rule,
   return w;
 }
 
-bool Evaluator::LookupCandidates(int rel, int attr, const Value& value,
+const Evaluator::FlatIndex& Evaluator::Index(int rel, int attr) const {
+  auto [it, built] = indexes_.try_emplace({rel, attr});
+  FlatIndex& index = it->second;
+  if (!built) return index;
+  // Raw values only: the overlay's changed cells are unioned in per probe.
+  const Relation& relation = ctx_.db->relation(rel);
+  index.reserve(relation.size());
+  for (size_t row = 0; row < relation.size(); ++row) {
+    const Tuple& t = relation.tuple(row);
+    if (attr == kEidAttr) {
+      index.emplace_back(static_cast<uint64_t>(t.eid), static_cast<int>(row));
+    } else if (!t.value(attr).is_null()) {
+      index.emplace_back(t.value(attr).Hash(), static_cast<int>(row));
+    }
+  }
+  std::sort(index.begin(), index.end());
+  return index;
+}
+
+namespace {
+
+/// Appends the rows `index` holds under `key`, ascending.
+void AppendRows(const std::vector<std::pair<uint64_t, int>>& index,
+                uint64_t key, std::vector<int>* out) {
+  auto it = std::lower_bound(index.begin(), index.end(),
+                             std::make_pair(key, INT_MIN));
+  for (; it != index.end() && it->first == key; ++it) {
+    out->push_back(it->second);
+  }
+}
+
+obs::Counter* UnindexedRowsCounter() {
+  static obs::Counter* counter = [] {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    obs::Counter* out = reg.GetCounter("rock_eval_unindexed_rows_total");
+    reg.SetHelp("rock_eval_unindexed_rows_total",
+                "Rows the enumerator tried by a plain scan at a variable "
+                "no index, LSH block or seed probe restricted");
+    return out;
+  }();
+  return counter;
+}
+
+}  // namespace
+
+void Evaluator::LookupCandidates(int rel, int attr, const Value& value,
                                  std::vector<int>* out) const {
   out->clear();
+  const uint64_t key = value.Hash();
+  AppendRows(Index(rel, attr), key, out);
+  if (ctx_.overlay == nullptr) return;
+  const size_t raw_hits = out->size();
   const Relation& relation = ctx_.db->relation(rel);
-  auto key = std::make_pair(rel, attr);
-  auto it = eq_index_.find(key);
-  if (it == eq_index_.end()) {
-    std::unordered_map<uint64_t, std::vector<int>> index;
-    // The index covers raw values only; overlay-patched rows are unioned in
-    // below on every lookup (their current value is unknown to the index).
-    for (size_t row = 0; row < relation.size(); ++row) {
-      const Value& cell = relation.tuple(row).value(attr);
-      if (cell.is_null()) continue;
-      index[cell.Hash()].push_back(static_cast<int>(row));
-    }
-    it = eq_index_.emplace(key, std::move(index)).first;
+  for (int64_t tid : ctx_.overlay->PatchedTidsEq(rel, attr, key)) {
+    const int row = relation.RowOfTid(tid);
+    if (row >= 0) out->push_back(row);
   }
-  auto rows = it->second.find(value.Hash());
-  if (rows != it->second.end()) {
-    *out = rows->second;
+  if (out->size() == raw_hits) return;
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
+void Evaluator::LookupEidClass(int rel, int64_t eid,
+                               std::vector<int>* out) const {
+  out->clear();
+  const FlatIndex& index = Index(rel, kEidAttr);
+  if (ctx_.overlay == nullptr) {
+    AppendRows(index, static_cast<uint64_t>(eid), out);
+    return;
   }
-  if (ctx_.overlay != nullptr) {
-    for (int64_t tid :
-         ctx_.overlay->PatchedTidsEq(rel, attr, value.Hash())) {
-      int row = relation.RowOfTid(tid);
-      if (row >= 0) out->push_back(row);
-    }
-    std::sort(out->begin(), out->end());
-    out->erase(std::unique(out->begin(), out->end()), out->end());
+  const std::vector<int64_t> members = ctx_.overlay->EidClass(eid);
+  for (int64_t member : members) {
+    AppendRows(index, static_cast<uint64_t>(member), out);
   }
-  return true;
+  // Each row has one raw EID, so the members' runs are disjoint.
+  if (members.size() > 1) std::sort(out->begin(), out->end());
 }
 
 DeltaRows::DeltaRows(const Database& db,
@@ -441,10 +488,7 @@ std::vector<int> Blocking::Candidates(const Evaluator& eval, const Ree& rule,
   for (int attr : ml_pred_->attrs_a) {
     for (int64_t tid : overlay->PatchedTids(rel, attr)) {
       const int patched = relation.RowOfTid(tid);
-      if (patched < 0 || patched == row) continue;
-      std::optional<Value> cell = overlay->GetCell(rel, tid, attr);
-      const Tuple& t = relation.tuple(static_cast<size_t>(patched));
-      if (cell.has_value() && !(*cell == t.value(attr))) out.push_back(patched);
+      if (patched >= 0 && patched != row) out.push_back(patched);
     }
   }
   std::sort(out.begin(), out.end());
@@ -461,13 +505,14 @@ EnumerateStats Evaluator::Enumerate(
     const Ree& rule, const Scope& scope, const Blocking* blocking,
     ml::BatchScratch* scratch,
     const std::function<void(const Valuation&)>& sink) const {
-  EnumerateStats stats;
-  stats.ml_batched_pairs = WarmMlCache(rule, scratch, scope, blocking);
+  const size_t ml_batched_pairs = WarmMlCache(rule, scratch, scope, blocking);
   const std::function<bool(const Valuation&)> emit = [&](const Valuation& v) {
     sink(v);
     return true;
   };
-  stats.blocked_pairs = Walk(rule, scope, blocking, /*skip_ml=*/false, emit);
+  EnumerateStats stats = Walk(rule, scope, blocking, /*skip_ml=*/false, emit);
+  stats.ml_batched_pairs = ml_batched_pairs;
+  UnindexedRowsCounter()->Add(stats.unindexed_rows);
   return stats;
 }
 
@@ -535,9 +580,49 @@ size_t Evaluator::WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
   return scored;
 }
 
-size_t Evaluator::Walk(const Ree& rule, const Scope& scope,
-                       const Blocking* blocking, bool skip_ml,
-                       const std::function<bool(const Valuation&)>& cb) const {
+std::vector<Evaluator::Source> Evaluator::PlanSources(
+    const Ree& rule, int seed_var, const Blocking* blocking) const {
+  using Kind = Source::Kind;
+  const int num_vars = static_cast<int>(rule.tuple_vars.size());
+  std::vector<Source> plan(static_cast<size_t>(num_vars));
+  for (int depth = 0; depth < num_vars; ++depth) {
+    if (depth == seed_var) continue;  // the seed row itself
+    Source& source = plan[static_cast<size_t>(depth)];
+    // A blocked rule's variable 1 ranges over the LSH candidates of
+    // variable 0's row — or, when a delta seed binds variable 1, the
+    // reverse.
+    if (blocking != nullptr && depth == (seed_var == 1 ? 0 : 1)) {
+      source.kind = Kind::kBlocked;
+      continue;
+    }
+    auto bound = [&](int var) {
+      return var != depth && (var < depth || var == seed_var);
+    };
+    for (const Predicate& p : rule.precondition) {
+      if (p.op != CmpOp::kEq) continue;
+      if (p.kind == PredicateKind::kConstant && p.var == depth) {
+        source = {Kind::kConstant, &p, p.attr};
+        break;
+      }
+      if (p.kind != PredicateKind::kAttrCompare) continue;
+      const Kind join =
+          p.attr == kEidAttr ? Kind::kEidJoin : Kind::kValueJoin;
+      if (p.var2 == depth && bound(p.var)) {
+        source = {join, &p, p.attr2, p.var, p.attr};
+        break;
+      }
+      if (p.var == depth && bound(p.var2)) {
+        source = {join, &p, p.attr, p.var2, p.attr2};
+        break;
+      }
+    }
+  }
+  return plan;
+}
+
+EnumerateStats Evaluator::Walk(
+    const Ree& rule, const Scope& scope, const Blocking* blocking,
+    bool skip_ml, const std::function<bool(const Valuation&)>& cb) const {
   // ready[d] = predicates fully bound once vars 0..d are assigned (vertex-
   // var predicates are deferred to the vertex phase).
   const size_t num_vars = rule.tuple_vars.size();
@@ -553,29 +638,39 @@ size_t Evaluator::Walk(const Ree& rule, const Scope& scope,
     }
   }
   Pass pass{ready, cb, blocking};
+  pass.candidates.resize(num_vars);
   Valuation v;
   v.rows.assign(num_vars, -1);
   v.vertices.assign(static_cast<size_t>(rule.num_vertex_vars), -1);
   if (scope.delta == nullptr) {
+    pass.sources = PlanSources(rule, /*seed_var=*/-1, blocking);
     pass.begin = scope.begin;
     pass.end = scope.end;
     Recurse(rule, v, 0, pass);
-    return pass.blocked_pairs;
+    return pass.stats;
   }
   pass.delta = scope.delta;
   for (size_t var = 0; var < num_vars; ++var) {
-    for (int row : scope.delta->rows(rule.tuple_vars[var])) {
-      pass.var = static_cast<int>(var);
+    const std::vector<int>& seeds = scope.delta->rows(rule.tuple_vars[var]);
+    if (seeds.empty()) continue;
+    pass.var = static_cast<int>(var);
+    pass.sources = PlanSources(rule, pass.var, blocking);
+    for (int row : seeds) {
+      // The seed binds its variable before the walk, so earlier variables
+      // probe it.
+      v.rows[var] = row;
       pass.begin = row;
       pass.end = row + 1;
       Recurse(rule, v, 0, pass);
     }
+    v.rows[var] = -1;
   }
-  return pass.blocked_pairs;
+  return pass.stats;
 }
 
 void Evaluator::Recurse(const Ree& rule, Valuation& v, size_t depth,
                         Pass& pass) const {
+  using Kind = Source::Kind;
   if (!pass.keep_going) return;
   if (depth == rule.tuple_vars.size()) {
     // All tuple variables bound; handle vertex variables (if any), checking
@@ -583,82 +678,72 @@ void Evaluator::Recurse(const Ree& rule, Valuation& v, size_t depth,
     AssignVertices(rule, v, 0, pass);
     return;
   }
-  int rel = rule.tuple_vars[depth];
+  const int rel = rule.tuple_vars[depth];
   const Relation& relation = ctx_.db->relation(rel);
-
-  // A blocked rule's variable 1 ranges over the LSH candidates of variable
-  // 0's row — or, when a delta seed binds variable 1, the reverse.
-  std::vector<int> candidate_rows;
-  bool restricted = false;
-  const bool filtered = pass.blocking != nullptr &&
-                        static_cast<int>(depth) == (pass.var == 1 ? 0 : 1);
-  if (filtered) {
-    const int probe = depth == 1 ? v.rows[0] : pass.begin;
-    candidate_rows = pass.blocking->Candidates(*this, rule, probe);
-    restricted = true;
-  }
-  // Otherwise try to restrict candidates by an equality predicate whose
-  // other side is already bound (join index) or constant.
-  for (const Predicate* p : pass.ready[depth]) {
-    if (restricted) break;
-    if (p->op != CmpOp::kEq) continue;
-    if (p->kind == PredicateKind::kConstant &&
-        p->var == static_cast<int>(depth)) {
-      restricted = LookupCandidates(rel, p->attr, p->constant,
-                                    &candidate_rows);
-    } else if (p->kind == PredicateKind::kAttrCompare &&
-               p->attr != kEidAttr) {
-      // One side must be the new variable, the other already bound.
-      if (p->var2 == static_cast<int>(depth) && p->var >= 0 &&
-          static_cast<size_t>(p->var) < depth) {
-        Value bound = GetCell(rule, v, p->var, p->attr);
-        if (bound.is_null()) return;  // null never satisfies equality
-        restricted = LookupCandidates(rel, p->attr2, bound, &candidate_rows);
-      } else if (p->var == static_cast<int>(depth) && p->var2 >= 0 &&
-                 static_cast<size_t>(p->var2) < depth) {
-        Value bound = GetCell(rule, v, p->var2, p->attr2);
-        if (bound.is_null()) return;
-        restricted = LookupCandidates(rel, p->attr, bound, &candidate_rows);
-      }
+  const Source& source = pass.sources[depth];
+  std::vector<int>& candidates = pass.candidates[depth];
+  switch (source.kind) {
+    case Kind::kScan:
+      break;
+    case Kind::kBlocked:
+      candidates = pass.blocking->Candidates(*this, rule, v.rows[1 - depth]);
+      break;
+    case Kind::kConstant:
+      LookupCandidates(rel, source.attr, source.pred->constant, &candidates);
+      break;
+    case Kind::kValueJoin: {
+      const Value bound =
+          GetCell(rule, v, source.bound_var, source.bound_attr);
+      if (bound.is_null()) return;  // null never satisfies equality
+      LookupCandidates(rel, source.attr, bound, &candidates);
+      break;
     }
+    case Kind::kEidJoin:
+      LookupEidClass(rel, GetEid(rule, v, source.bound_var), &candidates);
+      break;
   }
 
   // A delta seed on a later variable keeps this one off ΔD (semi-naive).
   const bool old_rows_only =
       pass.delta != nullptr && static_cast<int>(depth) < pass.var;
+  const bool sliced = pass.var == static_cast<int>(depth);
+  const bool unindexed = source.kind == Kind::kScan && !sliced;
   auto try_row = [&](int row) {
-    if (!pass.keep_going) return;
     if (old_rows_only && pass.delta->Contains(rel, row)) return;
-    if (filtered) ++pass.blocked_pairs;
+    if (source.kind == Kind::kBlocked) ++pass.stats.blocked_pairs;
+    if (unindexed) ++pass.stats.unindexed_rows;
+    // Restore rather than clear: a pre-bound seed stays bound for the
+    // variables before it.
+    const int outer = v.rows[depth];
     v.rows[depth] = row;
+    bool satisfied = true;
     for (const Predicate* p : pass.ready[depth]) {
       if (!Satisfies(rule, v, *p)) {
-        v.rows[depth] = -1;
-        return;
+        satisfied = false;
+        break;
       }
     }
-    Recurse(rule, v, depth + 1, pass);
-    v.rows[depth] = -1;
+    if (satisfied) Recurse(rule, v, depth + 1, pass);
+    v.rows[depth] = outer;
   };
 
   // Rows [begin, end) this depth may bind; candidate lists are ascending,
   // so the slice of them is a binary-searched subrange.
-  const bool sliced = pass.var == static_cast<int>(depth);
   const int begin = sliced ? std::max(0, pass.begin) : 0;
   const int end = sliced ? std::min(static_cast<int>(relation.size()),
                                     pass.end)
                          : static_cast<int>(relation.size());
-  if (restricted) {
-    auto first = candidate_rows.begin();
-    auto last = candidate_rows.end();
-    if (sliced) {
-      first = std::lower_bound(first, last, begin);
-      last = std::lower_bound(first, last, end);
-    }
-    for (; first != last && pass.keep_going; ++first) try_row(*first);
-  } else {
+  if (source.kind == Kind::kScan) {
     for (int row = begin; row < end && pass.keep_going; ++row) try_row(row);
+    return;
   }
+  auto first = candidates.begin();
+  auto last = candidates.end();
+  if (sliced) {
+    first = std::lower_bound(first, last, begin);
+    last = std::lower_bound(first, last, end);
+  }
+  for (; first != last && pass.keep_going; ++first) try_row(*first);
 }
 
 void Evaluator::AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,

@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/kg/graph.h"
@@ -31,25 +30,22 @@ class CellOverlay {
   /// Canonical EID of (rel, tid), or nullopt to use the stored EID.
   virtual std::optional<int64_t> GetEid(int rel, int64_t tid) const = 0;
 
-  /// Tids whose (rel, attr) cell may differ from the raw data. The
-  /// evaluator unions these with raw-value index hits so hash-join
-  /// acceleration stays sound under an overlay (candidates are always
-  /// re-verified against the overlay-aware predicate).
-  virtual std::vector<int64_t> PatchedTids(int rel, int attr) const {
-    (void)rel;
-    (void)attr;
-    return {};
-  }
+  /// Tids whose (rel, attr) cell the overlay changed: its repaired value
+  /// differs from the raw one. A cell repaired to its raw value is not
+  /// listed — the evaluator's raw-value index already serves it.
+  virtual std::vector<int64_t> PatchedTids(int rel, int attr) const = 0;
 
-  /// Patched tids whose overlay value hashes to `value_hash` — the
-  /// narrow variant the equality index uses (a patched cell with a
-  /// different value cannot satisfy the equality anyway). Defaults to the
-  /// broad set.
+  /// The changed cells of PatchedTids whose repaired value hashes to
+  /// `value_hash` — what an equality probe unions with its raw-index hits
+  /// (candidates are always re-verified against the overlay-aware
+  /// predicate).
   virtual std::vector<int64_t> PatchedTidsEq(int rel, int attr,
-                                             uint64_t value_hash) const {
-    (void)value_hash;
-    return PatchedTids(rel, attr);
-  }
+                                             uint64_t value_hash) const = 0;
+
+  /// Every raw EID whose canonical EID is `eid`'s (the entity class,
+  /// `eid` included): an EID join probes the raw-EID index once per
+  /// member.
+  virtual std::vector<int64_t> EidClass(int64_t eid) const = 0;
 };
 
 /// Oracle for the explicit temporal orders ⪯A of a temporal instance
@@ -123,10 +119,14 @@ struct Scope {
 };
 
 /// What one Enumerate call checked: candidate pairs the blocking filter
-/// proposed, and ML pairs the warm pre-pass scored.
+/// proposed, ML pairs the warm pre-pass scored, and rows tried by a plain
+/// scan at a variable other than the scope's own (variable 0 of a full or
+/// row scope, a delta seed's variable) — rows no index, LSH block or seed
+/// probe proposed.
 struct EnumerateStats {
   size_t blocked_pairs = 0;
   size_t ml_batched_pairs = 0;
+  size_t unindexed_rows = 0;
 };
 
 class Evaluator;
@@ -187,20 +187,22 @@ class Evaluator {
   bool SatisfiesPrecondition(const Ree& rule, const Valuation& v) const;
 
   /// The full witness of `v` satisfying `rule`'s precondition: the rule
-  /// text, the tuple bindings, every cell the precondition read (with its
+  /// text (`rule_text`, the caller's rule.ToString rendered once per
+  /// run), the tuple bindings, every cell the precondition read (with its
   /// overlay-aware value; sources default to kRaw / kOracle — the fix
   /// store upgrades them to ground-truth / prior-fix when it knows the
   /// cell is validated), and every ML-predicate invocation re-scored so
   /// the proof records the actual score against its threshold. Call only
   /// for valuations that satisfy the precondition.
-  obs::Witness CaptureWitness(const Ree& rule, const Valuation& v) const;
+  obs::Witness CaptureWitness(const Ree& rule, const Valuation& v,
+                              std::string rule_text) const;
 
   /// Enumerates valuations with h |= X. The callback returns false to stop
-  /// early. Equality predicates against already-bound variables and
-  /// constants are pushed into hash-index lookups; HER predicates restrict
-  /// vertex candidates via the model's blocking index. Valuations come in
-  /// ascending row order of variable 0, then of each later variable's
-  /// candidates.
+  /// early. Equality predicates against already-bound variables (EIDs
+  /// included) and constants are pushed into index lookups; HER predicates
+  /// restrict vertex candidates via the model's blocking index. Valuations
+  /// come in ascending row order of variable 0, then of each later
+  /// variable's candidates.
   void ForEachSatisfying(const Ree& rule,
                          const std::function<bool(const Valuation&)>& cb) const;
 
@@ -242,16 +244,41 @@ class Evaluator {
 
  private:
   EvalContext ctx_;
-  // Lazily built equality indexes: (rel, attr) -> value hash -> rows.
-  mutable std::map<std::pair<int, int>,
-                   std::unordered_map<uint64_t, std::vector<int>>>
-      eq_index_;
+  /// One equality index: (key, row) pairs sorted ascending, so the rows of
+  /// one key form an ascending run. Keys are raw value hashes (null cells
+  /// left out), or raw EIDs for kEidAttr.
+  using FlatIndex = std::vector<std::pair<uint64_t, int>>;
+  // Lazily built, one per (rel, attr | kEidAttr).
+  mutable std::map<std::pair<int, int>, FlatIndex> indexes_;
 
-  /// Fills `out` with candidate rows for value equality on (rel, attr):
-  /// raw-index hits plus overlay-patched rows. Returns false when no
-  /// restriction is possible.
-  bool LookupCandidates(int rel, int attr, const Value& value,
+  const FlatIndex& Index(int rel, int attr) const;
+
+  /// Fills `out`, ascending, with the candidate rows for value equality
+  /// on (rel, attr): raw-index hits plus the rows whose overlay value
+  /// changed to `value`.
+  void LookupCandidates(int rel, int attr, const Value& value,
                         std::vector<int>* out) const;
+
+  /// Fills `out`, ascending, with the rows whose (overlay-aware) EID is
+  /// `eid`: the raw-EID index's rows of every member of its class.
+  void LookupEidClass(int rel, int64_t eid, std::vector<int>* out) const;
+
+  /// Where one variable's rows come from. Chosen once per walk and seed
+  /// variable; kScan tries every row (of the scope's slice, at its own
+  /// variable).
+  struct Source {
+    enum class Kind { kScan, kBlocked, kConstant, kValueJoin, kEidJoin };
+    Kind kind = Kind::kScan;
+    const Predicate* pred = nullptr;
+    int attr = -1;       // this variable's probed attribute
+    int bound_var = -1;  // kValueJoin / kEidJoin: the bound side
+    int bound_attr = -1;
+  };
+  /// The source of each variable when `seed_var` (or -1) is bound first:
+  /// the LSH block of the other variable, else the first equality
+  /// predicate in the precondition with a constant or a bound other side.
+  std::vector<Source> PlanSources(const Ree& rule, int seed_var,
+                                  const Blocking* blocking) const;
 
   /// One pass: `var` bound to rows [begin, end); with `delta`, variables
   /// before `var` kept off ΔD.
@@ -259,18 +286,20 @@ class Evaluator {
     const std::vector<std::vector<const Predicate*>>& ready;
     const std::function<bool(const Valuation&)>& cb;
     const Blocking* blocking = nullptr;
+    std::vector<Source> sources = {};
+    std::vector<std::vector<int>> candidates = {};  // per variable, reused
     int var = 0;
     int begin = 0;
     int end = 0;
     const DeltaRows* delta = nullptr;
-    size_t blocked_pairs = 0;
+    EnumerateStats stats = {};
     bool keep_going = true;
   };
   /// Runs `cb` on the valuations of `scope` satisfying X (minus its ML
-  /// predicates if `skip_ml`); returns the blocked pairs proposed.
-  size_t Walk(const Ree& rule, const Scope& scope, const Blocking* blocking,
-              bool skip_ml,
-              const std::function<bool(const Valuation&)>& cb) const;
+  /// predicates if `skip_ml`); returns the blocked and unindexed rows.
+  EnumerateStats Walk(const Ree& rule, const Scope& scope,
+                      const Blocking* blocking, bool skip_ml,
+                      const std::function<bool(const Valuation&)>& cb) const;
   void Recurse(const Ree& rule, Valuation& v, size_t depth, Pass& pass) const;
   void AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,
                       Pass& pass) const;

@@ -212,6 +212,41 @@ TEST_F(FixStoreTest, PatchedTidsListsFixedTuples) {
   EXPECT_EQ(patched[0], person.tuple(1).tid);
 }
 
+TEST_F(FixStoreTest, PatchedListsHoldChangedCellsOnly) {
+  FixStore store(&data_.db);
+  common::RoleGuard apply(store.apply_role());
+  const int rel = data_.person;
+  const int attr = 1;
+  const Tuple& same = data_.db.relation(rel).tuple(0);
+  const Tuple& moved = data_.db.relation(rel).tuple(1);
+  const Value raw = moved.value(attr);
+  const Value fresh = Value::String(raw.AsString() + "-fixed");
+  auto eq = [&](const Value& value) {
+    return store.PatchedTidsEq(rel, attr, value.Hash());
+  };
+  using Tids = std::vector<int64_t>;
+
+  // A Γ cell equal to its raw value is in neither list.
+  ASSERT_TRUE(store.AddGroundTruthTuple(rel, same.tid).ok());
+  EXPECT_EQ(store.PatchedTids(rel, attr), Tids{});
+  EXPECT_EQ(eq(same.value(attr)), Tids{});
+
+  // A differing cell is listed, and only under its new value's hash.
+  bool changed = false;
+  ASSERT_TRUE(
+      store.SetValue(rel, moved.tid, attr, fresh, "r", &changed).ok());
+  EXPECT_EQ(store.PatchedTids(rel, attr), Tids{moved.tid});
+  EXPECT_EQ(eq(fresh), Tids{moved.tid});
+  EXPECT_EQ(eq(raw), Tids{});
+
+  // Replaced back to its raw value, the cell leaves both lists.
+  ASSERT_TRUE(store.ReplaceValue(rel, moved.tid, attr, raw, "mc").ok());
+  EXPECT_EQ(store.PatchedTids(rel, attr), Tids{});
+  EXPECT_EQ(eq(fresh), Tids{});
+  EXPECT_EQ(eq(raw), Tids{});
+  EXPECT_EQ(*store.ValidatedValue(rel, moved.tid, attr), raw);
+}
+
 class ChaseTest : public ::testing::Test {
  protected:
   void SetUp() override {

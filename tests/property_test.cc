@@ -3,6 +3,7 @@
 // Church-Rosser convergence, batch ≡ incremental, serial ≡ parallel,
 // rule-language round-trips, and certain-fix justification.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/core/engine.h"
 #include "src/detect/detector.h"
+#include "src/obs/metrics.h"
 #include "src/rules/parser.h"
 #include "src/workload/generator.h"
 #include "src/workload/scoring.h"
@@ -537,6 +539,281 @@ TEST_P(RoundTripTest, MinedRulesRoundTripThroughTheParser) {
 
 INSTANTIATE_TEST_SUITE_P(Apps, RoundTripTest,
                          ::testing::Values("Bank", "Logistics", "Sales"));
+
+// ---------------- Enumerate against a brute-force oracle ----------------
+
+/// Rules beyond the curated ones: three variables (the first two linked
+/// only to the third), a constant, a cross-relation join and an EID join
+/// written right to left.
+std::vector<std::string> ExtraOracleRules(const std::string& app) {
+  if (app == "Bank") {
+    return {"Customer(t0) ^ Customer(t1) ^ Customer(t2) ^ t0.eid = t2.eid ^ "
+            "t1.city = t2.city -> t0.city = t1.city",
+            "Customer(t0) ^ Customer(t1) ^ Customer(t2) ^ t0.city = t2.city ^ "
+            "t1.branch = t2.branch -> t0.city = t1.city",
+            "Customer(t0) ^ Payment(t1) ^ t0.city = 'Beijing' ^ "
+            "t1.cust_id = t0.cust_id -> t1.fee = t1.tax",
+            "Customer(t0) ^ Customer(t1) ^ t1.eid = t0.eid ^ "
+            "t0.branch = t1.branch -> t0.city = t1.city"};
+  }
+  if (app == "Sales") {
+    return {"Client(t0) ^ Client(t1) ^ Client(t2) ^ t0.eid = t2.eid ^ "
+            "t1.region = t2.region -> t0.region = t1.region",
+            "Client(t0) ^ Client(t1) ^ Client(t2) ^ t0.region = t2.region ^ "
+            "t1.company = t2.company -> t0.region = t1.region",
+            "Order(t0) ^ Product(t1) ^ t0.prod_id = t1.prod_id -> "
+            "t0.total = t0.price"};
+  }
+  return {"Shipment(t0) ^ Shipment(t1) ^ Shipment(t2) ^ t0.eid = t2.eid ^ "
+          "t1.zip = t2.zip -> t0.zip = t1.zip",
+          "Shipment(t0) ^ Shipment(t1) ^ Shipment(t2) ^ t0.city = t2.city ^ "
+          "t1.seller_id = t2.seller_id -> t0.zip = t1.zip",
+          "Shipment(t0) ^ Shipment(t1) ^ t0.city = 'Beijing' ^ "
+          "t1.eid = t0.eid -> t0.area = t1.area"};
+}
+
+/// Fills `store` with random EID merges, Γ tuples (validated to their raw
+/// values) and value patches: a third equal to the raw value, the rest
+/// copied from another row so equality probes meet them; then replaces a
+/// few patches, some back to the raw value.
+void RandomOverlay(const Database& db, uint64_t seed, chase::FixStore* store) {
+  common::RoleGuard apply(store->apply_role());
+  Rng rng(seed ^ 0x5EEDull);
+  bool changed = false;
+  for (size_t r = 0; r < db.num_relations(); ++r) {
+    const int rel = static_cast<int>(r);
+    const Relation& relation = db.relation(rel);
+    const size_t n = relation.size();
+    if (n < 2) continue;
+    const uint64_t attrs = relation.schema().num_attributes();
+    auto pick = [&]() -> const Tuple& {
+      return relation.tuple(static_cast<size_t>(rng.NextBounded(n)));
+    };
+    for (size_t k = 0; k < n / 3; ++k) {
+      Status merged =
+          store->MergeEids(pick().eid, pick().eid, "merge", &changed);
+      const Tuple& t = pick();
+      const int attr = static_cast<int>(rng.NextBounded(attrs));
+      const Value value =
+          rng.NextBounded(3) == 0 ? t.value(attr) : pick().value(attr);
+      Status set = store->SetValue(rel, t.tid, attr, value, "patch", &changed);
+      (void)merged;
+      (void)set;
+    }
+    for (size_t k = 0; k < n / 10; ++k) {
+      Status gamma = store->AddGroundTruthTuple(rel, pick().tid);
+      const Tuple& t = pick();
+      const int attr = static_cast<int>(rng.NextBounded(attrs));
+      if (store->IsValidated(rel, t.tid, attr)) {
+        const Value value =
+            rng.NextBounded(2) == 0 ? t.value(attr) : pick().value(attr);
+        Status replaced = store->ReplaceValue(rel, t.tid, attr, value, "mc");
+        (void)replaced;
+      }
+      (void)gamma;
+    }
+  }
+}
+
+using RowLists = std::vector<std::vector<int>>;
+
+/// Plain nested loops over all rows in variable order, keeping the rows
+/// `allowed` admits and the valuations satisfying the precondition.
+void NestedLoops(const rules::Evaluator& eval, const rules::Ree& rule,
+                 const std::function<bool(size_t, int)>& allowed,
+                 rules::Valuation* v, size_t depth, RowLists* out) {
+  if (depth == rule.tuple_vars.size()) {
+    if (eval.SatisfiesPrecondition(rule, *v)) out->push_back(v->rows);
+    return;
+  }
+  const Relation& relation =
+      eval.context().db->relation(rule.tuple_vars[depth]);
+  for (int row = 0; row < static_cast<int>(relation.size()); ++row) {
+    if (!allowed(depth, row)) continue;
+    v->rows[depth] = row;
+    NestedLoops(eval, rule, allowed, v, depth + 1, out);
+  }
+}
+
+/// The valuations `scope` defines, by definition: the row slice of
+/// variable 0, or — semi-naive, literally — for each variable i and each
+/// ΔD row r of it, ascending: variable i = r, earlier variables off ΔD,
+/// later ones anywhere.
+RowLists OracleValuations(const rules::Evaluator& eval, const rules::Ree& rule,
+                          const rules::Scope& scope) {
+  RowLists out;
+  rules::Valuation v;
+  v.rows.assign(rule.tuple_vars.size(), -1);
+  if (scope.delta == nullptr) {
+    NestedLoops(eval, rule,
+                [&](size_t depth, int row) {
+                  return depth != 0 || (row >= scope.begin && row < scope.end);
+                },
+                &v, 0, &out);
+    return out;
+  }
+  for (size_t seed = 0; seed < rule.tuple_vars.size(); ++seed) {
+    for (int seed_row : scope.delta->rows(rule.tuple_vars[seed])) {
+      NestedLoops(eval, rule,
+                  [&](size_t depth, int row) {
+                    if (depth == seed) return row == seed_row;
+                    return depth > seed || !scope.delta->Contains(
+                                               rule.tuple_vars[depth], row);
+                  },
+                  &v, 0, &out);
+    }
+  }
+  return out;
+}
+
+RowLists Enumerated(const rules::Evaluator& eval, const rules::Ree& rule,
+                    const rules::Scope& scope) {
+  RowLists out;
+  eval.Enumerate(rule, scope, /*blocking=*/nullptr, /*scratch=*/nullptr,
+                 [&](const rules::Valuation& v) { out.push_back(v.rows); });
+  return out;
+}
+
+bool HasEidJoin(const rules::Ree& rule) {
+  for (const rules::Predicate& p : rule.precondition) {
+    if (p.kind == rules::PredicateKind::kAttrCompare &&
+        p.op == rules::CmpOp::kEq && p.attr == rules::kEidAttr) {
+      return true;
+    }
+  }
+  return false;
+}
+
+rules::EvalContext PlainContext(const workload::GeneratedData& data,
+                                core::Rock& rock) {
+  rules::EvalContext ctx;
+  ctx.db = &data.db;
+  ctx.graph = &data.graph;
+  ctx.models = rock.models();
+  return ctx;
+}
+
+/// A random quarter of the tuples, as ΔD.
+std::vector<std::pair<int, int64_t>> RandomDelta(const Database& db,
+                                                 uint64_t seed) {
+  Rng rng(seed ^ 0xDE17Aull);
+  std::vector<std::pair<int, int64_t>> out;
+  for (const auto& tuple : AllTuples(db)) {
+    if (rng.NextBounded(4) == 0) out.push_back(tuple);
+  }
+  return out;
+}
+
+class EnumerateOracleTest : public ::testing::TestWithParam<AppParam> {};
+
+TEST_P(EnumerateOracleTest, EmitsTheNestedLoopSequenceInEveryScope) {
+  const AppParam param = GetParam();
+  workload::GeneratedData data = MakeData(param, 50);
+  core::Rock rock(&data.db, &data.graph);
+  rock.TrainModels(SpecFor(param.app));
+  std::string text = data.rule_text;
+  for (const std::string& rule : ExtraOracleRules(param.app)) {
+    text += rule + "\n";
+  }
+  auto rules = rock.LoadRules(text);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+
+  chase::FixStore store(&data.db);
+  RandomOverlay(data.db, param.seed, &store);
+  const rules::EvalContext plain = PlainContext(data, rock);
+  rules::EvalContext repaired = plain;
+  repaired.overlay = &store;
+  repaired.temporal = &store;
+  const rules::DeltaRows delta(data.db, RandomDelta(data.db, param.seed));
+
+  Rng rng(param.seed ^ 0x0AC1Eull);
+  size_t eid_join_valuations = 0;
+  size_t var1_seeded_valuations = 0;
+  for (const rules::EvalContext& ctx : {plain, repaired}) {
+    const rules::Evaluator eval(ctx);
+    for (const rules::Ree& rule : *rules) {
+      if (rule.num_vertex_vars != 0) continue;
+      const uint64_t n = data.db.relation(rule.tuple_vars[0]).size();
+      const int begin = static_cast<int>(rng.NextBounded(n));
+      const int end = begin + static_cast<int>(rng.NextBounded(n - begin + 1));
+      for (const rules::Scope& scope :
+           {rules::Scope{}, rules::Scope::Rows(begin, end),
+            rules::Scope::Delta(delta)}) {
+        const RowLists expected = OracleValuations(eval, rule, scope);
+        EXPECT_EQ(Enumerated(eval, rule, scope), expected)
+            << rule.id << " overlay=" << (ctx.overlay != nullptr)
+            << " delta=" << (scope.delta != nullptr) << " rows [" << begin
+            << ", " << end << ")";
+        if (HasEidJoin(rule)) eid_join_valuations += expected.size();
+        if (scope.delta == nullptr || rule.tuple_vars.size() < 2) continue;
+        for (const std::vector<int>& rows : expected) {
+          if (delta.Contains(rule.tuple_vars[1], rows[1]) &&
+              !delta.Contains(rule.tuple_vars[0], rows[0])) {
+            ++var1_seeded_valuations;
+          }
+        }
+      }
+    }
+  }
+  // The sweep reaches the EID-joined rules and variable-1 seeds.
+  EXPECT_GT(eid_join_valuations, 0u);
+  EXPECT_GT(var1_seeded_valuations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, EnumerateOracleTest,
+    ::testing::Values(AppParam{"Bank", 5}, AppParam{"Bank", 19},
+                      AppParam{"Logistics", 5}, AppParam{"Logistics", 19},
+                      AppParam{"Sales", 5}, AppParam{"Sales", 19}));
+
+TEST(EnumerateIndexTest, BankCuratedRulesTryNoUnindexedRow) {
+  workload::GeneratedData data = MakeData(AppParam{"Bank", 3}, 120);
+  core::Rock rock(&data.db, &data.graph);
+  rock.TrainModels(SpecFor("Bank"));
+  auto rules = rock.LoadRules(data.rule_text);
+  ASSERT_TRUE(rules.ok());
+  ASSERT_EQ(rules->size(), 8u);
+
+  chase::FixStore store(&data.db);
+  RandomOverlay(data.db, 3, &store);
+  const rules::EvalContext plain = PlainContext(data, rock);
+  rules::EvalContext repaired = plain;
+  repaired.overlay = &store;
+  repaired.temporal = &store;
+  const rules::DeltaRows delta(data.db, RandomDelta(data.db, 3));
+  size_t emitted = 0;
+  for (const rules::EvalContext& ctx : {plain, repaired}) {
+    const rules::Evaluator eval(ctx);
+    for (const rules::Ree& rule : *rules) {
+      for (const rules::Scope& scope :
+           {rules::Scope{}, rules::Scope::Delta(delta)}) {
+        const rules::EnumerateStats stats =
+            eval.Enumerate(rule, scope, nullptr, nullptr,
+                           [&](const rules::Valuation&) { ++emitted; });
+        EXPECT_EQ(stats.unindexed_rows, 0u)
+            << rule.id << " overlay=" << (ctx.overlay != nullptr)
+            << " delta=" << (scope.delta != nullptr);
+      }
+    }
+  }
+  EXPECT_GT(emitted, 0u);
+
+  // A rule with no equality join scans variable 1 once per variable-0 row,
+  // and the exported counter sees every such row.
+  auto cross = rules::ParseRee(
+      "Customer(t0) ^ Customer(t1) ^ t0.points <= t1.points -> "
+      "t0.city = t1.city",
+      data.db.schema());
+  ASSERT_TRUE(cross.ok());
+  const obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "rock_eval_unindexed_rows_total");
+  const uint64_t before = counter->Value();
+  const size_t n = data.db.relation(cross->tuple_vars[0]).size();
+  const rules::EnumerateStats stats = rules::Evaluator(plain).Enumerate(
+      *cross, rules::Scope{}, nullptr, nullptr, [](const rules::Valuation&) {});
+  EXPECT_EQ(stats.unindexed_rows, n * n);
+  EXPECT_EQ(counter->Value() - before, stats.unindexed_rows);
+}
 
 // ---------------- Repairs never corrupt clean ground truth ----------------
 
