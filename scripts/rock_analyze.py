@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""rock-analyze: semantic static analysis for Rock's determinism and
-concurrency invariants.
+"""rock-analyze: static analysis for Rock's determinism, concurrency and
+source-convention invariants.
 
 Five AST-level checks over the translation units in compile_commands.json
-(scope: src/), each with an annotation escape hatch and a ratchet baseline
-(scripts/rock_analyze_baseline.txt, same format and discipline as the
-clang-tidy ratchet):
+(scope: src/) and eight token rules over every source under src/, tests/,
+bench/ and examples/, each with an annotation escape hatch and a ratchet
+baseline (scripts/rock_analyze_baseline.txt, same format and discipline as
+the clang-tidy ratchet):
 
   nondeterministic-iteration
       A loop over std::unordered_map/std::unordered_set whose body reaches
@@ -24,8 +25,7 @@ clang-tidy ratchet):
       safety analysis silently skips unannotated fields, so an annotation
       gap is an unchecked invariant, not a checked one. Raw std:: mutex
       and lock types outside src/common/ are findings of this check too
-      (they carry no capability at all); this subsumes the old
-      lint_rock.py raw-mutex rule.
+      (they carry no capability at all).
 
   lock-order
       The static lock-acquisition graph (nested MutexLock / ReaderLock /
@@ -41,8 +41,7 @@ clang-tidy ratchet):
       async-signal-safe allowlist (atomics, backtrace(3) — primed outside
       signal context — and raw syscalls). Any other call is a finding;
       so is any sigaction/timer_*/setitimer token outside
-      src/obs/profile.cc (subsuming the old lint_rock.py raw-signal
-      rule). Locally-audited callees can be annotated
+      src/obs/profile.cc. Locally-audited callees can be annotated
       `// ROCK_ANALYZE(as-safe: <reason>)` at the call site.
 
   span-coverage
@@ -51,6 +50,21 @@ clang-tidy ratchet):
       attributable in traces and latency percentiles. Trivial inline
       accessors (single return statement) are exempt; anything else needs
       a span or `// ROCK_ANALYZE(no-span-ok: <reason>)`.
+
+Token rules (comment- and string-blind; a line opts out with
+`// ROCK_ANALYZE(<rule>-ok: <reason>)` on it or the two lines above):
+  using-namespace    none in headers.
+  pragma-once        every header uses `#pragma once`.
+  raw-stdio          no std::cout/cerr/printf outside bench/, examples/.
+  nondeterminism     no rand()/std::random_device under src/.
+  raw-socket         no socket call or socket header outside
+                     src/common/net.cc, the one loopback-socket seam.
+  raw-clock          no steady_clock::now/clock_gettime under src/ outside
+                     src/common/timer.h and src/obs/resource.cc.
+  raw-enumeration    no ForEachSatisfying under src/{detect,chase,core,
+                     serve}/: they enumerate via Evaluator::Enumerate.
+  unregistered-test  every tests/*.cc is globbed (*_test.cc) or named in
+                     tests/CMakeLists.txt, or it never runs.
 
 Frontends. The analyzer builds one semantic model per file and runs every
 check over it. Two frontends produce that model:
@@ -121,7 +135,7 @@ MUTEX_TYPE_EXACT = {"Mutex", "SharedMutex"}
 GUARD_EXEMPT_TYPE_TOKENS = ("Mutex", "SharedMutex", "ThreadRole", "atomic",
                             "condition_variable", "once_flag")
 # Raw standard lock/mutex vocabulary that defeats the thread-safety
-# analysis (subsumes lint_rock.py's raw-mutex rule).
+# analysis.
 RAW_MUTEX_RE = re.compile(
     r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|"
     r"lock_guard|unique_lock|scoped_lock|shared_lock)\b")
@@ -157,6 +171,53 @@ SEQUENCE_CONTAINERS = {"vector", "deque", "array", "list", "span",
                        "initializer_list"}
 ORDERED_ASSOC = {"map", "set", "multimap", "multiset"}
 
+# Token rules: the directories they cover, then (rule, regex, message,
+# predicate on the repo-relative path saying where the rule applies).
+TOKEN_PREFIXES = ("src/", "tests/", "bench/", "examples/")
+SOCKET_SEAM_FILE = "src/common/net.cc"
+TOKEN_RULES = (
+    ("using-namespace", re.compile(r"\busing\s+namespace\b"),
+     "`using namespace` in a header leaks into every includer",
+     lambda path: path.endswith(".h")),
+    # The lookbehind keeps attribute spellings like format(printf, 1, 2)
+    # and the wider printf family (snprintf, fprintf) out; std::printf
+    # still matches because ':' is not in the class.
+    ("raw-stdio", re.compile(
+        r"std::cout\b|std::cerr\b|(?<![A-Za-z_])printf\s*\(|std::puts\b"),
+     "library code logs via ROCK_LOG, not stdout/stderr",
+     lambda path: not path.startswith(("bench/", "examples/"))),
+    ("nondeterminism", re.compile(
+        r"(?<![A-Za-z_:])rand\s*\(\s*\)|std::random_device\b"),
+     "use the seeded rock::common::Rng; rand()/random_device break "
+     "reproducibility",
+     lambda path: path.startswith("src/")),
+    # Bare POSIX calls, optionally `::`-qualified, and the socket headers.
+    # The lookbehind keeps member calls (ring.accept(...)), qualified names
+    # (std::bind) and identifiers merely ending in a call name
+    # (MySocket(...)) from matching.
+    ("raw-socket", re.compile(
+        r"(?<![A-Za-z0-9_:.>])(?:::\s*)?(?:socket|bind|listen|accept|"
+        r"accept4|connect|send|recv|setsockopt|getsockname|shutdown|poll)"
+        r"\s*\(|^\s*#\s*include\s*<(?:sys/socket|netinet/in|arpa/inet|"
+        r"poll)\.h>"),
+     "sockets go through src/common/net.h; %s is the one socket seam" %
+     SOCKET_SEAM_FILE,
+     lambda path: path != SOCKET_SEAM_FILE),
+    ("raw-clock", re.compile(
+        r"steady_clock::now\b|(?<![A-Za-z0-9_])clock_gettime\s*\("),
+     "read the clock through rock::SteadySeconds / Timer "
+     "(src/common/timer.h) or obs::ThreadCpuSeconds",
+     lambda path: path.startswith("src/") and path not in (
+         "src/common/timer.h", "src/obs/resource.cc")),
+    ("raw-enumeration", re.compile(r"\bForEachSatisfying\s*\("),
+     "enumerate valuations through rules::Evaluator::Enumerate (one "
+     "enumerator for detection and the chase)",
+     lambda path: path.startswith(
+         ("src/detect/", "src/chase/", "src/core/", "src/serve/"))),
+)
+CHECKS += tuple(rule[0] for rule in TOKEN_RULES) + (
+    "pragma-once", "unregistered-test")
+
 ANNOT_RE = re.compile(r"ROCK_ANALYZE\(\s*([a-z-]+)\s*:\s*([^)]+)\)")
 
 TYPE_QUALIFIERS = {"const", "constexpr", "static", "mutable", "thread_local",
@@ -177,15 +238,15 @@ Token = collections.namedtuple("Token", "text line")
 # Lexing
 # ---------------------------------------------------------------------------
 
-def strip_comments_and_strings(text):
-    """Blanks comments, string/char literals and preprocessor directives,
-    preserving line structure."""
+def strip_comments_and_strings(text, keep_directives=False):
+    """Blanks comments, string/char literals and (unless `keep_directives`)
+    preprocessor directives, preserving line structure."""
     out = []
     i, n = 0, len(text)
     line_start = True
     while i < n:
         c = text[i]
-        if line_start and c == "#":
+        if line_start and c == "#" and not keep_directives:
             # Preprocessor directive (with continuations).
             j = i
             while j < n:
@@ -340,6 +401,17 @@ class FunctionModel:
         self.param_range = param_range
 
 
+def annotation(raw_lines, line, tag):
+    """Reason text for `ROCK_ANALYZE(tag: reason)` on `line` or the two
+    lines above it, else None."""
+    for l in range(line, max(0, line - 3), -1):
+        if 0 < l <= len(raw_lines):
+            for found_tag, reason in ANNOT_RE.findall(raw_lines[l - 1]):
+                if found_tag == tag and reason.strip():
+                    return reason.strip()
+    return None
+
+
 class FileModel:
     def __init__(self, path, text):
         self.path = path
@@ -351,15 +423,7 @@ class FileModel:
         self.globals = {}  # name -> type_text (namespace-scope variables)
 
     def annotation(self, line, tag):
-        """Reason text for `ROCK_ANALYZE(tag: reason)` on `line` or the
-        two lines above it, else None."""
-        for l in range(line, max(0, line - 3), -1):
-            if 0 < l <= len(self.raw_lines):
-                for found_tag, reason in ANNOT_RE.findall(
-                        self.raw_lines[l - 1]):
-                    if found_tag == tag and reason.strip():
-                        return reason.strip()
-        return None
+        return annotation(self.raw_lines, line, tag)
 
 
 class Index:
@@ -1568,6 +1632,56 @@ def check_span_coverage(index, findings):
 
 
 # ---------------------------------------------------------------------------
+# Token rules
+# ---------------------------------------------------------------------------
+
+def check_token_rules(path, text, findings):
+    """Line-level source conventions; `path` is repo-relative with forward
+    slashes."""
+    raw_lines = text.split("\n")
+    code_lines = strip_comments_and_strings(
+        text, keep_directives=True).split("\n")
+    for rule, regex, message, applies in TOKEN_RULES:
+        if not applies(path):
+            continue
+        for lineno, code in enumerate(code_lines, start=1):
+            if regex.search(code) and \
+                    not annotation(raw_lines, lineno, rule + "-ok"):
+                findings.append(Finding(path, lineno, rule, message))
+    if path.endswith(".h") and "#pragma once" not in text:
+        findings.append(Finding(path, 1, "pragma-once",
+                                "headers use `#pragma once`"))
+
+
+def check_test_registration(paths, cmake_text, findings):
+    """Every top-level tests/*.cc must be globbed (*_test.cc) or named in
+    tests/CMakeLists.txt."""
+    for path in paths:
+        directory, name = os.path.split(path)
+        if directory != "tests" or not name.endswith(".cc"):
+            continue
+        if name.endswith("_test.cc") or name in cmake_text:
+            continue
+        findings.append(Finding(
+            path, 1, "unregistered-test",
+            "not matched by the *_test.cc glob and not named in "
+            "tests/CMakeLists.txt — it will never run"))
+
+
+def token_paths(root):
+    """Every .h/.cc under the token rules' directories."""
+    paths = []
+    for prefix in TOKEN_PREFIXES:
+        for dirpath, _dirnames, filenames in os.walk(
+                os.path.join(root, prefix)):
+            for name in filenames:
+                if name.endswith((".h", ".cc")):
+                    rel = os.path.relpath(os.path.join(dirpath, name), root)
+                    paths.append(rel.replace(os.sep, "/"))
+    return sorted(paths)
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1591,15 +1705,33 @@ def load_lock_order(path):
     return edges
 
 
-def analyze(paths, root, lock_order_path, overlay=None):
-    files = []
+def read_sources(paths, root):
+    """{repo-relative path: text} for `paths` (absolute or relative)."""
+    sources = {}
     for path in paths:
         rel = os.path.relpath(path, root) if os.path.isabs(path) else path
         with open(os.path.join(root, rel), encoding="utf-8") as fp:
-            text = fp.read()
-        files.append(parse_file(rel.replace(os.sep, "/"), text))
-    index = Index(files, overlay)
+            sources[rel.replace(os.sep, "/")] = fp.read()
+    return sources
+
+
+def analyze(paths, root, lock_order_path, overlay=None, token_files=None):
+    """Semantic checks over `paths`, token rules over `token_files`
+    (default: `paths`)."""
     findings = []
+    tokens = read_sources(paths if token_files is None else token_files,
+                          root)
+    for rel, text in tokens.items():
+        check_token_rules(rel, text, findings)
+    cmake_path = os.path.join(root, "tests", "CMakeLists.txt")
+    cmake_text = ""
+    if os.path.exists(cmake_path):
+        with open(cmake_path, encoding="utf-8") as fp:
+            cmake_text = fp.read()
+    check_test_registration(tokens, cmake_text, findings)
+    files = [parse_file(rel, text)
+             for rel, text in read_sources(paths, root).items()]
+    index = Index(files, overlay)
     check_nondeterministic_iteration(index, findings)
     check_guarded_fields(index, findings)
     check_lock_order(index, findings, load_lock_order(lock_order_path))
@@ -1671,10 +1803,14 @@ def diff_against_baseline(agg, baseline):
     return regressions
 
 
-def config_hash(root, build_dir, lock_order_path):
+def config_hash(root, build_dir, lock_order_path, sources):
+    """Cache key: the analyzer, its configuration and every analyzed
+    source, so editing any of them invalidates cached findings."""
     digest = hashlib.sha256()
-    for path in (os.path.join(build_dir, "compile_commands.json"),
-                 os.path.abspath(__file__), lock_order_path):
+    for path in [os.path.join(build_dir, "compile_commands.json"),
+                 os.path.abspath(__file__), lock_order_path,
+                 os.path.join(root, "tests", "CMakeLists.txt")] + \
+            [os.path.join(root, rel) for rel in sources]:
         if os.path.exists(path):
             with open(path, "rb") as fp:
                 digest.update(fp.read())
@@ -1732,7 +1868,10 @@ def main():
               file=sys.stderr)
         return 2
 
-    key = config_hash(root, args.build_dir, lock_order_path)
+    paths, db = tree_paths(args.build_dir, root)
+    tokens = token_paths(root)
+    key = config_hash(root, args.build_dir, lock_order_path,
+                      sorted(set(paths) | set(tokens)))
     findings = None
     if args.cache and os.path.exists(args.cache):
         with open(args.cache, encoding="utf-8") as fp:
@@ -1742,7 +1881,6 @@ def main():
             print("rock_analyze.py: cache hit (%s)" % args.cache)
 
     if findings is None:
-        paths, db = tree_paths(args.build_dir, root)
         if cindex is not None:
             print("rock_analyze.py: building libclang type overlay "
                   "(%d TUs)" % sum(1 for p in paths if p.endswith(".cc")))
@@ -1752,9 +1890,9 @@ def main():
             backend_used = "cindex"
         else:
             backend_used = "textual"
-        print("rock_analyze.py: analyzing %d files (backend: %s)" % (
-            len(paths), backend_used))
-        findings = analyze(paths, root, lock_order_path, overlay)
+        print("rock_analyze.py: analyzing %d files (backend: %s), "
+              "token rules over %d" % (len(paths), backend_used, len(tokens)))
+        findings = analyze(paths, root, lock_order_path, overlay, tokens)
         if args.cache:
             with open(args.cache, "w", encoding="utf-8") as fp:
                 json.dump({"key": key,
@@ -1963,6 +2101,55 @@ void Rock::Train() {
 """
 
 
+# Token-rule fixtures, one per line: path | expected rule or "-" | content
+# (\n in content is a newline).
+SELF_TEST_TOKEN_CASES = r"""
+src/par/widget.cc | - | common::Mutex mu_;
+src/rules/eval.h | using-namespace | #pragma once\nusing namespace std;
+src/rules/eval.cc | - | using namespace std;
+src/rules/eval.h | pragma-once | #ifndef X\n#define X\n#endif
+src/rules/eval.h | - | #pragma once
+src/core/engine.cc | raw-stdio | std::cout << "hi";
+src/core/engine.cc | raw-stdio | std::printf("x");
+src/core/engine.cc | - | std::cerr << 1;  // ROCK_ANALYZE(raw-stdio-ok: demo)
+src/common/strings.h | - | #pragma once\n__attribute__((format(printf, 1, 2)))
+src/common/strings.cc | - | vsnprintf(buf, n, fmt, ap);
+bench/bench_x.cc | - | std::cout << "bench output";
+src/chase/chase.cc | nondeterminism | int r = rand();
+src/discovery/sample.cc | nondeterminism | std::random_device rd;
+src/common/rng.cc | - | uint64_t s = seed;
+src/core/engine.cc | raw-socket | int fd = ::socket(AF_INET, 0, 0);
+src/core/engine.cc | raw-socket | bind(fd, addr, len);
+tests/obs_server_test.cc | raw-socket | listen(fd, 4);
+src/obs/server.cc | raw-socket | int fd = ::socket(AF_INET, 0, 0);
+src/obs/server.cc | raw-socket | ::send(fd, buf, n, MSG_NOSIGNAL);
+src/serve/server.cc | raw-socket | int fd = ::socket(AF_INET, 0, 0);
+src/serve/server.cc | raw-socket | #include <sys/socket.h>
+src/serve/client.cc | raw-socket | connect(fd, addr, len);
+src/serve/loadgen.cc | raw-socket | ::accept(fd, nullptr, nullptr);
+src/common/net.cc | - | int fd = ::socket(AF_INET, 0, 0);
+src/common/net.cc | - | #include <sys/socket.h>
+src/serve/server.cc | - | // see <sys/socket.h> and send(2)
+src/serve/server.cc | - | net::SendAll(client, frame);
+src/par/executor.cc | - | auto f = std::bind(&X::Run, this);
+src/par/executor.cc | - | ring.accept(unit);
+src/par/executor.cc | - | queue->accept(unit);
+src/obs/trace.cc | raw-clock | auto t = std::chrono::steady_clock::now();
+src/par/executor.cc | raw-clock | clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+src/obs/resource.cc | - | clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+src/detect/detector.cc | raw-enumeration | eval.ForEachSatisfying(rule, cb);
+src/chase/chase.cc | raw-enumeration | eval.ForEachSatisfying (rule, cb, {0});
+src/core/engine.cc | raw-enumeration | evaluator.ForEachSatisfying(rule, cb);
+src/serve/server.cc | raw-enumeration | eval.ForEachSatisfying(rule, cb);
+src/detect/detector.cc | - | eval.Enumerate(rule, scope, blocking, sink);
+src/detect/detector.cc | - | // unlike ForEachSatisfying(rule, cb)
+src/rules/eval.cc | - | ForEachSatisfying(rule, cb);
+src/discovery/miner.cc | - | eval.ForEachSatisfying(rule, cb);
+tests/rules_test.cc | - | eval.ForEachSatisfying(rule, cb);
+tests/helper_test.cc | - | ok
+"""
+
+
 def _run_self_case(failures, label, sources, expected_counts,
                    declared_edges=frozenset()):
     files = [parse_file("src/fixture/%s_%d.cc" % (label, i), text)
@@ -2043,6 +2230,27 @@ def self_test():
     if findings:
         failures.append("src/common/ raw mutex wrongly flagged")
 
+    # Token rules, fixture by fixture, then test registration: helper.cc
+    # unregistered, helper2.cc named in cmake, real_test.cc globbed.
+    token_cases = SELF_TEST_TOKEN_CASES.strip().split("\n")
+    for case in token_cases:
+        path, expected, content = (f.strip() for f in case.split("|", 2))
+        findings = []
+        check_token_rules(path, content.replace("\\n", "\n") + "\n",
+                          findings)
+        rules = sorted({f.check for f in findings})
+        if rules != ([] if expected == "-" else [expected]):
+            failures.append("%s %r: expected %s, got %s" % (
+                path, content, expected, rules))
+    findings = []
+    check_test_registration(
+        ["tests/helper.cc", "tests/helper2.cc", "tests/real_test.cc",
+         "tests/thread_safety_compile/bad.cc"],
+        "add_executable(helper2 helper2.cc)\n", findings)
+    if [f.path for f in findings] != ["tests/helper.cc"]:
+        failures.append("registration rule found %s, expected only "
+                        "tests/helper.cc" % [f.path for f in findings])
+
     # Baseline round-trip + ratchet diff.
     agg = {("src/a.cc", "lock-order"): 2, ("src/b.cc", "guarded-field"): 1}
     import tempfile
@@ -2081,7 +2289,8 @@ def self_test():
         for failure in failures:
             print("  " + failure)
         return 1
-    print("rock_analyze.py self-test passed")
+    print("rock_analyze.py self-test passed (%d token fixtures)" %
+          len(token_cases))
     return 0
 
 

@@ -8,7 +8,7 @@
 namespace rock::common {
 
 /// Capability-annotated wrapper over std::mutex. Every lock in the library
-/// outside src/common/ must be one of these wrappers (scripts/lint_rock.py
+/// outside src/common/ must be one of these wrappers (scripts/rock_analyze.py
 /// enforces it): a raw standard mutex carries no capability, so Clang's
 /// thread safety analysis cannot tie ROCK_GUARDED_BY fields to it and the
 /// locking discipline silently degrades to a comment.

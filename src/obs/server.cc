@@ -1,14 +1,5 @@
 #include "src/obs/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "src/common/logging.h"
 #include "src/common/timer.h"
 #include "src/obs/exporters.h"
@@ -20,11 +11,11 @@ namespace {
 /// Reads until the header terminator (CRLFCRLF), the size cap, EOF, or
 /// the socket's receive timeout. Returns what was read; the caller
 /// decides whether it is complete.
-std::string ReadRequestHead(int fd) {
+std::string ReadRequestHead(const net::Socket& client) {
   std::string head;
   char buf[2048];
   while (head.size() < kMaxRequestBytes + 1) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ssize_t n = net::Recv(client, buf, sizeof(buf));
     if (n <= 0) break;
     head.append(buf, static_cast<size_t>(n));
     if (head.find("\r\n\r\n") != std::string::npos) break;
@@ -32,16 +23,6 @@ std::string ReadRequestHead(int fd) {
     if (head.find("\n\n") != std::string::npos) break;
   }
   return head;
-}
-
-void SendAll(int fd, const std::string& bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<size_t>(n);
-  }
 }
 
 }  // namespace
@@ -156,41 +137,17 @@ std::string SerializeHttpResponse(const HttpResponse& response,
 
 Result<std::unique_ptr<TelemetryServer>> TelemetryServer::Start(
     const Options& options) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket(): ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("bind(127.0.0.1:" +
-                            std::to_string(options.port) + "): " + err);
-  }
-  if (::listen(fd, 64) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("listen(): " + err);
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("getsockname(): " + err);
-  }
-  int port = ntohs(addr.sin_port);
+  int port = 0;
+  Result<net::Socket> listener = net::ListenLoopback(options.port, &port);
+  if (!listener.ok()) return listener.status();
   std::unique_ptr<TelemetryServer> server(
-      new TelemetryServer(fd, port, options));
+      new TelemetryServer(std::move(listener).value(), port, options));
   return server;
 }
 
-TelemetryServer::TelemetryServer(int listen_fd, int port, Options options)
-    : listen_fd_(listen_fd),
+TelemetryServer::TelemetryServer(net::Socket listener, int port,
+                                 Options options)
+    : listener_(std::move(listener)),
       port_(port),
       options_(std::move(options)),
       started_seconds_(SteadySeconds()) {
@@ -207,30 +164,22 @@ void TelemetryServer::Stop() {
     return;
   }
   if (thread_.joinable()) thread_.join();
-  ::close(listen_fd_);
+  listener_.Close();
 }
 
 void TelemetryServer::Serve() {
   while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout (re-check stop flag) or EINTR
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    HandleConnection(client);
-    ::close(client);
+    // Times out every 100ms to re-check the stop flag.
+    net::Socket client = net::AcceptWithTimeout(listener_, 100);
+    if (client.valid()) HandleConnection(client);
   }
 }
 
-void TelemetryServer::HandleConnection(int client_fd) {
+void TelemetryServer::HandleConnection(const net::Socket& client) {
   // A slow or stalled client must not wedge the serial accept loop.
-  timeval timeout{};
-  timeout.tv_sec = 2;
-  ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  net::SetRecvTimeout(client, 2.0);
 
-  std::string head = ReadRequestHead(client_fd);
+  std::string head = ReadRequestHead(client);
   HttpResponse response;
   HttpRequest request;
   bool head_only = false;
@@ -249,45 +198,33 @@ void TelemetryServer::HandleConnection(int client_fd) {
           request, options_.build_info, SteadySeconds() - started_seconds_);
     }
   }
-  SendAll(client_fd, SerializeHttpResponse(response, !head_only));
+  // A client that hung up early loses its response; nothing to report to.
+  (void)net::SendAll(client, SerializeHttpResponse(response, !head_only));
   // Drain whatever the client is still sending (the tail of an oversized
   // head, say) before the caller closes the socket: closing with unread
   // input makes the kernel send RST, which can destroy the response in
   // flight. Bounded by the 2s receive timeout set above.
-  ::shutdown(client_fd, SHUT_WR);
+  net::ShutdownWrite(client);
   char drain[2048];
-  while (::recv(client_fd, drain, sizeof(drain), 0) > 0) {
+  while (net::Recv(client, drain, sizeof(drain)) > 0) {
   }
 }
 
 Result<std::string> HttpFetch(int port, const std::string& raw_request) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket(): ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("connect(127.0.0.1:" + std::to_string(port) +
-                            "): " + err);
-  }
-  timeval timeout{};
-  timeout.tv_sec = 10;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  SendAll(fd, raw_request);
-  ::shutdown(fd, SHUT_WR);
+  Result<net::Socket> socket = net::ConnectLoopback(port);
+  if (!socket.ok()) return socket.status();
+  net::SetRecvTimeout(*socket, 10.0);
+  // On a failed send the server may still have answered (431 on an
+  // oversized head): read whatever arrives.
+  (void)net::SendAll(*socket, raw_request);
+  net::ShutdownWrite(*socket);
   std::string response;
   char buf[4096];
   while (true) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ssize_t n = net::Recv(*socket, buf, sizeof(buf));
     if (n <= 0) break;
     response.append(buf, static_cast<size_t>(n));
   }
-  ::close(fd);
   if (response.empty()) return Status::Internal("empty response");
   return response;
 }

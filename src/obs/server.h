@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/net.h"
 #include "src/common/status.h"
 
 namespace rock::obs {
@@ -53,11 +54,9 @@ std::string SerializeHttpResponse(const HttpResponse& response,
 /// Reason phrase for the status codes the telemetry plane emits.
 const char* HttpStatusReason(int status);
 
-/// The live telemetry plane: a dependency-free HTTP/1.1 server over POSIX
-/// sockets on one background thread, serving point-in-time views of the
-/// process-global metrics registry and tracer. This is the repo's single
-/// audited socket seam (scripts/lint_rock.py forbids socket()/bind()
-/// anywhere else) and the seam a future `rockd` binds into.
+/// The live telemetry plane: a dependency-free HTTP/1.1 server over the
+/// loopback sockets of src/common/net.h on one background thread, serving
+/// point-in-time views of the process-global metrics registry and tracer.
 ///
 /// Endpoints (GET and HEAD):
 ///   /metrics         Prometheus text exposition
@@ -96,11 +95,11 @@ class TelemetryServer {
   void Stop();
 
  private:
-  TelemetryServer(int listen_fd, int port, Options options);
+  TelemetryServer(net::Socket listener, int port, Options options);
   void Serve();
-  void HandleConnection(int client_fd);
+  void HandleConnection(const net::Socket& client);
 
-  int listen_fd_;
+  net::Socket listener_;
   int port_;
   Options options_;
   double started_seconds_;
@@ -109,8 +108,7 @@ class TelemetryServer {
 };
 
 /// Sends `raw_request` verbatim to 127.0.0.1:`port` and returns the full
-/// raw response (headers + body). Lives here — not in the tests — because
-/// it needs the socket calls the lint confines to src/obs/server.cc.
+/// raw response (headers + body).
 Result<std::string> HttpFetch(int port, const std::string& raw_request);
 
 }  // namespace rock::obs

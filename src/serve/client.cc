@@ -1,38 +1,16 @@
 #include "src/serve/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <utility>
 
 namespace rock::serve {
 namespace {
 
-Status SendAllOrError(int fd, std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::Internal(std::string("send(): ") +
-                              (n == 0 ? "connection closed"
-                                      : std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-Status RecvExact(int fd, char* buf, size_t want) {
+Status RecvExact(const net::Socket& socket, char* buf, size_t want) {
   size_t got = 0;
   while (got < want) {
-    ssize_t n = ::recv(fd, buf + got, want - got, 0);
+    ssize_t n = net::Recv(socket, buf + got, want - got);
     if (n > 0) {
       got += static_cast<size_t>(n);
       continue;
@@ -53,46 +31,26 @@ Status RecvExact(int fd, char* buf, size_t want) {
 
 Result<std::unique_ptr<Client>> Client::Connect(int port,
                                                 double recv_timeout_seconds) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket(): ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("connect(127.0.0.1:" + std::to_string(port) +
-                            "): " + err);
-  }
-  timeval timeout{};
-  timeout.tv_sec = static_cast<time_t>(recv_timeout_seconds);
-  timeout.tv_usec = static_cast<suseconds_t>(
-      (recv_timeout_seconds - std::floor(recv_timeout_seconds)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-  return std::unique_ptr<Client>(new Client(fd));
-}
-
-Client::~Client() {
-  if (fd_ >= 0) ::close(fd_);
+  Result<net::Socket> socket = net::ConnectLoopback(port);
+  if (!socket.ok()) return socket.status();
+  net::SetRecvTimeout(*socket, recv_timeout_seconds);
+  return std::unique_ptr<Client>(new Client(std::move(socket).value()));
 }
 
 Status Client::SendRaw(std::string_view bytes) {
-  return SendAllOrError(fd_, bytes);
+  return net::SendAll(socket_, bytes);
 }
 
 Result<Response> Client::ReadResponse() {
   char header_bytes[kFrameHeaderBytes];
-  ROCK_RETURN_IF_ERROR(RecvExact(fd_, header_bytes, kFrameHeaderBytes));
+  ROCK_RETURN_IF_ERROR(RecvExact(socket_, header_bytes, kFrameHeaderBytes));
   FrameHeader header;
   ROCK_RETURN_IF_ERROR(
       DecodeFrameHeader(std::string_view(header_bytes, kFrameHeaderBytes),
                         kMaxFrameBytes, &header));
   std::string payload(header.length, '\0');
   if (header.length > 0) {
-    ROCK_RETURN_IF_ERROR(RecvExact(fd_, payload.data(), header.length));
+    ROCK_RETURN_IF_ERROR(RecvExact(socket_, payload.data(), header.length));
   }
   ROCK_RETURN_IF_ERROR(CheckFramePayload(header, payload));
   Response response;

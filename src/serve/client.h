@@ -9,8 +9,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/common/net.h"
 #include "src/common/status.h"
 #include "src/serve/protocol.h"
 
@@ -23,7 +25,7 @@ class Client {
   static Result<std::unique_ptr<Client>> Connect(
       int port, double recv_timeout_seconds = 10.0);
 
-  ~Client();
+  ~Client() = default;
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -70,9 +72,9 @@ class Client {
   uint64_t NextId() { return next_id_++; }
 
  private:
-  explicit Client(int fd) : fd_(fd) {}
+  explicit Client(net::Socket socket) : socket_(std::move(socket)) {}
 
-  int fd_;
+  net::Socket socket_;
   uint64_t next_id_ = 1;
 };
 

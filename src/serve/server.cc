@@ -1,14 +1,7 @@
 #include "src/serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -21,17 +14,10 @@
 namespace rock::serve {
 namespace {
 
-void SendAll(int fd, const std::string& bytes) {
+void SendAll(const net::Socket& client, const std::string& bytes) {
   static obs::Counter* sent_total =
       obs::MetricsRegistry::Global().GetCounter("rock_serve_bytes_sent_total");
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) return;
-    sent += static_cast<size_t>(n);
-  }
-  sent_total->Add(bytes.size());
+  if (net::SendAll(client, bytes).ok()) sent_total->Add(bytes.size());
 }
 
 }  // namespace
@@ -41,42 +27,17 @@ Result<std::unique_ptr<RockServer>> RockServer::Start(core::Rock* rock,
   if (rock == nullptr) {
     return Status::InvalidArgument("RockServer::Start: engine is null");
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket(): ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("bind(127.0.0.1:" + std::to_string(options.port) +
-                            "): " + err);
-  }
-  if (::listen(fd, 128) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("listen(): " + err);
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("getsockname(): " + err);
-  }
-  int port = ntohs(addr.sin_port);
-  std::unique_ptr<RockServer> server(
-      new RockServer(rock, fd, port, std::move(options)));
+  int port = 0;
+  Result<net::Socket> listener = net::ListenLoopback(options.port, &port);
+  if (!listener.ok()) return listener.status();
+  std::unique_ptr<RockServer> server(new RockServer(
+      rock, std::move(listener).value(), port, std::move(options)));
   return server;
 }
 
-RockServer::RockServer(core::Rock* rock, int listen_fd, int port,
+RockServer::RockServer(core::Rock* rock, net::Socket listener, int port,
                        ServerOptions options)
-    : rock_(rock), listen_fd_(listen_fd), port_(port),
+    : rock_(rock), listener_(std::move(listener)), port_(port),
       options_(std::move(options)) {
   obs::MetricsRegistry::Global().SetHelp(
       "rock_serve_requests_total",
@@ -129,25 +90,23 @@ void RockServer::AcceptLoop() {
   static obs::Counter* connections_total =
       obs::MetricsRegistry::Global().GetCounter("rock_serve_connections_total");
   while (!draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // timeout (re-check drain flag) or EINTR
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
+    // Times out every 100ms to re-check the drain flag.
+    net::Socket client = net::AcceptWithTimeout(listener_, 100);
+    if (!client.valid()) continue;
     connections_total->Add();
     uint64_t session_id =
         next_session_id_.fetch_add(1, std::memory_order_relaxed);
     common::MutexLock lock(state_mu_);
     connection_threads_.emplace_back(
-        [this, client, session_id] { ServeConnection(client, session_id); });
+        [this, client = std::move(client), session_id] {
+          ServeConnection(client, session_id);
+        });
   }
   // From here on connect() is refused, which is what "draining" promises.
-  ::close(listen_fd_);
+  listener_.Close();
 }
 
-RockServer::FrameRead RockServer::ReadFrame(int client_fd,
+RockServer::FrameRead RockServer::ReadFrame(const net::Socket& client,
                                             std::string* payload,
                                             Status* error) {
   // Reads exactly `want` bytes. The 100ms SO_RCVTIMEO turns a blocked recv
@@ -158,7 +117,7 @@ RockServer::FrameRead RockServer::ReadFrame(int client_fd,
   auto recv_exact = [&](char* buf, size_t want, bool started) -> FrameRead {
     size_t got = 0;
     while (got < want) {
-      ssize_t n = ::recv(client_fd, buf + got, want - got, 0);
+      ssize_t n = net::Recv(client, buf + got, want - got);
       if (n > 0) {
         got += static_cast<size_t>(n);
         started = true;
@@ -221,7 +180,8 @@ RockServer::FrameRead RockServer::ReadFrame(int client_fd,
   return FrameRead::kOk;
 }
 
-void RockServer::ServeConnection(int client_fd, uint64_t session_id) {
+void RockServer::ServeConnection(const net::Socket& client,
+                                 uint64_t session_id) {
   static obs::Gauge* active_gauge =
       obs::MetricsRegistry::Global().GetGauge("rock_serve_connections_active");
   static obs::Counter* requests_total =
@@ -237,16 +197,14 @@ void RockServer::ServeConnection(int client_fd, uint64_t session_id) {
 
   ROCK_OBS_SPAN("serve.connection");
   active_gauge->Add(1);
-  timeval timeout{};
-  timeout.tv_usec = 100 * 1000;  // the drain-notice tick; see ReadFrame
-  ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  net::SetRecvTimeout(client, 0.1);  // the drain-notice tick; see ReadFrame
 
   Session session;
   session.id = session_id;
   std::string payload;
   while (true) {
     Status error = Status::Ok();
-    FrameRead read = ReadFrame(client_fd, &payload, &error);
+    FrameRead read = ReadFrame(client, &payload, &error);
     if (read == FrameRead::kClosed) break;
     received_total->Add(kFrameHeaderBytes + payload.size());
 
@@ -273,7 +231,7 @@ void RockServer::ServeConnection(int client_fd, uint64_t session_id) {
       // requests_served() must already reflect it.
       requests_total->Add();
       requests_served_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(client_fd, EncodeFrame(EncodeResponse(reject)));
+      SendAll(client, EncodeFrame(EncodeResponse(reject)));
       break;
     }
 
@@ -285,9 +243,8 @@ void RockServer::ServeConnection(int client_fd, uint64_t session_id) {
     inflight->Add(-1);
     requests_total->Add();
     requests_served_.fetch_add(1, std::memory_order_relaxed);
-    SendAll(client_fd, frame);
+    SendAll(client, frame);
   }
-  ::close(client_fd);
   active_gauge->Add(-1);
 }
 

@@ -2,9 +2,10 @@
 
 // rockd: the online cleaning service. A RockServer owns a loaded
 // core::Rock engine and serves the binary protocol in src/serve/protocol.h
-// over POSIX sockets: ingest (submit tuples), detect (full or
-// session-incremental), explain (why-provenance of a repaired cell),
-// telemetry (the /telemetry.json document) and shutdown (graceful drain).
+// over the loopback sockets of src/common/net.h: ingest (submit tuples),
+// detect (full or session-incremental), explain (why-provenance of a
+// repaired cell), telemetry (the /telemetry.json document) and shutdown
+// (graceful drain).
 //
 // Concurrency model: one accept-loop thread plus one thread per live
 // connection. Engine access is serialized through a readers-writer lock —
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "src/common/mutex.h"
+#include "src/common/net.h"
 #include "src/common/status.h"
 #include "src/core/engine.h"
 #include "src/serve/protocol.h"
@@ -107,7 +109,7 @@ class RockServer {
     std::vector<std::pair<int, int64_t>> ingested;
   };
 
-  RockServer(core::Rock* rock, int listen_fd, int port,
+  RockServer(core::Rock* rock, net::Socket listener, int port,
              ServerOptions options);
 
   enum class FrameRead {
@@ -117,14 +119,15 @@ class RockServer {
   };
 
   void AcceptLoop();
-  void ServeConnection(int client_fd, uint64_t session_id);
-  FrameRead ReadFrame(int client_fd, std::string* payload, Status* error);
+  void ServeConnection(const net::Socket& client, uint64_t session_id);
+  FrameRead ReadFrame(const net::Socket& client, std::string* payload,
+                      Status* error);
   Response Dispatch(const Request& request, Session* session);
 
-  // Set once in the constructor, immutable afterwards (listen_fd_ is
+  // Set once in the constructor, immutable afterwards (listener_ is
   // closed only by the accept loop as it exits).
   core::Rock* rock_;  // not owned  // ROCK_ANALYZE(unguarded-ok: construction-immutable)
-  int listen_fd_;  // ROCK_ANALYZE(unguarded-ok: construction-immutable; closed only by the accept thread)
+  net::Socket listener_;  // ROCK_ANALYZE(unguarded-ok: construction-immutable; closed only by the accept thread)
   int port_;  // ROCK_ANALYZE(unguarded-ok: construction-immutable)
   ServerOptions options_;  // ROCK_ANALYZE(unguarded-ok: construction-immutable)
 

@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "src/common/csv.h"
 #include "src/common/hash.h"
+#include "src/common/net.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
@@ -400,6 +403,55 @@ TEST(StringsTest, PreTokenizedEntryPointsMatchStringEntryPoints) {
                 SoftTokenSimilarityTokens(Tokenize(a), Tokenize(b)));
     }
   }
+}
+
+TEST(NetTest, EphemeralListenerIsReachable) {
+  int port = 0;
+  Result<net::Socket> listener = net::ListenLoopback(0, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  EXPECT_GT(port, 0);
+  Result<net::Socket> client = net::ConnectLoopback(port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  net::Socket server = net::AcceptWithTimeout(*listener, 1000);
+  ASSERT_TRUE(server.valid());
+  ASSERT_TRUE(net::SendAll(*client, "ping").ok());
+  char buf[4];
+  EXPECT_EQ(net::Recv(server, buf, sizeof(buf)), 4);
+  EXPECT_EQ(std::string_view(buf, sizeof(buf)), "ping");
+}
+
+TEST(NetTest, SendAllToClosedPeerFailsWithoutSigpipe) {
+  int port = 0;
+  Result<net::Socket> listener = net::ListenLoopback(0, &port);
+  ASSERT_TRUE(listener.ok());
+  Result<net::Socket> client = net::ConnectLoopback(port);
+  ASSERT_TRUE(client.ok());
+  net::AcceptWithTimeout(*listener, 1000).Close();
+  // The first write may still land in the kernel buffer; the peer's RST
+  // makes a later one fail. Without MSG_NOSIGNAL that failure is SIGPIPE.
+  const std::string chunk(64 * 1024, 'x');
+  Status sent = Status::Ok();
+  for (int attempt = 0; attempt < 100 && sent.ok(); ++attempt) {
+    sent = net::SendAll(*client, chunk);
+    if (sent.ok()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(sent.ok());
+  EXPECT_NE(sent.message().find("send()"), std::string::npos)
+      << sent.message();
+}
+
+TEST(NetTest, ConnectRefusedNamesTheAddress) {
+  int port = 0;
+  {
+    Result<net::Socket> listener = net::ListenLoopback(0, &port);
+    ASSERT_TRUE(listener.ok());
+  }  // closed: nobody listens on `port` any more
+  Result<net::Socket> client = net::ConnectLoopback(port);
+  ASSERT_FALSE(client.ok());
+  EXPECT_NE(client.status().message().find("127.0.0.1:" +
+                                           std::to_string(port)),
+            std::string::npos)
+      << client.status().message();
 }
 
 }  // namespace

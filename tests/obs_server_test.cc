@@ -1,6 +1,6 @@
 // Tests for the live telemetry plane (src/obs/server.{h,cc}): request-line
 // parsing, endpoint routing, HTTP serialization, and a live server driven
-// through obs::HttpFetch (the lint keeps raw sockets out of tests). The
+// through obs::HttpFetch (rock_analyze.py keeps raw sockets out of tests). The
 // *Concurrent* test runs under the CI TSan matrix.
 
 #include <atomic>

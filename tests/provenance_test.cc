@@ -263,17 +263,6 @@ TEST(ChaseProvenanceTest, ExplainMergeCoversTransitiveMerges) {
   EXPECT_TRUE(engine.ExplainMerge(a, 424242).empty());
 }
 
-std::vector<std::string> AllProofTexts(core::Rock& rock,
-                                       chase::ChaseEngine& engine) {
-  std::vector<std::string> texts;
-  for (const chase::CellFix& fix : engine.CellFixes()) {
-    texts.push_back(engine.Explain(fix.rel, fix.tid, fix.attr).ToText());
-  }
-  std::sort(texts.begin(), texts.end());
-  (void)rock;
-  return texts;
-}
-
 TEST(ChaseProvenanceTest, ProofsIdenticalAcrossWorkerCountsAndSerial) {
   SKIP_WITHOUT_PROVENANCE();
   auto rules_for = [](const Database& db) {
