@@ -3,7 +3,7 @@
 source-convention invariants.
 
 Five AST-level checks over the translation units in compile_commands.json
-(scope: src/) and eight token rules over every source under src/, tests/,
+(scope: src/) and nine token rules over every source under src/, tests/,
 bench/ and examples/, each with an annotation escape hatch and a ratchet
 baseline (scripts/rock_analyze_baseline.txt, same format and discipline as
 the clang-tidy ratchet):
@@ -63,6 +63,10 @@ Token rules (comment- and string-blind; a line opts out with
                      src/common/timer.h and src/obs/resource.cc.
   raw-enumeration    no ForEachSatisfying under src/{detect,chase,core,
                      serve}/: they enumerate via Evaluator::Enumerate.
+  raw-pool           no BuildRowUnits/ReplayUnrecovered call or WorkerPool
+                     construction under src/{detect,chase,core,serve}/:
+                     they run pooled work through par::RunRound
+                     (src/par/round.h, the one parallel-round seam).
   unregistered-test  every tests/*.cc is globbed (*_test.cc) or named in
                      tests/CMakeLists.txt, or it never runs.
 
@@ -175,6 +179,7 @@ ORDERED_ASSOC = {"map", "set", "multimap", "multiset"}
 # predicate on the repo-relative path saying where the rule applies).
 TOKEN_PREFIXES = ("src/", "tests/", "bench/", "examples/")
 SOCKET_SEAM_FILE = "src/common/net.cc"
+ROUND_SEAM_FILE = "src/par/round.h"
 TOKEN_RULES = (
     ("using-namespace", re.compile(r"\busing\s+namespace\b"),
      "`using namespace` in a header leaks into every includer",
@@ -213,6 +218,18 @@ TOKEN_RULES = (
      "enumerate valuations through rules::Evaluator::Enumerate (one "
      "enumerator for detection and the chase)",
      lambda path: path.startswith(
+         ("src/detect/", "src/chase/", "src/core/", "src/serve/"))),
+    # Calls of the unit builder and the recovery replay, and a WorkerPool
+    # built as a variable, a temporary or on the heap; naming the type
+    # (`const par::WorkerPool&`) is fine.
+    ("raw-pool", re.compile(
+        r"\b(?:BuildRowUnits|ReplayUnrecovered)\s*\(|"
+        r"\bWorkerPool\s*(?:[A-Za-z_]\w*\s*)?[({]|"
+        r"\b(?:make_unique|make_shared)\s*<\s*(?:par::)?WorkerPool\b|"
+        r"\bnew\s+(?:par::)?WorkerPool\b"),
+     "run pooled (rule, row-slice) work through par::RunRound; %s is the "
+     "one parallel-round seam" % ROUND_SEAM_FILE,
+     lambda path: path != ROUND_SEAM_FILE and path.startswith(
          ("src/detect/", "src/chase/", "src/core/", "src/serve/"))),
 )
 CHECKS += tuple(rule[0] for rule in TOKEN_RULES) + (
@@ -2146,6 +2163,16 @@ src/detect/detector.cc | - | // unlike ForEachSatisfying(rule, cb)
 src/rules/eval.cc | - | ForEachSatisfying(rule, cb);
 src/discovery/miner.cc | - | eval.ForEachSatisfying(rule, cb);
 tests/rules_test.cc | - | eval.ForEachSatisfying(rule, cb);
+src/chase/chase.cc | raw-pool | par::WorkerPool pool(num_workers, options);
+src/detect/detector.cc | raw-pool | auto units = par::BuildRowUnits(0, rel, n);
+src/core/engine.cc | raw-pool | par::WorkerPool::ReplayUnrecovered(units, &r, f);
+src/serve/server.cc | raw-pool | auto p = std::make_unique<par::WorkerPool>(2);
+src/chase/chase.cc | raw-pool | auto s = par::WorkerPool(4).Replay(measured);
+src/par/round.h | - | #pragma once\nconst WorkerPool pool(num_workers, options);
+src/par/round.h | - | #pragma once\nauto n = WorkerPool::ReplayUnrecovered(u, &l, b);
+src/chase/chase.cc | - | hits = par::RunRound<Hits>(rules, ctx, n, options, body, s);
+src/detect/detector.cc | - | void Run(const par::WorkerPool& pool);
+tests/fault_injection_test.cc | - | par::WorkerPool pool(4, options);
 tests/helper_test.cc | - | ok
 """
 

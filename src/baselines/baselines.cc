@@ -8,6 +8,17 @@
 #include "src/common/strings.h"
 
 namespace rock::baselines {
+namespace {
+
+/// "^text$", lower-cased: the n-gram language model's padded form.
+std::string Padded(std::string_view text) {
+  std::string out = "^";
+  out += ToLower(text);
+  out += '$';
+  return out;
+}
+
+}  // namespace
 
 using rules::Predicate;
 using rules::PredicateKind;
@@ -56,7 +67,7 @@ void T5sModel::Train(const Database& db) {
         for (size_t row = 0; row < relation.size(); ++row) {
           const Value& v = relation.tuple(row).value(static_cast<int>(attr));
           if (v.is_null()) continue;
-          std::string text = "^" + ToLower(v.ToString()) + "$";
+          const std::string text = Padded(v.ToString());
           if (static_cast<int>(text.size()) < options_.ngram) continue;
           for (size_t i = 0;
                i + static_cast<size_t>(options_.ngram) <= text.size(); ++i) {
@@ -91,7 +102,7 @@ void T5sModel::Train(const Database& db) {
 
 double T5sModel::TextLogProb(const std::vector<float>& lm,
                              const std::string& text) const {
-  std::string padded = "^" + ToLower(text) + "$";
+  const std::string padded = Padded(text);
   if (static_cast<int>(padded.size()) < options_.ngram) return 0.0;
   double total = 0.0;
   size_t count = 0;
@@ -289,7 +300,9 @@ std::string NaiveSqlEngine::ToSql(const Ree& rule) const {
   std::string sql = "SELECT ";
   for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {
     if (var > 0) sql += ", ";
-    sql += "t" + std::to_string(var) + ".*";
+    sql += 't';
+    sql += std::to_string(var);
+    sql += ".*";
   }
   sql += " FROM ";
   for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {

@@ -9,7 +9,7 @@
 #include "src/ml/ranking.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/par/executor.h"
+#include "src/par/round.h"
 
 namespace rock::chase {
 
@@ -103,7 +103,7 @@ rules::EvalContext ChaseEngine::Context() const {
 
 ChaseResult ChaseEngine::Run(const std::vector<Ree>& rules) {
   ROCK_OBS_SPAN("chase.run");
-  return Loop(rules, Prepare(rules), rules::Scope{});
+  return Loop(rules, rules::Scope{}, /*workers=*/std::nullopt, nullptr);
 }
 
 ChaseResult ChaseEngine::RunIncremental(
@@ -116,18 +116,15 @@ ChaseResult ChaseEngine::RunIncremental(
     fixes_.RegisterTuple(rel, tid);
   }
   const rules::DeltaRows delta(*db_, dirty);
-  return Loop(rules, Prepare(rules), rules::Scope::Delta(delta));
+  return Loop(rules, rules::Scope::Delta(delta), /*workers=*/std::nullopt,
+              nullptr);
 }
 
-ChaseEngine::PreparedRules ChaseEngine::Prepare(
-    const std::vector<Ree>& rules) const {
-  PreparedRules out;
-  for (const Ree& rule : rules) {
-    out.blockings.push_back(rules::Blocking::For(rule, Context()));
-    out.texts.push_back(obs::kProvenanceEnabled ? rule.ToString(db_->schema())
-                                                : std::string());
-  }
-  return out;
+ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
+                                     int num_workers,
+                                     par::ScheduleReport* schedule) {
+  ROCK_OBS_SPAN("chase.run_parallel");
+  return Loop(rules, rules::Scope{}, num_workers, schedule);
 }
 
 void ChaseEngine::MarkEntityDirty(
@@ -248,10 +245,10 @@ size_t ChaseEngine::ApplyConsequence(
     const Ree& rule, const std::string& rule_text, const Valuation& v,
     const rules::Evaluator& eval,
     std::vector<std::pair<int, int64_t>>* newly_dirty) {
-  // ApplyConsequence is the chase's single mutation funnel; both Loop and
-  // RunParallel invoke it strictly after the parallel evaluation barrier,
-  // so it always executes on the serial apply thread (see FixStore's
-  // thread contract).
+  // ApplyConsequence is the chase's single mutation funnel; Loop invokes it
+  // only outside the pooled evaluation (after its barrier in round 0), so
+  // it always executes on the serial apply thread (see FixStore's thread
+  // contract).
   common::RoleGuard apply(fixes_.apply_role());
   const Predicate& p = rule.consequence;
   size_t new_fixes = 0;
@@ -271,6 +268,38 @@ size_t ChaseEngine::ApplyConsequence(
     prov.witness = &witness;
   }
 
+  // Value-deducing consequences (constant, val extraction, prediction):
+  // validate `value` for attr of p.var's tuple, or settle an MI conflict
+  // with an already validated value.
+  auto impute = [&](int attr, const Value& value) -> size_t {
+    const int rel = rel_of(p.var);
+    const int64_t tid = tid_of(p.var);
+    auto existing = fixes_.ValidatedValue(rel, tid, attr);
+    Status s;
+    bool changed = false;
+    if (existing.has_value() && !(*existing == value)) {
+      Value keep = ResolveMiConflict(rel, tid, attr, *existing, value,
+                                     rule.id, prov);
+      changed = !(keep == *existing);
+      if (changed) {
+        s = fixes_.ReplaceValue(rel, tid, attr, keep, rule.id, prov);
+      }
+    } else {
+      s = fixes_.SetValue(rel, tid, attr, value, rule.id, &changed, prov);
+    }
+    if (!s.ok() || !changed) return 0;
+    MarkEntityDirty(rel, tid, newly_dirty);
+    return 1;
+  };
+  // A deduction the store rejected with `s`, queued against the derivation
+  // `existing` it conflicts with; the candidate node carries its witness.
+  auto reject = [&](ConflictRecord::Kind kind, const Status& s,
+                    int64_t existing, std::string resolution) {
+    conflicts_.push_back(
+        {kind, rule.id, s.message(), std::move(resolution), existing,
+         fixes_.AddConflictCandidate(rule.id, s.message(), prov)});
+  };
+
   switch (p.kind) {
     case PredicateKind::kAttrCompare: {
       if (p.attr == rules::kEidAttr) {
@@ -286,20 +315,13 @@ size_t ChaseEngine::ApplyConsequence(
           return 0;
         }
         if (!s.ok()) {
-          ConflictRecord record;
-          record.kind = ConflictRecord::Kind::kEid;
-          record.rule_id = rule.id;
-          record.description = s.message();
-          record.resolution = "user_queue";
           // The existing derivation: a merge is blocked by a distinctness
           // deduction; a distinctness claim by the merge chain that already
           // identified the pair.
-          record.prov_existing = p.op == rules::CmpOp::kEq
-                                     ? fixes_.ProvOfDistinct(e1, e2)
-                                     : fixes_.ProvOfMerge(e1, e2);
-          record.prov_candidate =
-              fixes_.AddConflictCandidate(rule.id, s.message(), prov);
-          conflicts_.push_back(std::move(record));
+          reject(ConflictRecord::Kind::kEid, s,
+                 p.op == rules::CmpOp::kEq ? fixes_.ProvOfDistinct(e1, e2)
+                                           : fixes_.ProvOfMerge(e1, e2),
+                 "user_queue");
           return 0;
         }
         if (changed) {
@@ -323,16 +345,9 @@ size_t ChaseEngine::ApplyConsequence(
         Status s = fixes_.SetValue(rel_of(var), tid_of(var), attr, value,
                                    rule.id, &changed, prov);
         if (!s.ok()) {
-          ConflictRecord record;
-          record.kind = ConflictRecord::Kind::kValue;
-          record.rule_id = rule.id;
-          record.description = s.message();
-          record.resolution = "user_queue";
-          record.prov_existing =
-              fixes_.ProvOfCell(rel_of(var), tid_of(var), attr);
-          record.prov_candidate =
-              fixes_.AddConflictCandidate(rule.id, s.message(), prov);
-          conflicts_.push_back(std::move(record));
+          reject(ConflictRecord::Kind::kValue, s,
+                 fixes_.ProvOfCell(rel_of(var), tid_of(var), attr),
+                 "user_queue");
           return;
         }
         if (changed) {
@@ -395,33 +410,9 @@ size_t ChaseEngine::ApplyConsequence(
       }
       return new_fixes;
     }
-    case PredicateKind::kConstant: {
+    case PredicateKind::kConstant:
       if (p.op != rules::CmpOp::kEq) return 0;
-      int rel = rel_of(p.var);
-      int64_t tid = tid_of(p.var);
-      auto existing = fixes_.ValidatedValue(rel, tid, p.attr);
-      if (existing.has_value() && !(*existing == p.constant)) {
-        Value keep = ResolveMiConflict(rel, tid, p.attr, *existing,
-                                       p.constant, rule.id, prov);
-        if (!(keep == *existing)) {
-          Status s =
-              fixes_.ReplaceValue(rel, tid, p.attr, keep, rule.id, prov);
-          if (s.ok()) {
-            ++new_fixes;
-            MarkEntityDirty(rel, tid, newly_dirty);
-          }
-        }
-        return new_fixes;
-      }
-      bool changed = false;
-      Status s = fixes_.SetValue(rel, tid, p.attr, p.constant, rule.id,
-                                 &changed, prov);
-      if (s.ok() && changed) {
-        ++new_fixes;
-        MarkEntityDirty(rel, tid, newly_dirty);
-      }
-      return new_fixes;
-    }
+      return impute(p.attr, p.constant);
     case PredicateKind::kTemporal: {
       int rel = rel_of(p.var);
       int64_t t1 = tid_of(p.var);
@@ -450,15 +441,9 @@ size_t ChaseEngine::ApplyConsequence(
                                     : "confidence_confirms_existing";
           }
         }
-        ConflictRecord record;
-        record.kind = ConflictRecord::Kind::kTemporal;
-        record.rule_id = rule.id;
-        record.description = s.message();
-        record.resolution = resolution;
-        record.prov_existing = fixes_.ProvOfTemporal(rel, p.attr, t1, t2);
-        record.prov_candidate =
-            fixes_.AddConflictCandidate(rule.id, s.message(), prov);
-        conflicts_.push_back(std::move(record));
+        reject(ConflictRecord::Kind::kTemporal, s,
+               fixes_.ProvOfTemporal(rel, p.attr, t1, t2),
+               std::move(resolution));
         return 0;
       }
       if (changed) {
@@ -473,30 +458,7 @@ size_t ChaseEngine::ApplyConsequence(
       kg::VertexId x = v.vertices[static_cast<size_t>(p.vertex_var)];
       Result<Value> extracted = graph_->ValueAtPath(x, p.path);
       if (!extracted.ok()) return 0;
-      int rel = rel_of(p.var);
-      int64_t tid = tid_of(p.var);
-      auto existing = fixes_.ValidatedValue(rel, tid, p.attr);
-      if (existing.has_value() && !(*existing == *extracted)) {
-        Value keep = ResolveMiConflict(rel, tid, p.attr, *existing,
-                                       *extracted, rule.id, prov);
-        if (!(keep == *existing)) {
-          Status s =
-              fixes_.ReplaceValue(rel, tid, p.attr, keep, rule.id, prov);
-          if (s.ok()) {
-            ++new_fixes;
-            MarkEntityDirty(rel, tid, newly_dirty);
-          }
-        }
-        return new_fixes;
-      }
-      bool changed = false;
-      Status s = fixes_.SetValue(rel, tid, p.attr, *extracted, rule.id,
-                                 &changed, prov);
-      if (s.ok() && changed) {
-        ++new_fixes;
-        MarkEntityDirty(rel, tid, newly_dirty);
-      }
-      return new_fixes;
+      return impute(p.attr, *extracted);
     }
     case PredicateKind::kPredictValue: {
       if (models_ == nullptr) return 0;
@@ -506,30 +468,7 @@ size_t ChaseEngine::ApplyConsequence(
       Result<Value> predicted =
           predictor->PredictValue(values, p.attrs_a, p.attr2);
       if (!predicted.ok()) return 0;
-      int rel = rel_of(p.var);
-      int64_t tid = tid_of(p.var);
-      auto existing = fixes_.ValidatedValue(rel, tid, p.attr2);
-      if (existing.has_value() && !(*existing == *predicted)) {
-        Value keep = ResolveMiConflict(rel, tid, p.attr2, *existing,
-                                       *predicted, rule.id, prov);
-        if (!(keep == *existing)) {
-          Status s =
-              fixes_.ReplaceValue(rel, tid, p.attr2, keep, rule.id, prov);
-          if (s.ok()) {
-            ++new_fixes;
-            MarkEntityDirty(rel, tid, newly_dirty);
-          }
-        }
-        return new_fixes;
-      }
-      bool changed = false;
-      Status s = fixes_.SetValue(rel, tid, p.attr2, *predicted, rule.id,
-                                 &changed, prov);
-      if (s.ok() && changed) {
-        ++new_fixes;
-        MarkEntityDirty(rel, tid, newly_dirty);
-      }
-      return new_fixes;
+      return impute(p.attr2, *predicted);
     }
     case PredicateKind::kMlPair:
     case PredicateKind::kCorrelation:
@@ -556,9 +495,19 @@ void ChaseEngine::Admit(const Ree& rule, const std::string& rule_text,
 }
 
 ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
-                              const PreparedRules& prepared,
-                              rules::Scope scope) {
+                              rules::Scope scope, std::optional<int> workers,
+                              par::ScheduleReport* schedule) {
   ChaseResult result;
+  // Per rule, built once per run: the LSH blocking (null when the rule
+  // does not qualify) and the rule text its witnesses cite (empty when
+  // provenance capture is compiled out).
+  std::vector<std::unique_ptr<const rules::Blocking>> blockings;
+  std::vector<std::string> texts;
+  for (const Ree& rule : rules) {
+    blockings.push_back(rules::Blocking::For(rule, Context()));
+    texts.push_back(obs::kProvenanceEnabled ? rule.ToString(db_->schema())
+                                            : std::string());
+  }
   rules::Evaluator eval(Context());
   const ChaseMetrics& metrics = ChaseMetrics::Get();
   size_t conflicts_before = conflicts_.size();
@@ -572,12 +521,49 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
     std::vector<std::pair<int, int64_t>> next_dirty;
     size_t fixes_before = result.fixes_applied;
 
-    for (size_t r = 0; r < rules.size(); ++r) {
-      auto admit = [&](const Valuation& v) {
-        Admit(rules[r], prepared.texts[r], v, eval, &next_dirty, &result);
-      };
-      eval.Enumerate(rules[r], scope, prepared.blockings[r].get(),
-                     /*scratch=*/nullptr, admit);
+    if (round == 0 && workers.has_value()) {
+      // Evaluation phase: workers enumerate their slices into per-unit
+      // buffers while the fix store stays read-only, so concurrent
+      // precondition evaluation needs no locks. Round checkpoint: a unit
+      // lost mid-round (worker crash, exhausted retry budget) re-runs in
+      // isolation, and the check after the round (replays included)
+      // proves no fix leaked in early, so nothing is applied twice.
+      const FixStore::Checkpoint checkpoint = fixes_.TakeCheckpoint();
+      metrics.checkpoints->Add(1);
+      const par::RoundResult<std::vector<Valuation>> hits =
+          par::RunRound<std::vector<Valuation>>(
+              rules, Context(), *workers,
+              par::PoolOptions{options_.retry, options_.fault_plan},
+              [&](size_t r, const rules::Scope& slice,
+                  par::RoundWorker& worker, std::vector<Valuation>* out) {
+                worker.eval.Enumerate(
+                    rules[r], slice, blockings[r].get(), /*scratch=*/nullptr,
+                    [out](const Valuation& v) { out->push_back(v); });
+              },
+              schedule);
+      ROCK_CHECK(fixes_.TakeCheckpoint() == checkpoint)
+          << "fix store advanced during the read-only evaluation phase";
+      result.replayed_units = hits.replayed_units;
+      metrics.checkpoint_restores->Add(hits.replayed_units);
+      // Apply phase: serially in unit order, re-verifying each
+      // precondition against the growing overlay so a fix applied earlier
+      // can retract a later candidate, exactly as in the serial chase.
+      ROCK_OBS_SPAN("chase.parallel_apply");
+      for (size_t unit = 0; unit < hits.outputs.size(); ++unit) {
+        const size_t r = hits.unit_rules[unit];
+        for (const Valuation& v : hits.outputs[unit]) {
+          if (!eval.SatisfiesPrecondition(rules[r], v)) continue;
+          Admit(rules[r], texts[r], v, eval, &next_dirty, &result);
+        }
+      }
+    } else {
+      for (size_t r = 0; r < rules.size(); ++r) {
+        auto admit = [&](const Valuation& v) {
+          Admit(rules[r], texts[r], v, eval, &next_dirty, &result);
+        };
+        eval.Enumerate(rules[r], scope, blockings[r].get(),
+                       /*scratch=*/nullptr, admit);
+      }
     }
 
     if (result.fixes_applied == fixes_before || next_dirty.empty()) {
@@ -595,110 +581,6 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
   // Runs after every worker has joined, i.e. on the apply thread.
   common::RoleGuard apply(fixes_.apply_role());
   fixes_.mutable_provenance().ExportDeltaToMetrics();
-  return result;
-}
-
-ChaseResult ChaseEngine::RunParallel(const std::vector<Ree>& rules,
-                                     int num_workers,
-                                     par::ScheduleReport* schedule) {
-  ROCK_OBS_SPAN("chase.run_parallel");
-  ChaseResult result;
-  rules::Evaluator eval(Context());
-  const ChaseMetrics& metrics = ChaseMetrics::Get();
-  size_t conflicts_before = conflicts_.size();
-  std::vector<std::pair<int, int64_t>> next_dirty;
-
-  // Round 0 under the worker pool: one unit per (rule, slice of the rule's
-  // first tuple variable).
-  const PreparedRules prepared = Prepare(rules);
-  std::vector<par::WorkUnit> units;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const Ree& rule = rules[r];
-    const int rel = rule.tuple_vars.empty() ? -1 : rule.tuple_vars[0];
-    std::vector<par::WorkUnit> rule_units = par::BuildRowUnits(
-        static_cast<int>(r), rel, rel < 0 ? 0 : db_->relation(rel).size());
-    units.insert(units.end(), rule_units.begin(), rule_units.end());
-  }
-
-  // Evaluation phase: workers enumerate their slices and record satisfying
-  // valuations into per-unit buffers. The fix store is read-only here —
-  // nothing is applied until every worker reaches the barrier — so
-  // concurrent precondition evaluation needs no locks. One evaluator per
-  // worker keeps the evaluator's lazy equality indexes thread-local.
-  par::PoolOptions pool_options;
-  pool_options.retry = options_.retry;
-  pool_options.fault_plan = options_.fault_plan;
-  par::WorkerPool pool(num_workers, pool_options);
-  std::vector<rules::Evaluator> evals;
-  evals.reserve(static_cast<size_t>(pool.num_workers()));
-  for (int w = 0; w < pool.num_workers(); ++w) {
-    evals.emplace_back(Context());
-  }
-  std::vector<std::vector<Valuation>> unit_hits(units.size());
-  // Round checkpoint: the recovery protocol's invariant. Evaluation writes
-  // only the per-unit buffers, so a unit lost mid-round (worker crash,
-  // exhausted retry budget) can be replayed in isolation — the checkpoint
-  // verification at the barrier proves no fix leaked in early, hence
-  // nothing is ever applied twice.
-  FixStore::Checkpoint checkpoint = fixes_.TakeCheckpoint();
-  metrics.checkpoints->Add(1);
-  auto eval_unit = [&](const par::WorkUnit& unit, size_t unit_index,
-                       int worker) {
-    std::vector<Valuation>& hits = unit_hits[unit_index];
-    hits.clear();  // replayed units overwrite, never append
-    const size_t r = static_cast<size_t>(unit.rule_index);
-    evals[static_cast<size_t>(worker)].Enumerate(
-        rules[r], rules::Scope::Rows(unit.rows.begin, unit.rows.end),
-        prepared.blockings[r].get(), /*scratch=*/nullptr,
-        [&](const Valuation& v) { hits.push_back(v); });
-  };
-  par::ScheduleReport local;
-  {
-    ROCK_OBS_SPAN("chase.parallel_eval");
-    local = pool.Execute(units, eval_unit);
-  }
-  // Barrier: every surviving worker joined. Verify the checkpoint before
-  // touching the store — evaluation (even with injected crashes and
-  // retries) must not have advanced it.
-  ROCK_CHECK(fixes_.TakeCheckpoint() == checkpoint)
-      << "fix store advanced during the read-only evaluation phase";
-  // Recovery: re-run abandoned units serially against the checkpoint.
-  // Their buffers were never merged (the apply loop below runs in unit
-  // order, after this), so replaying preserves the fault-free output and
-  // provenance bit-for-bit.
-  result.replayed_units = par::WorkerPool::ReplayUnrecovered(
-      units, &local, eval_unit);
-  if (result.replayed_units > 0) {
-    metrics.checkpoint_restores->Add(result.replayed_units);
-  }
-  if (schedule != nullptr) *schedule = std::move(local);
-
-  // Apply phase (after the barrier): consequences are deduced serially in
-  // unit order. Preconditions are re-verified against the now-growing
-  // overlay so a fix applied earlier in this loop can retract a later
-  // candidate, exactly as in the serial chase.
-  {
-    ROCK_OBS_SPAN("chase.parallel_apply");
-    for (size_t unit_index = 0; unit_index < units.size(); ++unit_index) {
-      const size_t r = static_cast<size_t>(units[unit_index].rule_index);
-      for (const Valuation& v : unit_hits[unit_index]) {
-        if (!eval.SatisfiesPrecondition(rules[r], v)) continue;
-        Admit(rules[r], prepared.texts[r], v, eval, &next_dirty, &result);
-      }
-    }
-  }
-  result.rounds = 1;
-  // The tail Loop() accounts for its own conflicts; record round 0's here.
-  metrics.conflicts->Add(conflicts_.size() - conflicts_before);
-  // Propagation rounds run through the ordinary incremental loop seeded by
-  // the tuples the first round touched.
-  const rules::DeltaRows touched(*db_, next_dirty);
-  ChaseResult tail = Loop(rules, prepared, rules::Scope::Delta(touched));
-  result.rounds += tail.rounds;
-  result.fixes_applied += tail.fixes_applied;
-  result.applications += tail.applications;
-  result.converged = tail.converged;
-  result.conflicts = conflicts_;
   return result;
 }
 

@@ -104,10 +104,11 @@ class ChaseEngine {
                              const std::vector<std::pair<int, int64_t>>& dirty);
 
   /// Batch mode with data-partitioned parallelism for the first (dominant)
-  /// round: one work unit per (rule, slice of the rule's first tuple
-  /// variable), vertex-variable rules included, executed under the worker
-  /// pool and producing the schedule accounting used by the scalability
-  /// benches (Fig 4(l)); later rounds are small and run serially.
+  /// round: one par::RunRound, one work unit per (rule, slice of the
+  /// rule's first tuple variable), vertex-variable rules included,
+  /// producing the schedule accounting used by the scalability benches
+  /// (Fig 4(l)); later rounds are small and run serially, in the same
+  /// loop as Run().
   ///
   /// Workers only *evaluate* preconditions — each unit enumerates its slice
   /// with the serial enumerator into a per-unit buffer, the fix
@@ -158,19 +159,12 @@ class ChaseEngine {
 
   rules::EvalContext Context() const;
 
-  /// Per-rule state built once per chase run: the LSH blocking (null when
-  /// the rule does not qualify) and the rule text its witnesses cite
-  /// (empty when provenance capture is compiled out).
-  struct PreparedRules {
-    std::vector<std::unique_ptr<const rules::Blocking>> blockings;
-    std::vector<std::string> texts;
-  };
-  PreparedRules Prepare(const std::vector<rules::Ree>& rules) const;
-
-  /// Chases to fixpoint: round 0 enumerates `scope`, later rounds the
+  /// The chase loop of every mode: round 0 enumerates `scope` (with
+  /// `workers`, as one par::RunRound into per-unit buffers that fills
+  /// `schedule`, then applied serially in unit order), later rounds the
   /// tuples the previous round touched.
-  ChaseResult Loop(const std::vector<rules::Ree>& rules,
-                   const PreparedRules& prepared, rules::Scope scope);
+  ChaseResult Loop(const std::vector<rules::Ree>& rules, rules::Scope scope,
+                   std::optional<int> workers, par::ScheduleReport* schedule);
 
   /// Admits one satisfying valuation (certain-fix check) and applies it.
   void Admit(const rules::Ree& rule, const std::string& rule_text,

@@ -303,31 +303,35 @@ detect::DetectionReport Rock::DetectActiveIncremental(
 detect::DetectionReport Rock::DetectErrors(
     const std::vector<Ree>& rules) const {
   ROCK_OBS_SPAN("rock.detect");
-  detect::ErrorDetector detector(Context(), options_.detector);
-  detect::DetectionReport report = detector.Detect(rules);
-  DetectPolyViolations(/*delta=*/nullptr, &report);
-  return report;
+  return Detect(rules, /*dirty=*/nullptr, /*workers=*/std::nullopt, nullptr);
 }
 
 detect::DetectionReport Rock::DetectErrorsIncremental(
     const std::vector<Ree>& rules,
     const std::vector<std::pair<int, int64_t>>& dirty) const {
   ROCK_OBS_SPAN("rock.detect_errors_incremental");
-  detect::ErrorDetector detector(Context(), options_.detector);
-  detect::DetectionReport report = detector.DetectIncremental(rules, dirty);
-  const rules::DeltaRows delta(*db_, dirty);
-  DetectPolyViolations(&delta, &report);
-  return report;
+  return Detect(rules, &dirty, /*workers=*/std::nullopt, nullptr);
 }
 
 detect::DetectionReport Rock::DetectErrorsParallel(
     const std::vector<Ree>& rules, int num_workers,
     par::ScheduleReport* schedule) const {
   ROCK_OBS_SPAN("rock.detect_parallel");
+  return Detect(rules, /*dirty=*/nullptr, num_workers, schedule);
+}
+
+detect::DetectionReport Rock::Detect(
+    const std::vector<Ree>& rules,
+    const std::vector<std::pair<int, int64_t>>* dirty,
+    std::optional<int> workers, par::ScheduleReport* schedule) const {
   detect::ErrorDetector detector(Context(), options_.detector);
+  std::optional<rules::DeltaRows> delta;
+  if (dirty != nullptr) delta.emplace(*db_, *dirty);
   detect::DetectionReport report =
-      detector.DetectParallel(rules, num_workers, schedule);
-  DetectPolyViolations(/*delta=*/nullptr, &report);
+      delta.has_value()    ? detector.DetectIncremental(rules, *delta)
+      : workers.has_value() ? detector.DetectParallel(rules, *workers, schedule)
+                            : detector.Detect(rules);
+  DetectPolyViolations(delta.has_value() ? &*delta : nullptr, &report);
   return report;
 }
 
@@ -359,6 +363,24 @@ std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrors(
     const std::vector<std::pair<int, int64_t>>& ground_truth,
     CorrectionResult* result) {
   ROCK_OBS_SPAN("rock.correct");
+  return Correct(rules, ground_truth, /*workers=*/std::nullopt, result,
+                 nullptr);
+}
+
+std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrorsParallel(
+    const std::vector<Ree>& rules,
+    const std::vector<std::pair<int, int64_t>>& ground_truth,
+    int num_workers, CorrectionResult* result,
+    par::ScheduleReport* schedule) {
+  ROCK_OBS_SPAN("rock.correct_parallel");
+  return Correct(rules, ground_truth, num_workers, result, schedule);
+}
+
+std::shared_ptr<chase::ChaseEngine> Rock::Correct(
+    const std::vector<Ree>& rules,
+    const std::vector<std::pair<int, int64_t>>& ground_truth,
+    std::optional<int> workers, CorrectionResult* result,
+    par::ScheduleReport* schedule) {
   auto engine = std::make_shared<chase::ChaseEngine>(db_, graph_, &models_,
                                                      options_.chase);
   {
@@ -373,90 +395,46 @@ std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrors(
   }
   CorrectionResult local;
   local.poly_fixes = ApplyPolyFixes(engine.get());
+  // One chase pass; with workers its round 0 runs under the pool.
+  auto chase = [&](const std::vector<Ree>& pass_rules) {
+    return workers.has_value()
+               ? engine->RunParallel(pass_rules, *workers, schedule)
+               : engine->Run(pass_rules);
+  };
 
-  switch (options_.variant) {
-    case Variant::kRock:
-    case Variant::kNoMl: {
-      local.chase = engine->Run(rules);
-      local.passes = 1;
-      break;
-    }
-    case Variant::kSequential: {
-      // ER, CR, MI, TD one task at a time, iterated until no task makes
-      // progress (the paper's Rock_seq).
-      const RuleTask order[] = {RuleTask::kEr, RuleTask::kCr, RuleTask::kMi,
-                                RuleTask::kTd};
-      size_t total_before = 0;
-      for (int iteration = 0; iteration < options_.chase.max_rounds;
-           ++iteration) {
-        size_t fixes_this_iteration = 0;
-        for (RuleTask task : order) {
-          std::vector<Ree> subset;
-          for (const Ree& rule : rules) {
-            if (rule.Task() == task) subset.push_back(rule);
-          }
-          if (subset.empty()) continue;
-          chase::ChaseResult pass = engine->Run(subset);
-          fixes_this_iteration += pass.fixes_applied;
-          local.chase.applications += pass.applications;
-          local.chase.conflicts = pass.conflicts;
-          ++local.passes;
-        }
-        local.chase.fixes_applied = total_before + fixes_this_iteration;
-        total_before = local.chase.fixes_applied;
-        ++local.chase.rounds;
-        if (fixes_this_iteration == 0) {
-          local.chase.converged = true;
-          break;
-        }
-      }
-      break;
-    }
-    case Variant::kNoChase: {
-      // Each task exactly once, no iteration.
-      const RuleTask order[] = {RuleTask::kEr, RuleTask::kCr, RuleTask::kMi,
-                                RuleTask::kTd};
-      for (RuleTask task : order) {
+  if (options_.variant == Variant::kRock ||
+      options_.variant == Variant::kNoMl) {
+    local.chase = chase(rules);
+    local.passes = 1;
+  } else {
+    // ER, CR, MI, TD one task at a time: Rock_seq iterates until no task
+    // makes progress, Rock_noC runs each task once.
+    const bool iterate = options_.variant == Variant::kSequential;
+    for (int iteration = 0; iteration < options_.chase.max_rounds;
+         ++iteration) {
+      size_t fixes_this_iteration = 0;
+      for (RuleTask task :
+           {RuleTask::kEr, RuleTask::kCr, RuleTask::kMi, RuleTask::kTd}) {
         std::vector<Ree> subset;
         for (const Ree& rule : rules) {
           if (rule.Task() == task) subset.push_back(rule);
         }
         if (subset.empty()) continue;
-        chase::ChaseResult pass = engine->Run(subset);
-        local.chase.fixes_applied += pass.fixes_applied;
+        chase::ChaseResult pass = chase(subset);
+        fixes_this_iteration += pass.fixes_applied;
         local.chase.applications += pass.applications;
+        local.chase.replayed_units += pass.replayed_units;
+        if (iterate) local.chase.conflicts = pass.conflicts;
         ++local.passes;
       }
-      local.chase.converged = true;
-      break;
-    }
-  }
-  if (result != nullptr) *result = local;
-  last_engine_ = engine;
-  return engine;
-}
-
-std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrorsParallel(
-    const std::vector<Ree>& rules,
-    const std::vector<std::pair<int, int64_t>>& ground_truth,
-    int num_workers, CorrectionResult* result,
-    par::ScheduleReport* schedule) {
-  ROCK_OBS_SPAN("rock.correct_parallel");
-  auto engine = std::make_shared<chase::ChaseEngine>(db_, graph_, &models_,
-                                                     options_.chase);
-  {
-    common::RoleGuard apply(engine->fix_store().apply_role());
-    for (const auto& [rel, tid] : ground_truth) {
-      Status s = engine->fix_store().AddGroundTruthTuple(rel, tid);
-      if (!s.ok()) {
-        ROCK_LOG(kWarning) << "ground truth rejected: " << s.ToString();
+      local.chase.fixes_applied += fixes_this_iteration;
+      if (iterate) ++local.chase.rounds;
+      if (!iterate || fixes_this_iteration == 0) {
+        local.chase.converged = true;
+        break;
       }
     }
   }
-  CorrectionResult local;
-  local.poly_fixes = ApplyPolyFixes(engine.get());
-  local.chase = engine->RunParallel(rules, num_workers, schedule);
-  local.passes = 1;
   if (result != nullptr) *result = local;
   last_engine_ = engine;
   return engine;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ struct RockOptions {
   chase::ChaseOptions chase;
   /// Detection knobs (ML blocking, batched ML scoring, fault plan). The
   /// parallel paths partition every rule by row slices of its first tuple
-  /// variable (par::BuildRowUnits), so they take no block size.
+  /// variable (par::RunRound), so they take no block size.
   detect::DetectorOptions detector;
   /// Discover and enforce polynomial expressions over numeric attributes
   /// (§5.4); disabled for kNoMl.
@@ -193,11 +194,12 @@ class Rock {
       const std::vector<std::pair<int, int64_t>>& ground_truth,
       CorrectionResult* result);
 
-  /// Parallel correction: the dominant first chase round runs under the
-  /// worker pool, one unit per (rule, row slice), with any
-  /// SetFaultInjection schedule applied and recovered. Produces the
-  /// same fix store as CorrectErrors under the kRock variant; fills
-  /// `schedule` with the pool accounting when non-null.
+  /// Parallel correction: CorrectErrors, with the dominant first round of
+  /// every chase pass under the worker pool, one unit per (rule, row
+  /// slice), with any SetFaultInjection schedule applied and recovered.
+  /// Produces the same fix store and passes as CorrectErrors under every
+  /// variant; fills `schedule` with the last pass's pool accounting when
+  /// non-null.
   std::shared_ptr<chase::ChaseEngine> CorrectErrorsParallel(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& ground_truth,
@@ -282,6 +284,21 @@ class Rock {
   std::unique_ptr<obs::TelemetryServer> telemetry_server_;
 
   rules::EvalContext Context() const;
+  /// The one detection body: rule violations over ΔD = `dirty` (all rows
+  /// if null), on `workers` pool workers when set, then polynomial
+  /// violations over the same rows.
+  detect::DetectionReport Detect(
+      const std::vector<rules::Ree>& rules,
+      const std::vector<std::pair<int, int64_t>>* dirty,
+      std::optional<int> workers, par::ScheduleReport* schedule) const;
+  /// The one correction body: Γ seeding, polynomial fixes, then the
+  /// variant's chase passes, each with a pooled round 0 when `workers` is
+  /// set (`schedule` then holds the last pass's pool accounting).
+  std::shared_ptr<chase::ChaseEngine> Correct(
+      const std::vector<rules::Ree>& rules,
+      const std::vector<std::pair<int, int64_t>>& ground_truth,
+      std::optional<int> workers, CorrectionResult* result,
+      par::ScheduleReport* schedule);
   /// Appends polynomial violations of ΔD's rows (all rows if null).
   void DetectPolyViolations(const rules::DeltaRows* delta,
                             detect::DetectionReport* report) const;

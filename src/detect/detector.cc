@@ -1,13 +1,13 @@
 #include "src/detect/detector.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iterator>
 
 #include "src/common/hash.h"
 #include "src/common/timer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/par/round.h"
 
 namespace rock::detect {
 namespace {
@@ -59,10 +59,13 @@ struct DetectMetrics {
   }
 };
 
-/// Publishes the memory cross-check gauges after a detection pass.
-/// `cache` may be null (batching disabled).
-void PublishCacheGauges(const ml::MlScoreCache* cache, size_t scratch_peak) {
+/// Publishes a detection pass's pair counters and memory cross-check
+/// gauges. `cache` may be null (batching disabled).
+void PublishDetection(const DetectionReport& report,
+                      const ml::MlScoreCache* cache, size_t scratch_peak) {
   const DetectMetrics& metrics = DetectMetrics::Get();
+  metrics.blocked_pairs->Add(report.blocked_pairs_checked);
+  metrics.exhaustive_pairs->Add(report.exhaustive_pairs_checked);
   metrics.interner_bytes->Set(static_cast<int64_t>(scratch_peak));
   if (cache != nullptr) {
     metrics.ml_cache_entries->Set(static_cast<int64_t>(cache->size()));
@@ -318,9 +321,7 @@ DetectionReport ErrorDetector::DetectScope(const std::vector<Ree>& rules,
     scratch.Reset();
     metrics.rule_seconds->Observe(timer.ElapsedSeconds());
   }
-  metrics.blocked_pairs->Add(report.blocked_pairs_checked);
-  metrics.exhaustive_pairs->Add(report.exhaustive_pairs_checked);
-  PublishCacheGauges(MlCache(), scratch_peak);
+  PublishDetection(report, MlCache(), scratch_peak);
   return report;
 }
 
@@ -332,8 +333,12 @@ DetectionReport ErrorDetector::Detect(const std::vector<Ree>& rules) const {
 DetectionReport ErrorDetector::DetectIncremental(
     const std::vector<Ree>& rules,
     const std::vector<std::pair<int, int64_t>>& dirty) const {
+  return DetectIncremental(rules, rules::DeltaRows(*ctx_.db, dirty));
+}
+
+DetectionReport ErrorDetector::DetectIncremental(
+    const std::vector<Ree>& rules, const rules::DeltaRows& delta) const {
   ROCK_OBS_SPAN("detect.incremental");
-  const rules::DeltaRows delta(*ctx_.db, dirty);
   return DetectScope(rules, rules::Scope::Delta(delta));
 }
 
@@ -341,77 +346,37 @@ DetectionReport ErrorDetector::DetectParallel(
     const std::vector<Ree>& rules, int num_workers,
     par::ScheduleReport* schedule) const {
   ROCK_OBS_SPAN("detect.parallel");
-  const rules::EvalContext cached_ctx = CachedContext();
-  std::vector<par::WorkUnit> units;
   std::vector<std::unique_ptr<const rules::Blocking>> blockings;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const Ree& rule = rules[r];
-    const int rel = rule.tuple_vars.empty() ? -1 : rule.tuple_vars[0];
-    std::vector<par::WorkUnit> rule_units = par::BuildRowUnits(
-        static_cast<int>(r), rel, rel < 0 ? 0 : ctx_.db->relation(rel).size());
-    units.insert(units.end(), rule_units.begin(), rule_units.end());
-    blockings.push_back(BlockingFor(rule));
-  }
-
-  par::PoolOptions pool_options;
-  pool_options.retry = options_.retry;
-  pool_options.fault_plan = options_.fault_plan;
-  par::WorkerPool pool(num_workers, pool_options);
-  // One evaluator and batch scratch per worker (the evaluator caches
-  // equality indexes; the scratch is not thread-safe) and one report per
-  // unit: workers share only the read-only blocking indexes and the
-  // sharded ML score memo, whose content-keyed first-insert-wins entries
-  // are value-identical no matter which worker lands first. Each unit
-  // enumerates one slice of the serial enumeration order, so merging the
-  // reports in unit order reproduces Detect().
-  std::vector<rules::Evaluator> evals;
-  evals.reserve(static_cast<size_t>(pool.num_workers()));
-  for (int w = 0; w < pool.num_workers(); ++w) evals.emplace_back(cached_ctx);
-  std::vector<ml::BatchScratch> scratches(
-      static_cast<size_t>(pool.num_workers()));
-  std::vector<DetectionReport> unit_reports(units.size());
-  std::atomic<size_t> scratch_peak{0};
-  auto unit_body = [&](const par::WorkUnit& u, size_t unit_index,
-                       int worker) {
-    unit_reports[unit_index] = DetectionReport();  // replay overwrites
-    ml::BatchScratch& scratch = scratches[static_cast<size_t>(worker)];
-    const size_t r = static_cast<size_t>(u.rule_index);
-    DetectRule(rules[r], rules::Scope::Rows(u.rows.begin, u.rows.end),
-               blockings[r].get(), evals[static_cast<size_t>(worker)], &scratch,
-               &unit_reports[unit_index]);
-    size_t bytes = scratch.ApproxBytes();
-    size_t seen = scratch_peak.load(std::memory_order_relaxed);
-    while (bytes > seen &&
-           !scratch_peak.compare_exchange_weak(seen, bytes,
-                                               std::memory_order_relaxed)) {
-    }
-    scratch.Reset();
-  };
-  par::ScheduleReport local = pool.Execute(units, unit_body);
-  // Recovery: units abandoned under an injected fault plan re-run serially
-  // into their (still empty) per-unit reports; the unit-order merge below
-  // then yields the same report as the fault-free run.
-  size_t recovered = par::WorkerPool::ReplayUnrecovered(units, &local,
-                                                        unit_body);
-  if (recovered > 0) {
+  for (const Ree& rule : rules) blockings.push_back(BlockingFor(rule));
+  // Workers share only the read-only blocking indexes and the sharded ML
+  // score memo, whose content-keyed first-insert-wins entries are
+  // value-identical no matter which worker lands first. Each unit detects
+  // one slice of the serial enumeration order into its own report, so
+  // merging the reports in unit order reproduces Detect().
+  par::RoundResult<DetectionReport> round = par::RunRound<DetectionReport>(
+      rules, CachedContext(), num_workers,
+      par::PoolOptions{options_.retry, options_.fault_plan},
+      [&](size_t r, const rules::Scope& scope, par::RoundWorker& worker,
+          DetectionReport* out) {
+        DetectRule(rules[r], scope, blockings[r].get(), worker.eval,
+                   &worker.scratch, out);
+      },
+      schedule);
+  if (round.replayed_units > 0) {
     obs::MetricsRegistry::Global()
         .GetCounter("rock_detect_recovered_units_total")
-        ->Add(recovered);
+        ->Add(round.replayed_units);
   }
-  if (schedule != nullptr) *schedule = std::move(local);
 
   DetectionReport report;
-  for (DetectionReport& unit_report : unit_reports) {
+  for (DetectionReport& unit_report : round.outputs) {
     report.violations += unit_report.violations;
     report.blocked_pairs_checked += unit_report.blocked_pairs_checked;
     report.exhaustive_pairs_checked += unit_report.exhaustive_pairs_checked;
     std::move(unit_report.errors.begin(), unit_report.errors.end(),
               std::back_inserter(report.errors));
   }
-  const DetectMetrics& metrics = DetectMetrics::Get();
-  metrics.blocked_pairs->Add(report.blocked_pairs_checked);
-  metrics.exhaustive_pairs->Add(report.exhaustive_pairs_checked);
-  PublishCacheGauges(MlCache(), scratch_peak.load(std::memory_order_relaxed));
+  PublishDetection(report, MlCache(), round.scratch_peak_bytes);
   return report;
 }
 

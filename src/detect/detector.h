@@ -104,13 +104,15 @@ class ErrorDetector {
   DetectionReport DetectIncremental(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
+  DetectionReport DetectIncremental(const std::vector<rules::Ree>& rules,
+                                    const rules::DeltaRows& delta) const;
 
-  /// Parallel detection: one work unit per (rule, slice of its first tuple
-  /// variable) executed under the worker pool; fills `schedule` with the
-  /// placement/stealing accounting used by the scalability benches. Each
-  /// unit accumulates into its own report and the per-unit reports are
-  /// merged in unit order, so the result equals Detect() field for field
-  /// at every worker count and under any fault plan.
+  /// Parallel detection: one par::RunRound whose unit body is DetectRule
+  /// over the unit's row slice; fills `schedule` with the placement/
+  /// stealing accounting used by the scalability benches. Each unit
+  /// accumulates into its own report and the per-unit reports are merged
+  /// in unit order, so the result equals Detect() field for field at every
+  /// worker count and under any fault plan.
   DetectionReport DetectParallel(const std::vector<rules::Ree>& rules,
                                  int num_workers,
                                  par::ScheduleReport* schedule) const;

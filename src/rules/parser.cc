@@ -562,7 +562,8 @@ Result<std::vector<Ree>> ParseRules(std::string_view text,
     if (trimmed.empty() || trimmed[0] == '#') continue;
     auto rule = ParseRee(trimmed, schema);
     if (!rule.ok()) return rule.status();
-    rule->id = "r" + std::to_string(out.size());
+    rule->id = 'r';
+    rule->id += std::to_string(out.size());
     out.push_back(std::move(*rule));
   }
   return out;

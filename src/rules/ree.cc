@@ -105,8 +105,12 @@ bool Ree::UsesMl() const {
 
 std::string PredicateToString(const Predicate& p, const Ree& rule,
                               const DatabaseSchema& schema) {
-  auto var_name = [](int v) { return "t" + std::to_string(v); };
-  auto vertex_name = [](int v) { return "x" + std::to_string(v); };
+  auto var_name = [](int v) {
+    return std::string(1, 't').append(std::to_string(v));
+  };
+  auto vertex_name = [](int v) {
+    return std::string(1, 'x').append(std::to_string(v));
+  };
   switch (p.kind) {
     case PredicateKind::kConstant:
       return var_name(p.var) + "." + AttrName(rule, schema, p.var, p.attr) +
@@ -144,7 +148,10 @@ std::string PredicateToString(const Predicate& p, const Ree& rule,
     case PredicateKind::kCorrelation: {
       std::string target =
           var_name(p.var) + "." + AttrName(rule, schema, p.var, p.attr2);
-      if (p.has_constant) target += "=" + ConstantLiteral(p.constant);
+      if (p.has_constant) {
+        target += '=';
+        target += ConstantLiteral(p.constant);
+      }
       return p.model + "(" + var_name(p.var) + "[" +
              AttrList(rule, schema, p.var, p.attrs_a) + "], " + target +
              ") >= " + StrFormat("%g", p.threshold);

@@ -176,7 +176,7 @@ std::string Value::ToString() const {
     case ValueType::kString:
       return string_;
     case ValueType::kTime:
-      return "@" + std::to_string(int_);
+      return std::string(1, '@').append(std::to_string(int_));
   }
   return "?";
 }

@@ -403,7 +403,9 @@ GeneratedData MakeLogisticsData(const GeneratorOptions& options) {
 
   // Postal geography: zip determines street/area/city. 40 zips.
   const size_t kZips = 40;
-  auto zip_of = [](size_t z) { return "Z" + std::to_string(10000 + z); };
+  auto zip_of = [](size_t z) {
+    return std::string(1, 'Z').append(std::to_string(10000 + z));
+  };
   // Knowledge graph: zip --AreaOf--> area, --CityOf--> city.
   std::vector<kg::VertexId> zip_vertices;
   for (size_t z = 0; z < kZips; ++z) {

@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +134,40 @@ TEST_F(CoreBankTest, VariantsOrderAsInPaper) {
   EXPECT_GE(rock_f1 + 1e-9, noml_f1);
   EXPECT_GT(rock_f1, noc_f1);
   EXPECT_NEAR(rock_f1, seq_f1, 0.05);  // same fixpoint, same accuracy
+}
+
+// The parallel facade runs the variant's own passes, each with a pooled
+// round 0, and reaches the serial facade's fixpoint.
+TEST_F(CoreBankTest, ParallelCorrectionHonoursEveryVariant) {
+  auto fixes_of = [](const chase::ChaseEngine& engine) {
+    std::string out;
+    for (const chase::CellFix& fix : engine.CellFixes()) {
+      out += std::to_string(fix.rel) + ":" + std::to_string(fix.tid) + ":" +
+             std::to_string(fix.attr) + "=" + fix.new_value.ToString() + ";";
+    }
+    return out;
+  };
+  for (Variant variant : {Variant::kRock, Variant::kNoMl,
+                          Variant::kSequential, Variant::kNoChase}) {
+    RockOptions options;
+    options.variant = variant;
+    Rock rock(&data_.db, &data_.graph, options);
+    rock.TrainModels(BankSpec());
+    rock.DiscoverPolynomials();
+    auto rules = rock.LoadRules(data_.rule_text);
+    ASSERT_TRUE(rules.ok());
+    CorrectionResult serial_result;
+    auto serial = rock.CorrectErrors(*rules, data_.clean_tuples,
+                                     &serial_result);
+    CorrectionResult parallel_result;
+    auto parallel = rock.CorrectErrorsParallel(*rules, data_.clean_tuples, 2,
+                                               &parallel_result);
+    EXPECT_EQ(fixes_of(*parallel), fixes_of(*serial)) << VariantName(variant);
+    EXPECT_EQ(parallel->EntityGroups(), serial->EntityGroups())
+        << VariantName(variant);
+    EXPECT_EQ(parallel_result.passes, serial_result.passes)
+        << VariantName(variant);
+  }
 }
 
 TEST(CoreLogisticsTest, ImputationViaGraphWorks) {

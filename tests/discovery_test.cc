@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/discovery/evidence.h"
 #include "src/discovery/miner.h"
 #include "src/discovery/poly.h"
@@ -28,7 +29,7 @@ Database FdDatabase(int rows, int corrupt_every = 0) {
     if (corrupt_every > 0 && i % corrupt_every == corrupt_every - 1) {
       area = areas[(z + 1) % 5];
     }
-    t.values = {Value::String("Z" + std::to_string(z)),
+    t.values = {Value::String(StrFormat("Z%d", z)),
                 Value::String(area), Value::String(cities[z % 2])};
     EXPECT_TRUE(db.Insert(0, t).ok());
   }
@@ -196,7 +197,7 @@ std::vector<MinedRule> FakeRules() {
   std::vector<MinedRule> rules;
   for (int i = 0; i < 6; ++i) {
     MinedRule rule;
-    rule.rule.id = "r" + std::to_string(i);
+    rule.rule.id = StrFormat("r%d", i);
     rule.rule.tuple_vars = {0, 0};
     rule.rule.consequence =
         rules::Predicate::AttrCompare(0, i % 3, rules::CmpOp::kEq, 1, i % 3);

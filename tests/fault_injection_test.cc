@@ -430,6 +430,36 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------- Telemetry: recovery reaches the registry ----------------
 
+// Every round, the pooled round 0 included, publishes its progress.
+TEST(FaultTelemetryTest, ChaseRoundsCounterMatchesResultRounds) {
+  for (bool parallel : {false, true}) {
+    workload::GeneratedData data = MakeData(7);
+    core::Rock rock(&data.db, &data.graph);
+    auto rules = rock.LoadRules(data.rule_text);
+    ASSERT_TRUE(rules.ok());
+    chase::ChaseEngine engine(&data.db, &data.graph, rock.models());
+    for (const auto& [rel, tid] : data.clean_tuples) {
+      Status ignored = engine.fix_store().AddGroundTruthTuple(rel, tid);
+      (void)ignored;
+    }
+    auto rounds_total = [] {
+      return obs::MetricsRegistry::Global().Snap().CounterValue(
+          "rock_chase_rounds_total");
+    };
+    const uint64_t before = rounds_total();
+    par::ScheduleReport schedule;
+    chase::ChaseResult result = parallel
+                                    ? engine.RunParallel(*rules, 2, &schedule)
+                                    : engine.Run(*rules);
+    EXPECT_GT(result.rounds, 1) << parallel;
+    EXPECT_EQ(rounds_total() - before, static_cast<uint64_t>(result.rounds))
+        << parallel;
+    EXPECT_EQ(obs::MetricsRegistry::Global().Snap().GaugeValue(
+                  "rock_chase_current_round"),
+              0);
+  }
+}
+
 TEST(FaultTelemetryTest, RetryAndRecoveryCountersAreExported) {
   obs::MetricsRegistry::Global().Reset();
   workload::GeneratedData data = MakeData(7, 40);

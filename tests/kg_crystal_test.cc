@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/crystal/hash_ring.h"
 #include "src/crystal/object_store.h"
 #include "src/kg/graph.h"
@@ -197,7 +198,7 @@ TEST(ObjectStoreTest, RebalanceMovesMinority) {
   ASSERT_TRUE(store.AddNode("n2").ok());
   ASSERT_TRUE(store.AddNode("n3").ok());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(store.Put("o" + std::to_string(i),
+    ASSERT_TRUE(store.Put(StrFormat("o%d", i),
                           std::string(64, 'z')).ok());
   }
   auto stats = store.AddNodeWithRebalance("n4");
@@ -207,7 +208,7 @@ TEST(ObjectStoreTest, RebalanceMovesMinority) {
   EXPECT_GT(stats->remap_ratio(), 0.05);
   // Everything still readable.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(store.Get("o" + std::to_string(i)).ok());
+    EXPECT_TRUE(store.Get(StrFormat("o%d", i)).ok());
   }
 }
 

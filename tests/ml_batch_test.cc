@@ -230,7 +230,7 @@ class MlBatchDetectTest : public ::testing::Test {
     auto rule = rules::ParseRee(text, data_.db.schema());
     EXPECT_TRUE(rule.ok()) << rule.status().ToString();
     rules::Ree out = rule.ok() ? *rule : rules::Ree{};
-    out.id = "t";
+    out.id = std::string(1, 't');
     return out;
   }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
 #include "src/storage/dictionary.h"
 #include "src/storage/relation.h"
 #include "src/storage/schema.h"
@@ -147,7 +148,7 @@ TEST(DatabaseTest, RowOfTid) {
   Database db(std::move(schema));
   for (int i = 0; i < 5; ++i) {
     Tuple t;
-    t.values = {Value::String("p" + std::to_string(i)), Value::Int(i),
+    t.values = {Value::String(StrFormat("p%d", i)), Value::Int(i),
                 Value::Double(0), Value::Time(0)};
     ASSERT_TRUE(db.Insert(0, t).ok());
   }
