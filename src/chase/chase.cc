@@ -259,14 +259,10 @@ size_t ChaseEngine::ApplyConsequence(
 
   // Witness capture: record the satisfying valuation's bindings, premise
   // cells and ML scores BEFORE mutating the store (the premises must
-  // reflect the state the deduction actually read). Compiled out with
-  // ROCK_OBS_PROVENANCE=OFF.
-  obs::Witness witness;
+  // reflect the state the deduction actually read).
+  obs::Witness witness = eval.CaptureWitness(rule, v, rule_text);
   obs::ProvenanceRef prov;
-  if constexpr (obs::kProvenanceEnabled) {
-    witness = eval.CaptureWitness(rule, v, rule_text);
-    prov.witness = &witness;
-  }
+  prov.witness = &witness;
 
   // Value-deducing consequences (constant, val extraction, prediction):
   // validate `value` for attr of p.var's tuple, or settle an MI conflict
@@ -499,14 +495,12 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
                               par::ScheduleReport* schedule) {
   ChaseResult result;
   // Per rule, built once per run: the LSH blocking (null when the rule
-  // does not qualify) and the rule text its witnesses cite (empty when
-  // provenance capture is compiled out).
+  // does not qualify) and the rule text its witnesses cite.
   std::vector<std::unique_ptr<const rules::Blocking>> blockings;
   std::vector<std::string> texts;
   for (const Ree& rule : rules) {
     blockings.push_back(rules::Blocking::For(rule, Context()));
-    texts.push_back(obs::kProvenanceEnabled ? rule.ToString(db_->schema())
-                                            : std::string());
+    texts.push_back(rule.ToString(db_->schema()));
   }
   rules::Evaluator eval(Context());
   const ChaseMetrics& metrics = ChaseMetrics::Get();

@@ -94,6 +94,9 @@ class ChaseEngine {
   FixStore& fix_store() { return fixes_; }
   const FixStore& fix_store() const { return fixes_; }
 
+  /// Every conflict recorded by this engine's runs so far, in order.
+  const std::vector<ConflictRecord>& conflicts() const { return conflicts_; }
+
   /// Batch mode: chases the whole database to fixpoint.
   ChaseResult Run(const std::vector<rules::Ree>& rules);
 
@@ -134,7 +137,7 @@ class ChaseEngine {
 
   /// Why-provenance of a repaired cell / an identified entity pair: the
   /// depth-bounded proof tree over the witnesses captured during the chase
-  /// (empty when the cell was never validated or capture is compiled out).
+  /// (empty when the cell was never validated).
   obs::ProofTree Explain(int rel, int64_t tid, int attr,
                          int max_depth = 32) const {
     return fixes_.ExplainCell(rel, tid, attr, max_depth);

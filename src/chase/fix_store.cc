@@ -481,26 +481,20 @@ Status FixStore::MergeEids(int64_t a, int64_t b, const std::string& rule_id,
     }
     auto new_key = std::make_pair(std::min(cx, cy), std::max(cx, cy));
     rebuilt.insert(new_key);
-    if constexpr (obs::kProvenanceEnabled) {
-      auto it = prov_by_distinct_.find({x, y});
-      if (it != prov_by_distinct_.end()) rebuilt_prov[new_key] = it->second;
-    }
+    auto it = prov_by_distinct_.find({x, y});
+    if (it != prov_by_distinct_.end()) rebuilt_prov[new_key] = it->second;
   }
   distinct_ = std::move(rebuilt);
-  if constexpr (obs::kProvenanceEnabled) {
-    prov_by_distinct_ = std::move(rebuilt_prov);
-  }
+  prov_by_distinct_ = std::move(rebuilt_prov);
   FixRecord record;
   record.kind = FixRecord::Kind::kMergeEid;
   record.rule_id = rule_id;
   record.eid_a = a;
   record.eid_b = b;
-  if constexpr (obs::kProvenanceEnabled) {
-    record.prov_id = AddProvNode(
-        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-        rule_id, record.ToString(), prov);
-    prov_.LinkMerge(a, b, record.prov_id);
-  }
+  record.prov_id = AddProvNode(
+      rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
+      rule_id, record.ToString(), prov);
+  prov_.LinkMerge(a, b, record.prov_id);
   fixes_.push_back(std::move(record));
   *changed = true;
   return Status::Ok();
@@ -523,15 +517,13 @@ Status FixStore::AddEidDistinct(int64_t a, int64_t b,
     record.rule_id = rule_id;
     record.eid_a = a;
     record.eid_b = b;
-    if constexpr (obs::kProvenanceEnabled) {
-      record.prov_id = AddProvNode(
-          rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-          rule_id,
-          StrFormat("[%s] eid %lld != %lld", rule_id.c_str(),
-                    static_cast<long long>(a), static_cast<long long>(b)),
-          prov);
-      prov_by_distinct_[key] = record.prov_id;
-    }
+    record.prov_id = AddProvNode(
+        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
+        rule_id,
+        StrFormat("[%s] eid %lld != %lld", rule_id.c_str(),
+                  static_cast<long long>(a), static_cast<long long>(b)),
+        prov);
+    prov_by_distinct_[key] = record.prov_id;
     fixes_.push_back(std::move(record));
     *changed = true;
   }
@@ -564,12 +556,10 @@ Status FixStore::SetValue(int rel, int64_t tid, int attr, Value v,
   record.eid = t->eid;
   record.tid1 = tid;
   record.value = std::move(v);
-  if constexpr (obs::kProvenanceEnabled) {
-    record.prov_id = AddProvNode(
-        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-        rule_id, record.ToString(), prov);
-    prov_by_cell_[key] = record.prov_id;
-  }
+  record.prov_id = AddProvNode(
+      rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
+      rule_id, record.ToString(), prov);
+  prov_by_cell_[key] = record.prov_id;
   fixes_.push_back(std::move(record));
   *changed = true;
   return Status::Ok();
@@ -597,12 +587,10 @@ Status FixStore::ReplaceValue(int rel, int64_t tid, int attr, Value v,
   record.eid = t->eid;
   record.tid1 = tid;
   record.value = std::move(v);
-  if constexpr (obs::kProvenanceEnabled) {
-    record.prov_id = AddProvNode(
-        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-        rule_id, record.ToString(), prov);
-    prov_by_cell_[key] = record.prov_id;
-  }
+  record.prov_id = AddProvNode(
+      rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
+      rule_id, record.ToString(), prov);
+  prov_by_cell_[key] = record.prov_id;
   fixes_.push_back(std::move(record));
   return Status::Ok();
 }
@@ -634,14 +622,12 @@ Status FixStore::AddTemporal(int rel, int attr, int64_t tid1, int64_t tid2,
     record.tid1 = tid1;
     record.tid2 = tid2;
     record.strict = strict;
-    if constexpr (obs::kProvenanceEnabled) {
-      record.prov_id = AddProvNode(
-          rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-          rule_id, record.ToString(), prov);
-      prov_by_temporal_[std::make_tuple(rel, attr, std::min(tid1, tid2),
-                                        std::max(tid1, tid2))] =
-          record.prov_id;
-    }
+    record.prov_id = AddProvNode(
+        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
+        rule_id, record.ToString(), prov);
+    prov_by_temporal_[std::make_tuple(rel, attr, std::min(tid1, tid2),
+                                      std::max(tid1, tid2))] =
+        record.prov_id;
     fixes_.push_back(std::move(record));
     *changed = true;
   }
@@ -651,13 +637,6 @@ Status FixStore::AddTemporal(int rel, int attr, int64_t tid1, int64_t tid2,
 int64_t FixStore::AddProvNode(obs::ProvKind kind, const std::string& rule_id,
                               std::string target,
                               const obs::ProvenanceRef& prov) {
-  if constexpr (!obs::kProvenanceEnabled) {
-    (void)kind;
-    (void)rule_id;
-    (void)target;
-    (void)prov;
-    return -1;
-  }
   obs::ProvenanceNode node;
   node.kind = kind;
   node.rule_id = rule_id;

@@ -89,8 +89,8 @@ struct FixRecord {
   // kTemporalOrder
   int64_t tid1 = -1, tid2 = -1;
   bool strict = false;
-  /// Provenance node recording this fix's witness (-1 when capture is off
-  /// or the fix was installed without a rule application behind it).
+  /// Provenance node recording this fix's witness (-1 when the fix was
+  /// installed without a rule application behind it).
   int64_t prov_id = -1;
 
   std::string ToString() const;
@@ -112,7 +112,7 @@ struct ConflictRecord {
   std::string resolution;
   /// Provenance of the two competing derivations: the fix that installed
   /// the existing state, and the conflict-candidate node capturing the
-  /// losing rule application's witness (-1 when unknown / capture off).
+  /// losing rule application's witness (-1 when unknown).
   int64_t prov_existing = -1;
   int64_t prov_candidate = -1;
 
@@ -276,8 +276,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   int64_t ProvOfMerge(int64_t a, int64_t b) const;
 
   /// Records a derivation that LOST a conflict resolution (its witness is
-  /// kept so ConflictRecord links both sides). Returns the node id, -1
-  /// when capture is compiled out.
+  /// kept so ConflictRecord links both sides). Returns the node id.
   int64_t AddConflictCandidate(const std::string& rule_id, std::string target,
                                const obs::ProvenanceRef& prov)
       ROCK_REQUIRES(apply_role_);
@@ -311,7 +310,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   // Raw eid -> tuples carrying it (for entity-level dirty propagation).
   std::map<int64_t, std::vector<std::pair<int, int64_t>>> eid_index_;
 
-  // ---- Provenance capture (all empty when compiled out) ----
+  // ---- Provenance capture ----
   obs::ProvenanceGraph prov_;
   // (rel, attr, tid) -> node that validated the cell.
   std::map<std::tuple<int, int, int64_t>, int64_t> prov_by_cell_;
@@ -332,7 +331,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
 
   /// Copies the witness, upgrades premise sources against the validated
   /// state (raw -> ground-truth / prior-fix with upstream edges), and
-  /// appends the node. Returns -1 when capture is compiled out.
+  /// appends the node. Returns the node id.
   int64_t AddProvNode(obs::ProvKind kind, const std::string& rule_id,
                       std::string target, const obs::ProvenanceRef& prov)
       ROCK_REQUIRES(apply_role_);

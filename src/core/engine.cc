@@ -424,11 +424,11 @@ std::shared_ptr<chase::ChaseEngine> Rock::Correct(
         fixes_this_iteration += pass.fixes_applied;
         local.chase.applications += pass.applications;
         local.chase.replayed_units += pass.replayed_units;
-        if (iterate) local.chase.conflicts = pass.conflicts;
+        local.chase.conflicts = pass.conflicts;
         ++local.passes;
       }
       local.chase.fixes_applied += fixes_this_iteration;
-      if (iterate) ++local.chase.rounds;
+      ++local.chase.rounds;
       if (!iterate || fixes_this_iteration == 0) {
         local.chase.converged = true;
         break;

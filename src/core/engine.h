@@ -80,6 +80,11 @@ struct PolyRule {
 };
 
 struct CorrectionResult {
+  /// For kRock and kNoMl, the one pass's result. For the per-task variants
+  /// (kSequential, kNoChase), fixes, applications and replayed units sum
+  /// over the passes, `rounds` counts sweeps over the four tasks (1 for
+  /// kNoChase), and `conflicts` is the engine's whole conflict list after
+  /// the last pass.
   chase::ChaseResult chase;
   /// Value fixes contributed by polynomial imputation/repair.
   size_t poly_fixes = 0;
@@ -209,7 +214,7 @@ class Rock {
   /// Why-provenance of a fix from the last CorrectErrors run: the proof
   /// tree of the validated cell (rule + witness tuples + premise cells,
   /// recursively to ground truth or raw reads). Empty when no correction
-  /// ran, the cell was never validated, or capture is compiled out.
+  /// ran or the cell was never validated.
   obs::ProofTree Explain(int rel, int64_t tid, int attr,
                          int max_depth = 32) const;
 

@@ -245,7 +245,6 @@ ProvenanceSummary ProvenanceGraph::Summarize() const {
 }
 
 void ProvenanceGraph::ExportDeltaToMetrics() {
-  if (!kProvenanceEnabled) return;
   const ProvMetrics& metrics = ProvMetrics::Get();
   uint64_t max_depth =
       static_cast<uint64_t>(std::max<int64_t>(0, metrics.max_depth->Value()));
@@ -434,7 +433,7 @@ void AppendProvenanceBlock(const MetricsRegistry::Snapshot& snapshot,
                            JsonWriter* writer) {
   JsonWriter& w = *writer;
   w.Key("provenance").BeginObject();
-  w.Key("enabled").Bool(kProvenanceEnabled);
+  w.Key("enabled").Bool(true);
   w.Key("nodes").Uint(snapshot.CounterValue("rock_prov_nodes_total"));
   w.Key("conflict_candidates")
       .Uint(snapshot.CounterValue("rock_prov_conflict_candidates_total"));

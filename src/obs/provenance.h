@@ -17,17 +17,6 @@ namespace rock::obs {
 /// as ground truth, prior fix, or raw data), and the ML-predicate
 /// invocations with their scores — forming a DAG whose depth-bounded
 /// expansion is a proof tree. `core::Rock::Explain()` renders it.
-///
-/// Compile-time switch: -DROCK_OBS_PROVENANCE=OFF defines
-/// ROCK_OBS_DISABLE_PROVENANCE, which turns every capture site into a
-/// branch on this false constant — the compiler removes witness
-/// construction and graph growth entirely, so the overhead of the ON build
-/// is measurable against a true zero baseline.
-#ifdef ROCK_OBS_DISABLE_PROVENANCE
-inline constexpr bool kProvenanceEnabled = false;
-#else
-inline constexpr bool kProvenanceEnabled = true;
-#endif
 
 /// Where a premise cell's value came from when the rule application read it.
 enum class PremiseSource {

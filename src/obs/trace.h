@@ -193,14 +193,8 @@ std::vector<OpenSpanInfo> OpenSpans();
 
 }  // namespace rock::obs
 
-/// Span macros used by instrumented code paths. Compiled to nothing when
-/// ROCK_OBS_DISABLE_SPANS is defined (the -DROCK_OBS_SPANS=OFF build used
-/// to measure instrumentation overhead). ROCK_OBS_SPAN_FLOW additionally
-/// links the span to a submitting span on another thread.
-#ifdef ROCK_OBS_DISABLE_SPANS
-#define ROCK_OBS_SPAN(name)
-#define ROCK_OBS_SPAN_FLOW(name, flow_from)
-#else
+/// Span macros used by instrumented code paths. ROCK_OBS_SPAN_FLOW
+/// additionally links the span to a submitting span on another thread.
 #define ROCK_OBS_CONCAT_INNER(a, b) a##b
 #define ROCK_OBS_CONCAT(a, b) ROCK_OBS_CONCAT_INNER(a, b)
 #define ROCK_OBS_SPAN(name) \
@@ -208,4 +202,3 @@ std::vector<OpenSpanInfo> OpenSpans();
 #define ROCK_OBS_SPAN_FLOW(name, flow_from)                            \
   ::rock::obs::ScopedSpan ROCK_OBS_CONCAT(rock_obs_span_, __LINE__)( \
       name, static_cast<uint64_t>(flow_from))
-#endif

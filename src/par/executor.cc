@@ -4,13 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
+#include "src/common/strings.h"
 #include "src/common/timer.h"
 #include "src/obs/exporters.h"
 #include "src/obs/metrics.h"
@@ -123,8 +123,8 @@ void ExportFaultMetrics(const FaultReport& faults) {
 }
 
 /// Worker index from a ring node name ("worker-<id>").
-int WorkerIdOf(const std::string& node) {
-  return std::stoi(node.substr(node.find('-') + 1));
+size_t WorkerIdOf(const std::string& node) {
+  return static_cast<size_t>(std::stoi(node.substr(node.find('-') + 1)));
 }
 
 /// Hands one Execute call's per-worker wait-vs-run attribution to the
@@ -145,11 +145,211 @@ void PublishBreakdown(const ScheduleReport& report) {
   obs::ScheduleBreakdowns::Global().Add(std::move(breakdown));
 }
 
+const FaultPlan& NoFaults() {
+  static const FaultPlan none;
+  return none;
+}
+
+/// The pool's one scheduling policy (paper §5.2) as a deterministic state
+/// machine over a caller's clock. It owns the ring placement, one deque per
+/// worker (the owner pops the front, a thief the back), the alive set,
+/// every unit's attempt count and submit stamp, the unit each worker holds
+/// through a retry backoff, and the schedule accounting. Execute steps it
+/// from worker threads under one mutex on the wall clock; Replay steps it
+/// from an event loop on virtual time. Faults key off (unit, attempt
+/// number), never off the clock or thread identity, so a plan injects the
+/// same fault events under both drivers.
+class Schedule {
+ public:
+  enum class Action {
+    kRun,        // run `unit`, stalled first by `seconds` (a straggler)
+    kBackoff,    // `unit` failed: hold it `seconds`, then step again
+    kAbandoned,  // `unit` exhausted its attempt budget
+    kDied,       // the worker crashed; its units moved to survivors
+    kWait,       // nothing runnable until a held unit is re-queued
+    kDone,       // nothing left to hand out: the worker leaves
+  };
+  struct Step {
+    Action action = Action::kDone;
+    size_t unit = 0;
+    double seconds = 0.0;
+    /// Queue wait of the unit this step acquired, and whether it was
+    /// stolen (zero and false for kWait and kDone).
+    double waited = 0.0;
+    bool stolen = false;
+  };
+
+  Schedule(const crystal::HashRing& ring, int num_workers,
+           const std::vector<std::string>& keys, const FaultPlan* plan,
+           const RetryPolicy& retry)
+      : ring_(ring),
+        keys_(keys),
+        plan_(plan != nullptr ? *plan : NoFaults()),
+        retry_(retry),
+        queues_(static_cast<size_t>(num_workers)),
+        alive_(static_cast<size_t>(num_workers), 1),
+        live_(num_workers),
+        attempts_(keys.size(), 0),
+        submitted_(keys.size(), 0.0),
+        held_(static_cast<size_t>(num_workers)) {
+    report_.num_workers = num_workers;
+    report_.initial_units.assign(queues_.size(), 0);
+    report_.executed_units.assign(queues_.size(), 0);
+    report_.wait_seconds.assign(queues_.size(), 0.0);
+    for (size_t unit = 0; unit < keys.size(); ++unit) {
+      auto owner = ring_.Locate(keys[unit]);
+      const size_t worker = owner.ok() ? WorkerIdOf(*owner) : 0;
+      queues_[worker].push_back(unit);
+      report_.initial_units[worker]++;
+    }
+  }
+
+  /// One step of `worker` at time `now`: re-queue the unit it held through
+  /// a backoff, take its own front or else steal the back of the most
+  /// loaded peer, record the queue wait, and apply the fault plan to the
+  /// acquired attempt.
+  Step Next(int worker, double now) {
+    const size_t me = static_cast<size_t>(worker);
+    std::deque<size_t>& own = queues_[me];
+    if (held_[me].has_value()) {
+      // The backoff is over: the unit is runnable again at the back of
+      // its holder's queue. The sleep was deliberate, not queue wait.
+      own.push_back(*held_[me]);
+      submitted_[*held_[me]] = now;
+      held_[me].reset();
+    }
+    Step step;
+    if (own.empty()) {
+      // A dead worker's deque drained at its death, so it is never the
+      // victim.
+      size_t victim = me;
+      size_t best = 0;
+      for (size_t w = 0; w < queues_.size(); ++w) {
+        if (w != me && queues_[w].size() > best) {
+          best = queues_[w].size();
+          victim = w;
+        }
+      }
+      if (victim == me) {
+        // Units never spawn units, so only a held unit can reappear; no
+        // worker leaves while one is outstanding.
+        const bool holding =
+            std::any_of(held_.begin(), held_.end(),
+                        [](const std::optional<size_t>& u) {
+                          return u.has_value();
+                        });
+        step.action = holding ? Action::kWait : Action::kDone;
+        return step;
+      }
+      own.push_back(queues_[victim].back());
+      queues_[victim].pop_back();
+      ++report_.stolen_units;
+      step.stolen = true;
+    }
+    step.unit = own.front();
+    own.pop_front();
+    step.waited = std::max(0.0, now - submitted_[step.unit]);
+    report_.wait_seconds[me] += step.waited;
+    FaultReport& faults = report_.faults;
+
+    const int attempt = ++attempts_[step.unit];
+    auto crash = plan_.crash_at_attempt.find(step.unit);
+    if (crash != plan_.crash_at_attempt.end() && crash->second == attempt) {
+      if (live_ == 1) {
+        // Killing the last live worker would strand every remaining unit;
+        // the crash is suppressed and the unit just runs.
+        faults.crashes_suppressed++;
+      } else {
+        alive_[me] = 0;
+        --live_;
+        faults.injected++;
+        faults.worker_deaths++;
+        // Graceful degradation: the unit in hand and the rest of the
+        // deque move to survivors chosen by salted ring placement.
+        std::vector<size_t> drained(own.begin(), own.end());
+        own.clear();
+        drained.insert(drained.begin(), step.unit);
+        for (size_t u : drained) {
+          queues_[LocateLiveWorker(keys_[u])].push_back(u);
+          submitted_[u] = now;
+          faults.units_reassigned++;
+          if (u != step.unit) faults.steals_on_death++;
+        }
+        step.action = Action::kDied;
+        return step;
+      }
+    }
+    auto flaky = plan_.transient_failures.find(step.unit);
+    if (flaky != plan_.transient_failures.end() && attempt <= flaky->second) {
+      faults.injected++;
+      if (attempt >= retry_.max_attempts) {
+        // Attempt budget exhausted: the caller's recovery layer runs the
+        // unit instead of the pool looping forever.
+        faults.unrecovered_units.push_back(step.unit);
+        step.action = Action::kAbandoned;
+        return step;
+      }
+      step.seconds = retry_.BackoffSeconds(attempt);
+      faults.retries++;
+      faults.backoff_seconds += step.seconds;
+      held_[me] = step.unit;
+      step.action = Action::kBackoff;
+      return step;
+    }
+    auto delay = plan_.delay_seconds.find(step.unit);
+    if (delay != plan_.delay_seconds.end()) {
+      // Straggler: stalls the (unique) executing attempt, before the body,
+      // so side effects still happen exactly once.
+      faults.injected++;
+      step.seconds = delay->second;
+    }
+    report_.executed_units[me]++;
+    step.action = Action::kRun;
+    return step;
+  }
+
+  /// The accounting: placement, executed and stolen units, queue waits and
+  /// faults (unrecovered units sorted). The driver fills the rest.
+  ScheduleReport TakeReport() {
+    std::sort(report_.faults.unrecovered_units.begin(),
+              report_.faults.unrecovered_units.end());
+    return std::move(report_);
+  }
+
+ private:
+  /// Ring placement restricted to live workers: the key is probed with
+  /// increasing salts until it lands on a live worker, so re-placement is
+  /// a pure function of the ring and the alive set.
+  size_t LocateLiveWorker(const std::string& key) const {
+    for (int salt = 0;; ++salt) {
+      auto owner =
+          ring_.Locate(salt == 0 ? key : key + "#" + std::to_string(salt));
+      const size_t worker = owner.ok() ? WorkerIdOf(*owner) : 0;
+      if (alive_[worker]) return worker;
+    }
+  }
+
+  const crystal::HashRing& ring_;
+  const std::vector<std::string>& keys_;
+  const FaultPlan& plan_;
+  const RetryPolicy& retry_;
+  std::vector<std::deque<size_t>> queues_;
+  std::vector<char> alive_;
+  int live_;
+  /// 1-based acquisition count per unit: faults key off it.
+  std::vector<int> attempts_;
+  /// When each unit last became runnable: 0 at placement, re-stamped when
+  /// a backoff ends or a death drain re-places it.
+  std::vector<double> submitted_;
+  /// The unit each worker holds through its backoff.
+  std::vector<std::optional<size_t>> held_;
+  ScheduleReport report_;
+};
+
 }  // namespace
 
 std::string WorkUnit::PlacementKey() const {
-  return "u" + std::to_string(rule_index) + ":" + std::to_string(rows.rel) +
-         "." + std::to_string(rows.begin);
+  return StrFormat("u%d:%d.%d", rule_index, rows.rel, rows.begin);
 }
 
 std::vector<WorkUnit> BuildRowUnits(int rule_index, int rel, size_t rows) {
@@ -173,118 +373,23 @@ WorkerPool::WorkerPool(int num_workers, PoolOptions options)
   }
 }
 
-int WorkerPool::LocateLiveWorker(const std::string& key,
-                                 const std::vector<char>& alive) const {
-  ROCK_CHECK(std::find(alive.begin(), alive.end(), 1) != alive.end())
-      << "no live worker to place " << key;
-  for (int salt = 0;; ++salt) {
-    // Salted probing keeps the re-placement a pure function of the ring and
-    // the alive set — identical across runs and in Replay.
-    auto owner =
-        ring_.Locate(salt == 0 ? key : key + "#" + std::to_string(salt));
-    int worker = owner.ok() ? WorkerIdOf(*owner) : 0;
-    if (alive[static_cast<size_t>(worker)]) return worker;
-  }
-}
-
-std::vector<std::vector<size_t>> WorkerPool::PlaceUnits(
-    const std::vector<std::string>& keys) const {
-  std::vector<std::vector<size_t>> queues(
-      static_cast<size_t>(num_workers_));
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto owner = ring_.Locate(keys[i]);
-    int worker = owner.ok() ? WorkerIdOf(*owner) : 0;
-    queues[static_cast<size_t>(worker)].push_back(i);
-  }
-  return queues;
-}
-
-namespace {
-
-/// One worker's deque, guarded by its own mutex. Owners pop the front;
-/// thieves pop the back, so a steal and a local pop only collide on the
-/// victim's lock, never on the same end of a one-element queue unguarded.
-/// The capability annotation makes the discipline compile-time: any access
-/// to `queue` without holding `mu` — including the single-threaded seeding
-/// before the workers start — fails the Clang thread-safety build.
-///
-/// `closed` flips (under `mu`, by the owner only) when the owner dies to an
-/// injected crash: a closed queue accepts no pushes and yields no pops, so
-/// a thief racing the death drain can never extract a unit the drain also
-/// re-places. Owners and thieves alike must re-check it after acquiring the
-/// lock — sampling a size and popping later spans two critical sections.
-struct WorkerQueue {
-  common::Mutex mu;
-  std::deque<size_t> queue ROCK_GUARDED_BY(mu);
-  bool closed ROCK_GUARDED_BY(mu) = false;
-};
-
-/// Cross-worker fault state. fault_mu orders death decisions and the
-/// subsequent drain re-placement: a worker that holds it while re-placing
-/// sees a frozen alive set (any other death blocks on the decision), so no
-/// unit is ever pushed to a queue that closes concurrently.
-/// Lock order: fault_mu before any WorkerQueue::mu; never the reverse.
-struct FaultState {
-  common::Mutex mu;
-  std::vector<char> alive ROCK_GUARDED_BY(mu);
-  int live ROCK_GUARDED_BY(mu) = 0;
-  FaultReport faults ROCK_GUARDED_BY(mu);
-};
-
-}  // namespace
-
 ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
                                           const UnitBody& body,
                                           const FaultPlan* plan) const {
-  ScheduleReport report;
-  report.num_workers = num_workers_;
-  report.initial_units.assign(static_cast<size_t>(num_workers_), 0);
-  report.executed_units.assign(static_cast<size_t>(num_workers_), 0);
-
   std::vector<std::string> keys;
   keys.reserve(units.size());
   for (const WorkUnit& unit : units) keys.push_back(unit.PlacementKey());
-  std::vector<std::vector<size_t>> placement = PlaceUnits(keys);
-  std::vector<WorkerQueue> queues(static_cast<size_t>(num_workers_));
-  for (int w = 0; w < num_workers_; ++w) {
-    auto& q = queues[static_cast<size_t>(w)];
-    common::MutexLock lock(q.mu);  // uncontended: workers not started yet
-    q.queue.assign(placement[static_cast<size_t>(w)].begin(),
-                   placement[static_cast<size_t>(w)].end());
-    report.initial_units[static_cast<size_t>(w)] =
-        static_cast<int>(q.queue.size());
-  }
+  // Every scheduling step runs under this one lock; bodies, backoffs and
+  // straggler stalls run outside it.
+  struct Shared {
+    common::Mutex mu;
+    Schedule schedule ROCK_GUARDED_BY(mu);
+  } shared{{}, Schedule(ring_, num_workers_, keys, plan, options_.retry)};
 
-  // Written concurrently, but each slot exactly once (a unit runs once, a
-  // worker owns its own counters) — no synchronization beyond the joins.
+  // Written concurrently, but each slot by one thread: a unit runs once,
+  // and only worker w adds to busy[w].
   std::vector<double> durations(units.size(), 0.0);
-  std::vector<int> executed(static_cast<size_t>(num_workers_), 0);
-  std::vector<int> stolen(static_cast<size_t>(num_workers_), 0);
   std::vector<double> busy(static_cast<size_t>(num_workers_), 0.0);
-  std::vector<double> wait(static_cast<size_t>(num_workers_), 0.0);
-  // Submit stamp per unit (seconds on the execution's wall timer): 0 for
-  // the initial placement, re-stamped when a retry or death drain
-  // re-queues the unit. Atomic because the re-stamp (under the queue's
-  // lock) and the dequeue read (under a possibly different queue's lock)
-  // are not ordered by one mutex.
-  std::vector<std::atomic<double>> submitted(units.size());
-
-  const RetryPolicy& retry = options_.retry;
-  FaultState fs;
-  {
-    common::MutexLock lock(fs.mu);  // uncontended: workers not started yet
-    fs.alive.assign(static_cast<size_t>(num_workers_), 1);
-    fs.live = num_workers_;
-  }
-  // Units finished (executed or declared unrecovered). With a plan, queues
-  // can be transiently empty while a unit sits in a retry backoff or a
-  // death drain, so "all queues empty" no longer implies "done" — workers
-  // exit on this counter instead.
-  std::atomic<size_t> completed{0};
-  // 1-based acquisition counter per unit; faults key off this, never off
-  // wall-clock or thread identity, which is what makes runs replayable.
-  std::vector<std::atomic<int>> attempts(plan != nullptr ? units.size() : 0);
-  for (auto& a : attempts) a.store(0, std::memory_order_relaxed);
 
   const PoolMetrics& metrics = PoolMetrics::Get();
   metrics.queue_depth->Add(static_cast<int64_t>(units.size()));
@@ -294,174 +399,39 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
   // Chrome trace exporter draw scheduler→worker arrows.
   const uint64_t submit_span = obs::CurrentSpanId();
 
-  // Starts before the workers spawn: submit stamps and dequeue stamps
-  // share this clock, so a unit's queue wait is a plain subtraction.
+  // The schedule's clock: submit and dequeue stamps are read under the
+  // lock, so a unit's queue wait is a plain subtraction.
   Timer wall;
 
   auto worker_main = [&](int me) {
     obs::Tracer::Global().SetThisThreadName("worker-" + std::to_string(me));
     obs::ProfilerRegisterThisThread();
-    auto& own = queues[static_cast<size_t>(me)];
     while (true) {
-      if (plan != nullptr &&
-          completed.load(std::memory_order_acquire) >= units.size()) {
-        return;
-      }
-      size_t unit = 0;
-      bool have_unit = false;
+      Schedule::Step step;
       {
-        common::MutexLock lock(own.mu);
-        if (!own.queue.empty()) {
-          unit = own.queue.front();
-          own.queue.pop_front();
-          have_unit = true;
-        }
+        common::MutexLock lock(shared.mu);
+        step = shared.schedule.Next(me, wall.ElapsedSeconds());
       }
-      if (!have_unit) {
-        // Steal from the most loaded peer. Sizes are sampled under each
-        // peer's lock; the re-check under the victim's lock keeps the pop
-        // correct when the queue drained — or its owner died — in between.
-        int victim = -1;
-        size_t best = 0;
-        for (int w = 0; w < num_workers_; ++w) {
-          if (w == me) continue;
-          common::MutexLock lock(queues[static_cast<size_t>(w)].mu);
-          if (queues[static_cast<size_t>(w)].closed) continue;
-          size_t size = queues[static_cast<size_t>(w)].queue.size();
-          if (size > best) {
-            best = size;
-            victim = w;
-          }
-        }
-        if (victim < 0) {
-          if (plan == nullptr) {
-            // Every queue is empty. Units never spawn new units, so no
-            // work can reappear: the worker is done.
-            return;
-          }
-          // Under a plan, work can reappear (retry requeue, death drain):
-          // idle until the completion counter says everything finished.
-          if (completed.load(std::memory_order_acquire) >= units.size()) {
-            return;
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-          continue;
-        }
-        auto& vq = queues[static_cast<size_t>(victim)];
-        {
-          common::MutexLock lock(vq.mu);
-          // Re-check under the lock: the sample above is stale, and a
-          // victim picked as most-loaded may have drained — or died and
-          // closed its queue — before this second acquisition.
-          if (vq.closed || vq.queue.empty()) continue;
-          unit = vq.queue.back();
-          vq.queue.pop_back();
-        }
-        stolen[static_cast<size_t>(me)]++;
-        metrics.units_stolen->Add(1);
+      if (step.action == Schedule::Action::kDone) return;
+      if (step.action == Schedule::Action::kWait) {
+        // A peer holds a unit through its backoff; poll until it is back.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        continue;
       }
-      // Dequeue stamp: how long the unit sat runnable before this worker
-      // picked it up (wait attribution; run time is measured below).
-      {
-        double waited = wall.ElapsedSeconds() -
-                        submitted[unit].load(std::memory_order_relaxed);
-        if (waited < 0.0) waited = 0.0;
-        wait[static_cast<size_t>(me)] += waited;
-        metrics.unit_wait_seconds->Observe(waited);
-        metrics.wait_micros->Add(Micros(waited));
+      if (step.stolen) metrics.units_stolen->Add(1);
+      metrics.unit_wait_seconds->Observe(step.waited);
+      metrics.wait_micros->Add(Micros(step.waited));
+      if (step.action == Schedule::Action::kDied) return;
+      if (step.action == Schedule::Action::kAbandoned) {
+        metrics.queue_depth->Add(-1);
+        continue;
       }
-      if (plan != nullptr) {
-        int attempt = attempts[unit].fetch_add(
-                          1, std::memory_order_relaxed) + 1;
-        auto crash = plan->crash_at_attempt.find(unit);
-        if (crash != plan->crash_at_attempt.end() &&
-            crash->second == attempt) {
-          bool died = false;
-          {
-            common::MutexLock lock(fs.mu);
-            if (fs.live > 1) {
-              fs.alive[static_cast<size_t>(me)] = 0;
-              --fs.live;
-              fs.faults.injected++;
-              fs.faults.worker_deaths++;
-              died = true;
-            } else {
-              // Killing the last live worker would strand every remaining
-              // unit; the crash is suppressed and the unit just runs.
-              fs.faults.crashes_suppressed++;
-            }
-          }
-          if (died) {
-            // Graceful degradation: close the deque so thieves back off,
-            // then drain it (plus the unit in hand) to survivors chosen by
-            // salted ring placement. fault_mu freezes the alive set while
-            // units are pushed, so no target can close concurrently.
-            std::vector<size_t> drained;
-            {
-              common::MutexLock lock(own.mu);
-              own.closed = true;
-              drained.assign(own.queue.begin(), own.queue.end());
-              own.queue.clear();
-            }
-            common::MutexLock flock(fs.mu);
-            drained.insert(drained.begin(), unit);
-            for (size_t u : drained) {
-              int target = LocateLiveWorker(keys[u], fs.alive);
-              auto& tq = queues[static_cast<size_t>(target)];
-              common::MutexLock lock(tq.mu);
-              submitted[u].store(wall.ElapsedSeconds(),
-                                 std::memory_order_relaxed);
-              tq.queue.push_back(u);
-              fs.faults.units_reassigned++;
-              if (u != unit) fs.faults.steals_on_death++;
-            }
-            return;  // this worker is dead
-          }
-        }
-        auto flaky = plan->transient_failures.find(unit);
-        if (flaky != plan->transient_failures.end() &&
-            attempt <= flaky->second) {
-          if (attempt >= retry.max_attempts) {
-            // Attempt budget exhausted: hand the unit to the caller's
-            // recovery layer instead of looping forever.
-            {
-              common::MutexLock lock(fs.mu);
-              fs.faults.injected++;
-              fs.faults.unrecovered_units.push_back(unit);
-            }
-            metrics.queue_depth->Add(-1);
-            completed.fetch_add(1, std::memory_order_release);
-            continue;
-          }
-          double backoff = retry.BackoffSeconds(attempt);
-          {
-            common::MutexLock lock(fs.mu);
-            fs.faults.injected++;
-            fs.faults.retries++;
-            fs.faults.backoff_seconds += backoff;
-          }
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(backoff));
-          common::MutexLock lock(own.mu);
-          // Runnable again only now: the deliberate backoff sleep is not
-          // queue wait.
-          submitted[unit].store(wall.ElapsedSeconds(),
-                                std::memory_order_relaxed);
-          own.queue.push_back(unit);
-          continue;
-        }
-        auto delay = plan->delay_seconds.find(unit);
-        if (delay != plan->delay_seconds.end()) {
-          // Straggler: stall the (unique) executing attempt. Injected
-          // before the body so side effects still happen exactly once.
-          {
-            common::MutexLock lock(fs.mu);
-            fs.faults.injected++;
-          }
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(delay->second));
-        }
+      // A backoff or a straggler stall: slept before any CPU timing.
+      if (step.seconds > 0.0) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(step.seconds));
       }
+      if (step.action == Schedule::Action::kBackoff) continue;
       // Per-thread CPU time: with more workers than cores, wall-clock per
       // unit inflates by the oversubscription factor, which would corrupt
       // serial_seconds and the replayed makespan. Wall-clock is the
@@ -470,18 +440,17 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
       double cpu_start = obs::ThreadCpuSeconds();
       {
         ROCK_OBS_SPAN_FLOW("par.unit", submit_span);
-        body(units[unit], unit, me);
+        body(units[step.unit], step.unit, me);
       }
       double cpu_end = obs::ThreadCpuSeconds();
-      durations[unit] = (cpu_start >= 0.0 && cpu_end >= 0.0)
-                            ? cpu_end - cpu_start
-                            : timer.ElapsedSeconds();
-      executed[static_cast<size_t>(me)]++;
-      busy[static_cast<size_t>(me)] += durations[unit];
+      const double duration = (cpu_start >= 0.0 && cpu_end >= 0.0)
+                                  ? cpu_end - cpu_start
+                                  : timer.ElapsedSeconds();
+      durations[step.unit] = duration;
+      busy[static_cast<size_t>(me)] += duration;
       metrics.units_executed->Add(1);
-      metrics.unit_seconds->Observe(durations[unit]);
+      metrics.unit_seconds->Observe(duration);
       metrics.queue_depth->Add(-1);
-      completed.fetch_add(1, std::memory_order_release);
     }
   };
 
@@ -491,37 +460,26 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
     threads.emplace_back(worker_main, w);
   }
   for (std::thread& t : threads) t.join();
-  report.wall_seconds = wall.ElapsedSeconds();
+  const double wall_seconds = wall.ElapsedSeconds();
 
-  report.busy_seconds.assign(static_cast<size_t>(num_workers_), 0.0);
-  report.wait_seconds.assign(static_cast<size_t>(num_workers_), 0.0);
-  report.idle_seconds.assign(static_cast<size_t>(num_workers_), 0.0);
-  for (int w = 0; w < num_workers_; ++w) {
-    report.executed_units[static_cast<size_t>(w)] =
-        executed[static_cast<size_t>(w)];
-    report.stolen_units += stolen[static_cast<size_t>(w)];
-    report.busy_seconds[static_cast<size_t>(w)] =
-        busy[static_cast<size_t>(w)];
-    report.wait_seconds[static_cast<size_t>(w)] =
-        wait[static_cast<size_t>(w)];
+  ScheduleReport report;
+  {
+    common::MutexLock lock(shared.mu);  // uncontended: workers joined
+    report = shared.schedule.TakeReport();
+  }
+  report.wall_seconds = wall_seconds;
+  report.idle_seconds.assign(busy.size(), 0.0);
+  for (size_t w = 0; w < busy.size(); ++w) {
     // Clamped: per-thread CPU clocks can nominally exceed a short wall
     // interval, and a negative idle would poison downstream sums.
-    double idle = ClampedIdleSeconds(report.wall_seconds,
-                                     busy[static_cast<size_t>(w)]);
-    report.idle_seconds[static_cast<size_t>(w)] = idle;
-    metrics.busy_micros->Add(Micros(busy[static_cast<size_t>(w)]));
-    metrics.idle_micros->Add(Micros(idle));
+    report.idle_seconds[w] = ClampedIdleSeconds(wall_seconds, busy[w]);
+    metrics.busy_micros->Add(Micros(busy[w]));
+    metrics.idle_micros->Add(Micros(report.idle_seconds[w]));
   }
+  report.busy_seconds = std::move(busy);
   for (double d : durations) report.serial_seconds += d;
   report.unit_seconds = std::move(durations);
   report.placement_keys = std::move(keys);
-
-  {
-    common::MutexLock lock(fs.mu);  // uncontended: workers joined
-    report.faults = fs.faults;
-  }
-  std::sort(report.faults.unrecovered_units.begin(),
-            report.faults.unrecovered_units.end());
   ExportFaultMetrics(report.faults);
 
   // The modeled makespan from the same durations, so benches can compare
@@ -534,156 +492,64 @@ ScheduleReport WorkerPool::Replay(const ScheduleReport& measured) const {
   return ReplayUnder(measured, options_.fault_plan);
 }
 
-/// Event-driven replay of the placement + work-stealing schedule from
-/// per-unit durations: when a worker's queue drains it steals the tail of
-/// the longest remaining queue (paper §5.2: "when a node finishes its
-/// assigned work units, it evokes the work manager to fetch work units from
-/// other nodes").
-///
-/// With a FaultPlan, the same fault pipeline as ExecuteThreads runs in
-/// virtual time: a crash kills the acquiring virtual worker and drains its
-/// queue via LocateLiveWorker, a straggler stretches the executing attempt,
-/// and a transient failure costs one backoff and a requeue (or exhausts the
-/// attempt budget). Because faults are keyed by (unit, attempt number),
-/// never by time, the resulting FaultReport matches the threaded run.
+/// The same Schedule as ExecuteThreads, stepped by an event loop over
+/// virtual time: a worker is ready again when its unit's measured duration
+/// (plus any straggler stall) or its backoff has elapsed, and a worker told
+/// to wait is parked until the next step that is not a wait.
 ScheduleReport WorkerPool::ReplayUnder(const ScheduleReport& measured,
                                        const FaultPlan* plan) const {
   const std::vector<double>& durations = measured.unit_seconds;
-  const std::vector<std::string>& keys = measured.placement_keys;
-  ROCK_CHECK(keys.size() == durations.size())
+  ROCK_CHECK(measured.placement_keys.size() == durations.size())
       << "replay needs one placement key per unit duration";
-  const RetryPolicy& retry = options_.retry;
-  const size_t workers = static_cast<size_t>(num_workers_);
-  ScheduleReport result;
-  result.num_workers = num_workers_;
-  result.serial_seconds = measured.serial_seconds;
-  result.wall_seconds = measured.wall_seconds;
-  result.initial_units.assign(workers, 0);
-  result.executed_units.assign(workers, 0);
-  // Virtual-time per-worker attribution: busy sums service time, wait
-  // sums each acquired unit's submit→dequeue queue wait.
-  result.busy_seconds.assign(workers, 0.0);
-  result.wait_seconds.assign(workers, 0.0);
-  // Virtual time each unit last became runnable: 0 at initial placement,
-  // updated when a retry or a death drain re-queues it.
-  std::vector<double> submitted(durations.size(), 0.0);
-  std::vector<std::deque<size_t>> queues(workers);
-  std::vector<std::vector<size_t>> placement = PlaceUnits(keys);
-  for (size_t w = 0; w < workers; ++w) {
-    queues[w].assign(placement[w].begin(), placement[w].end());
-    result.initial_units[w] = static_cast<int>(placement[w].size());
-  }
-  size_t remaining = durations.size();
+  Schedule schedule(ring_, num_workers_, measured.placement_keys, plan,
+                    options_.retry);
+  std::vector<double> busy(static_cast<size_t>(num_workers_), 0.0);
+  double makespan = 0.0;
 
-  std::vector<int> attempts(durations.size(), 0);
-  std::vector<char> alive(workers, 1);
-  int live = num_workers_;
-
-  std::vector<double> clock(workers, 0.0);
   using Event = std::pair<double, int>;  // (time ready, worker)
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> ready;
   for (int w = 0; w < num_workers_; ++w) ready.emplace(0.0, w);
-
-  while (remaining > 0 && !ready.empty()) {
+  std::vector<int> parked;
+  while (!ready.empty()) {
     auto [now, worker] = ready.top();
     ready.pop();
-    const size_t me = static_cast<size_t>(worker);
-    if (!alive[me]) continue;
-    auto& queue = queues[me];
-    if (queue.empty()) {
-      // Steal from the worker with the most queued units. Dead workers'
-      // queues drained at death, so they are never chosen.
-      size_t victim = workers;
-      size_t best = 0;
-      for (size_t w = 0; w < workers; ++w) {
-        if (w != me && queues[w].size() > best) {
-          best = queues[w].size();
-          victim = w;
-        }
-      }
-      if (victim == workers) continue;  // nothing left anywhere
-      queue.push_back(queues[victim].back());
-      queues[victim].pop_back();
-      ++result.stolen_units;
+    Schedule::Step step = schedule.Next(worker, now);
+    if (step.action == Schedule::Action::kWait) {
+      parked.push_back(worker);
+      continue;
     }
-    size_t unit = queue.front();
-    queue.pop_front();
-    if (now > submitted[unit]) {
-      result.wait_seconds[me] += now - submitted[unit];
+    // This step may have re-queued or drained units, or ended the
+    // schedule: the parked workers step again now.
+    for (int w : parked) ready.emplace(now, w);
+    parked.clear();
+    if (step.action == Schedule::Action::kDied ||
+        step.action == Schedule::Action::kDone) {
+      continue;  // the worker schedules no further events
     }
-    double service = durations[unit];
-    if (plan != nullptr) {
-      int attempt = ++attempts[unit];
-      auto crash = plan->crash_at_attempt.find(unit);
-      if (crash != plan->crash_at_attempt.end() &&
-          crash->second == attempt) {
-        if (live > 1) {
-          alive[me] = 0;
-          --live;
-          result.faults.injected++;
-          result.faults.worker_deaths++;
-          // The acquired unit and the remaining deque drain to survivors.
-          std::vector<size_t> drained(queue.begin(), queue.end());
-          queue.clear();
-          drained.insert(drained.begin(), unit);
-          for (size_t u : drained) {
-            queues[static_cast<size_t>(LocateLiveWorker(keys[u], alive))]
-                .push_back(u);
-            submitted[u] = now;
-            result.faults.units_reassigned++;
-            if (u != unit) result.faults.steals_on_death++;
-          }
-          continue;  // the dead worker schedules no further events
-        }
-        result.faults.crashes_suppressed++;
-      }
-      auto flaky = plan->transient_failures.find(unit);
-      if (flaky != plan->transient_failures.end() &&
-          attempt <= flaky->second) {
-        result.faults.injected++;
-        if (attempt >= retry.max_attempts) {
-          // Budget exhausted: the unit is abandoned, never executed.
-          result.faults.unrecovered_units.push_back(unit);
-          --remaining;
-          ready.emplace(now, worker);
-          continue;
-        }
-        double backoff = retry.BackoffSeconds(attempt);
-        result.faults.retries++;
-        result.faults.backoff_seconds += backoff;
-        queue.push_back(unit);
-        // Runnable again once the worker's backoff expires: the deliberate
-        // backoff sleep is not queue wait.
-        submitted[unit] = now + backoff;
-        clock[me] = now + backoff;
-        ready.emplace(now + backoff, worker);
-        continue;
-      }
-      auto delay = plan->delay_seconds.find(unit);
-      if (delay != plan->delay_seconds.end()) {
-        // Straggler: stalls the (unique) executing attempt.
-        result.faults.injected++;
-        service += delay->second;
-      }
+    // A run holds the worker for its service time, a backoff for the
+    // backoff; an abandon takes no time.
+    double service = step.seconds;
+    if (step.action == Schedule::Action::kRun) {
+      service += durations[step.unit];
+      busy[static_cast<size_t>(worker)] += service;
     }
-    double finish = now + service;
-    clock[me] = finish;
-    result.executed_units[me]++;
-    result.busy_seconds[me] += service;
-    --remaining;
-    ready.emplace(finish, worker);
+    ready.emplace(now + service, worker);
+    makespan = std::max(makespan, now + service);
   }
-  std::sort(result.faults.unrecovered_units.begin(),
-            result.faults.unrecovered_units.end());
-  double makespan = *std::max_element(clock.begin(), clock.end());
+
+  ScheduleReport result = schedule.TakeReport();
+  result.serial_seconds = measured.serial_seconds;
+  result.wall_seconds = measured.wall_seconds;
   result.makespan_seconds = makespan > 0.0 ? makespan : result.serial_seconds;
-  result.idle_seconds.assign(workers, 0.0);
-  for (size_t w = 0; w < workers; ++w) {
+  result.idle_seconds.assign(busy.size(), 0.0);
+  for (size_t w = 0; w < busy.size(); ++w) {
     result.idle_seconds[w] =
-        ClampedIdleSeconds(result.makespan_seconds, result.busy_seconds[w]);
+        ClampedIdleSeconds(result.makespan_seconds, busy[w]);
   }
+  result.busy_seconds = std::move(busy);
   return result;
 }
+
 size_t WorkerPool::ReplayUnrecovered(const std::vector<WorkUnit>& units,
                                      ScheduleReport* report,
                                      const UnitBody& body) {
@@ -719,13 +585,6 @@ ScheduleReport WorkerPool::Execute(const std::vector<WorkUnit>& units,
       units, body, env_plan.has_value() ? &*env_plan : options_.fault_plan);
   PublishBreakdown(report);
   return report;
-}
-
-ScheduleReport WorkerPool::Execute(
-    const std::vector<WorkUnit>& units,
-    const std::function<void(const WorkUnit&)>& body) const {
-  return Execute(units,
-                 [&body](const WorkUnit& unit, size_t, int) { body(unit); });
 }
 
 }  // namespace rock::par

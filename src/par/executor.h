@@ -119,7 +119,9 @@ struct PoolOptions {
 /// Fault tolerance (paper §6 "21-node cluster" deployment conditions,
 /// DESIGN.md "Fault injection & recovery"): when a PoolOptions::fault_plan
 /// is injected, units that fail transiently are retried with capped
-/// exponential backoff under a per-unit attempt budget, a crashed worker's
+/// exponential backoff under a per-unit attempt budget (the failing worker
+/// holds the unit through its backoff, then re-queues it at the back of
+/// its own deque), a crashed worker's
 /// deque drains to surviving peers via the hash ring, and units whose
 /// budget is exhausted are reported (never silently dropped) for the
 /// caller's checkpoint-recovery layer to replay.
@@ -141,19 +143,15 @@ class WorkerPool {
   explicit WorkerPool(int num_workers, PoolOptions options = PoolOptions());
 
   /// Executes all units on `num_workers` threads and returns the schedule
-  /// accounting.
+  /// accounting. Workers take every scheduling step (placement, stealing,
+  /// fault handling) under one lock and run bodies outside it.
   ScheduleReport Execute(const std::vector<WorkUnit>& units,
                          const UnitBody& body) const;
 
-  /// Convenience overload for bodies that do not need the index/worker.
-  ScheduleReport Execute(
-      const std::vector<WorkUnit>& units,
-      const std::function<void(const WorkUnit&)>& body) const;
-
   /// Replays `measured` (a report from Execute, on any pool) on this
   /// pool's ring at this pool's worker count, under its fault plan and
-  /// retry policy: an event-driven schedule of placement, stealing and
-  /// injected faults over the measured per-unit durations. Fills the
+  /// retry policy: Execute's schedule stepped on virtual time over the
+  /// measured per-unit durations. Fills the
   /// placement, makespan, executed/stolen units, busy/wait/idle and fault
   /// accounting; runs no bodies and publishes no metrics. Deterministic:
   /// the same report and pool always replay to the same schedule.
@@ -175,16 +173,6 @@ class WorkerPool {
   int num_workers_;
   PoolOptions options_;
   crystal::HashRing ring_;
-
-  /// Hash-ring placement: queue of unit indices per worker.
-  std::vector<std::vector<size_t>> PlaceUnits(
-      const std::vector<std::string>& keys) const;
-
-  /// Ring placement restricted to live workers: the unit's key is probed
-  /// with increasing salts until it lands on a worker `alive[w]` — the
-  /// deterministic re-placement rule for draining a dead worker's deque.
-  int LocateLiveWorker(const std::string& key,
-                       const std::vector<char>& alive) const;
 
   /// Execute and Replay under an explicit plan: Execute passes the plan
   /// it runs under, which may come from the environment.

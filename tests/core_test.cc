@@ -1,5 +1,6 @@
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,32 @@ TEST_F(CoreBankTest, VariantsOrderAsInPaper) {
   EXPECT_GE(rock_f1 + 1e-9, noml_f1);
   EXPECT_GT(rock_f1, noc_f1);
   EXPECT_NEAR(rock_f1, seq_f1, 0.05);  // same fixpoint, same accuracy
+}
+
+// Both per-task variants report the engine's conflicts and count their
+// sweeps over the four tasks.
+TEST_F(CoreBankTest, PerTaskVariantsReportConflictsAndRounds) {
+  for (Variant variant : {Variant::kSequential, Variant::kNoChase}) {
+    RockOptions options;
+    options.variant = variant;
+    Rock rock(&data_.db, &data_.graph, options);
+    auto rules = rock.LoadRules(data_.rule_text);
+    ASSERT_TRUE(rules.ok());
+    CorrectionResult result;
+    auto engine = rock.CorrectErrors(*rules, data_.clean_tuples, &result);
+    const std::vector<chase::ConflictRecord>& conflicts = engine->conflicts();
+    EXPECT_FALSE(conflicts.empty()) << VariantName(variant);
+    ASSERT_EQ(result.chase.conflicts.size(), conflicts.size())
+        << VariantName(variant);
+    for (size_t i = 0; i < conflicts.size(); ++i) {
+      EXPECT_EQ(result.chase.conflicts[i].ToJson(), conflicts[i].ToJson())
+          << VariantName(variant) << " #" << i;
+    }
+    EXPECT_GE(result.chase.rounds, 1) << VariantName(variant);
+    if (variant == Variant::kNoChase) {
+      EXPECT_EQ(result.chase.rounds, 1);
+    }
+  }
 }
 
 // The parallel facade runs the variant's own passes, each with a pooled

@@ -221,9 +221,10 @@ TEST(WorkerPoolTest, ExecutesEveryUnitOnce) {
   }
   std::vector<int> executed(40, 0);
   par::WorkerPool pool(6);
-  auto report = pool.Execute(units, [&](const par::WorkUnit& unit) {
-    executed[static_cast<size_t>(unit.rule_index)]++;
-  });
+  auto report =
+      pool.Execute(units, [&](const par::WorkUnit& unit, size_t, int) {
+        executed[static_cast<size_t>(unit.rule_index)]++;
+      });
   for (int count : executed) EXPECT_EQ(count, 1);
   int placed = 0, run = 0;
   for (int c : report.initial_units) placed += c;

@@ -4,7 +4,7 @@
 // re-placement, exhausted attempt budgets replayed from the round
 // checkpoint — detection reports, final fix stores and provenance
 // summaries stay byte-identical to the fault-free serial run, across
-// worker counts, seeds and both execution modes.
+// worker counts and seeds, in the threaded pool and in its replay.
 
 #include <atomic>
 #include <cstdlib>
@@ -302,7 +302,7 @@ TEST(FaultPoolTest, FaultAccountingMatchesReplay) {
     par::PoolOptions options;
     options.fault_plan = &plan;
     par::WorkerPool pool(4, options);
-    auto a = pool.Execute(units, [](const par::WorkUnit&) {});
+    auto a = pool.Execute(units, [](const par::WorkUnit&, size_t, int) {});
     auto b = pool.Replay(a);
     EXPECT_EQ(a.faults.injected, b.faults.injected) << seed;
     EXPECT_EQ(a.faults.retries, b.faults.retries) << seed;
@@ -311,6 +311,66 @@ TEST(FaultPoolTest, FaultAccountingMatchesReplay) {
         << seed;
     EXPECT_NEAR(a.faults.backoff_seconds, b.faults.backoff_seconds, 1e-12)
         << seed;
+  }
+}
+
+TEST(FaultPoolTest, RetriedUnitStaysWithItsWorkerThroughBackoff) {
+  // Both units land on one worker; the first acquisition fails once. The
+  // failing worker holds its unit through the 50 ms backoff, so the peer
+  // steals the other unit and then waits instead of taking the held one:
+  // one unit per worker, and the makespan covers backoff plus the unit.
+  par::ScheduleReport measured;
+  for (int i = 0; i < 2; ++i) {
+    measured.placement_keys.push_back("same-slice");
+    measured.unit_seconds.push_back(0.01);
+    measured.serial_seconds += 0.01;
+  }
+  par::FaultPlan plan = MustParse("flaky:0x1");
+  par::PoolOptions options;
+  options.fault_plan = &plan;
+  options.retry.backoff_base_seconds = 0.05;
+  options.retry.backoff_cap_seconds = 0.05;
+  par::ScheduleReport replayed = par::WorkerPool(2, options).Replay(measured);
+  EXPECT_EQ(replayed.executed_units, (std::vector<int>{1, 1}));
+  EXPECT_EQ(replayed.stolen_units, 1);
+  EXPECT_EQ(replayed.faults.retries, 1);
+  EXPECT_GE(replayed.makespan_seconds, 0.05 + 0.01);
+}
+
+TEST(FaultPoolTest, RetriedUnitThatCrashesRunsOnceInBothDrivers) {
+  // Unit 5 fails its first attempt, and the worker that acquires it again
+  // dies: the backoff hand-back and the crash drain meet on one unit.
+  const int kUnits = 24;
+  std::vector<par::WorkUnit> units = MakeUnits(kUnits);
+  par::FaultPlan plan = MustParse("flaky:5x1;crash:5@2");
+  for (int workers : {2, 4}) {
+    par::PoolOptions options;
+    options.fault_plan = &plan;
+    options.retry.backoff_base_seconds = 1e-3;
+    par::WorkerPool pool(workers, options);
+    std::vector<std::atomic<int>> executed(kUnits);
+    for (auto& e : executed) e.store(0);
+    par::ScheduleReport threaded = pool.Execute(
+        units, [&](const par::WorkUnit&, size_t unit_index, int) {
+          executed[unit_index].fetch_add(1);
+        });
+    for (const auto& e : executed) EXPECT_EQ(e.load(), 1) << workers;
+    par::ScheduleReport replayed = pool.Replay(threaded);
+    for (const par::ScheduleReport* report : {&threaded, &replayed}) {
+      int run = 0;
+      for (int c : report->executed_units) run += c;
+      EXPECT_EQ(run, kUnits) << workers;
+      EXPECT_TRUE(report->faults.unrecovered_units.empty()) << workers;
+      EXPECT_EQ(report->faults.worker_deaths, 1) << workers;
+    }
+    EXPECT_EQ(threaded.faults.injected, replayed.faults.injected) << workers;
+    EXPECT_EQ(threaded.faults.retries, replayed.faults.retries) << workers;
+    EXPECT_EQ(threaded.faults.crashes_suppressed,
+              replayed.faults.crashes_suppressed)
+        << workers;
+    EXPECT_DOUBLE_EQ(threaded.faults.backoff_seconds,
+                     replayed.faults.backoff_seconds)
+        << workers;
   }
 }
 

@@ -138,7 +138,7 @@ TEST(ThreadedPoolTest, StealsUnderSkewedPlacement) {
     units.push_back(unit);
   }
   par::WorkerPool pool(4);
-  auto report = pool.Execute(units, [](const par::WorkUnit&) {
+  auto report = pool.Execute(units, [](const par::WorkUnit&, size_t, int) {
     volatile double x = 0;
     for (int i = 0; i < 200000; ++i) x = x + i * 0.5;
   });
@@ -152,9 +152,9 @@ TEST(ThreadedPoolTest, StealsUnderSkewedPlacement) {
 }
 
 TEST(ThreadedPoolTest, RepeatedRunsStress) {
-  // Many small units over many iterations: a TSan target that exercises
-  // pop-vs-steal races on the per-worker deques from fresh threads each
-  // round.
+  // Many small units over many iterations: a TSan target in which fresh
+  // threads each round contend for the pool's one scheduling lock while
+  // bodies run outside it.
   for (int round = 0; round < 20; ++round) {
     const int kUnits = 100;
     std::vector<par::WorkUnit> units = MakeUnits(kUnits, round);
@@ -170,15 +170,13 @@ TEST(ThreadedPoolTest, RepeatedRunsStress) {
 }
 
 TEST(ThreadedPoolTest, StealRacesDrainOnWorkerDeathStress) {
-  // Regression for the steal-vs-drain race: thieves used to sample a
-  // victim's queue size without re-checking emptiness *and* closed state
-  // under the victim's mutex before popping, so a thief could pop from a
-  // queue its dying owner was concurrently draining to survivors. With the
-  // whole batch placed on one worker (identical placement keys) and that
-  // worker crashing on its first unit while slow bodies keep the thieves
-  // circling, every round forces drain and steal to overlap. Run under
-  // TSan in CI's fault-matrix job; exactly-once execution proves no unit
-  // is lost or duplicated across the handoff.
+  // A crash drain racing thieves: the whole batch sits on one worker
+  // (identical placement keys), which crashes on its first unit while slow
+  // bodies keep the thieves stealing from its deque. The drain and every
+  // steal are steps of the one schedule under its one lock, so a thief
+  // sees the deque either before the death or after the drain, never in
+  // between. Run under TSan in CI's fault-matrix job; exactly-once
+  // execution proves no unit is lost or duplicated across the handoff.
   par::FaultPlan plan;
   plan.crash_at_attempt[0] = 1;
   for (int round = 0; round < 10; ++round) {
@@ -224,7 +222,7 @@ TEST(ReplayTest, ReplayIsDeterministicAndFillsBreakdowns) {
   measure_options.fault_plan = &no_faults;
   par::WorkerPool measure(3, measure_options);
   par::ScheduleReport measured =
-      measure.Execute(units, [](const par::WorkUnit& unit) {
+      measure.Execute(units, [](const par::WorkUnit& unit, size_t, int) {
         volatile double x = 0;
         for (int i = 0; i < 2000 * (unit.rows.begin % 5 + 1); ++i) {
           x = x + i;
@@ -258,6 +256,56 @@ TEST(ReplayTest, ReplayIsDeterministicAndFillsBreakdowns) {
   for (int w = 0; w < 5; ++w) {
     EXPECT_GE(a.idle_seconds[w], 0.0);
     EXPECT_GE(a.wait_seconds[w], 0.0);
+  }
+}
+
+TEST(ReplayTest, FaultFreeReplayIsPinned) {
+  // The scale benches' ratchet floors rest on the fault-free replay, so
+  // for a fixed measured report its schedule is pinned bit for bit.
+  par::ScheduleReport measured;
+  for (int i = 0; i < 40; ++i) {
+    par::WorkUnit unit;
+    unit.rule_index = i % 3;
+    unit.rows = {0, i / 3, i / 3 + 1};
+    measured.placement_keys.push_back(unit.PlacementKey());
+    // Integer microseconds, one rounding: the same doubles on every target.
+    measured.unit_seconds.push_back(
+        static_cast<double>(1000 * (1 + (i * 7) % 5) + 10 * i) / 1e6);
+    measured.serial_seconds += measured.unit_seconds.back();
+  }
+  struct Pinned {
+    int workers;
+    double makespan;
+    int stolen;
+    std::vector<int> initial, executed;
+    std::vector<double> busy, wait, idle;
+  };
+  const Pinned pinned[] = {
+      {3, 0.044230000000000005, 9,
+       {19, 5, 16},
+       {15, 14, 11},
+       {0.04308, 0.044230000000000005, 0.040489999999999998},
+       {0.27614000000000005, 0.24929000000000001, 0.2049},
+       {0.0011500000000000052, 0, 0.0037400000000000072}},
+      {5, 0.028040000000000002, 12,
+       {7, 4, 13, 14, 2},
+       {8, 8, 7, 8, 9},
+       {0.023570000000000001, 0.028040000000000002, 0.02383,
+        0.024729999999999999, 0.027629999999999998},
+       {0.076250000000000012, 0.078770000000000007, 0.06470999999999999,
+        0.091609999999999997, 0.09910999999999999},
+       {0.0044700000000000017, 0, 0.0042100000000000019, 0.0033100000000000039,
+        0.00041000000000000411}},
+  };
+  for (const Pinned& p : pinned) {
+    par::ScheduleReport r = par::WorkerPool(p.workers).Replay(measured);
+    EXPECT_EQ(r.makespan_seconds, p.makespan) << p.workers;
+    EXPECT_EQ(r.stolen_units, p.stolen) << p.workers;
+    EXPECT_EQ(r.initial_units, p.initial) << p.workers;
+    EXPECT_EQ(r.executed_units, p.executed) << p.workers;
+    EXPECT_EQ(r.busy_seconds, p.busy) << p.workers;
+    EXPECT_EQ(r.wait_seconds, p.wait) << p.workers;
+    EXPECT_EQ(r.idle_seconds, p.idle) << p.workers;
   }
 }
 

@@ -33,12 +33,6 @@ using chase::FixRecord;
 using chase::FixStore;
 using rules::Ree;
 
-// The OFF build still runs this binary; capture-dependent assertions skip.
-#define SKIP_WITHOUT_PROVENANCE()                         \
-  if constexpr (!obs::kProvenanceEnabled) {               \
-    GTEST_SKIP() << "provenance capture compiled out";    \
-  }
-
 Ree MustParse(const std::string& text, const DatabaseSchema& schema,
               const std::string& id) {
   auto rule = rules::ParseRee(text, schema);
@@ -145,7 +139,6 @@ class KvDb {
 };
 
 TEST(ChaseProvenanceTest, CertainFixProofReachesGroundTruth) {
-  SKIP_WITHOUT_PROVENANCE();
   KvDb data;
   int64_t dirty = data.Insert("x", nullptr, "-", 0);
   int64_t trusted = data.Insert("x", "good", "-", 0);
@@ -195,7 +188,6 @@ TEST(ChaseProvenanceTest, CertainFixProofReachesGroundTruth) {
 }
 
 TEST(ChaseProvenanceTest, PriorFixChainLinksUpstream) {
-  SKIP_WITHOUT_PROVENANCE();
   KvDb data;
   int64_t tid = data.Insert("x", nullptr, nullptr, 0);
 
@@ -234,7 +226,6 @@ TEST(ChaseProvenanceTest, PriorFixChainLinksUpstream) {
 }
 
 TEST(ChaseProvenanceTest, ExplainMergeCoversTransitiveMerges) {
-  SKIP_WITHOUT_PROVENANCE();
   KvDb data;
   int64_t a = data.Insert("x", "1", "-", 0);
   int64_t b = data.Insert("x", "2", "-", 0);
@@ -264,7 +255,6 @@ TEST(ChaseProvenanceTest, ExplainMergeCoversTransitiveMerges) {
 }
 
 TEST(ChaseProvenanceTest, ProofsIdenticalAcrossWorkerCountsAndSerial) {
-  SKIP_WITHOUT_PROVENANCE();
   auto rules_for = [](const Database& db) {
     return std::vector<Ree>{
         MustParse("Trans(t0) ^ Trans(t1) ^ t0.com = t1.com -> t0.mfg = t1.mfg",
@@ -329,7 +319,6 @@ TEST(RockExplainTest, EndToEndExplainAfterCorrectErrors) {
   ASSERT_NE(rock.last_engine(), nullptr);
   ASSERT_GT(result.chase.fixes_applied, 0u);
 
-  if constexpr (!obs::kProvenanceEnabled) return;
 
   // Every repaired cell in the audit trail explains itself with a
   // non-empty proof tree carrying rule text and witness tuples.
@@ -568,7 +557,6 @@ TEST_F(MiConflictTest, KeptExistingLinksBothDerivations) {
   const ConflictRecord& conflict = result.conflicts[0];
   EXPECT_EQ(conflict.resolution, "kept_existing");
   EXPECT_EQ(engine.fix_store().ValidatedValue(0, tid_, 1)->AsString(), "A");
-  if constexpr (!obs::kProvenanceEnabled) return;
   // The existing derivation is the first rule's fix node; the losing
   // application is preserved as a conflict-candidate node with a witness.
   ASSERT_GE(conflict.prov_existing, 0);
@@ -613,7 +601,6 @@ TEST_F(MiConflictTest, McArgmaxCandidateReplacesAndRelinksProvenance) {
   const ConflictRecord& conflict = result.conflicts[0];
   EXPECT_EQ(conflict.resolution, "mc_argmax:candidate");
   EXPECT_EQ(engine.fix_store().ValidatedValue(0, tid_, 1)->AsString(), "B");
-  if constexpr (!obs::kProvenanceEnabled) return;
   ASSERT_GE(conflict.prov_existing, 0);
   ASSERT_GE(conflict.prov_candidate, 0);
   // After the replacement, the cell's provenance points at the winning
@@ -639,7 +626,6 @@ TEST_F(MiConflictTest, McArgmaxExistingKeepsCellAndProvenance) {
   ASSERT_FALSE(result.conflicts.empty());
   EXPECT_EQ(result.conflicts[0].resolution, "mc_argmax:existing");
   EXPECT_EQ(engine.fix_store().ValidatedValue(0, tid_, 1)->AsString(), "A");
-  if constexpr (!obs::kProvenanceEnabled) return;
   EXPECT_EQ(engine.fix_store().ProvOfCell(0, tid_, 1),
             result.conflicts[0].prov_existing);
 }
@@ -656,7 +642,6 @@ TEST(UserQueueProvenanceTest, QueuedConflictCarriesCandidateWitness) {
   ASSERT_FALSE(result.conflicts.empty());
   const ConflictRecord& conflict = result.conflicts[0];
   EXPECT_EQ(conflict.resolution, "user_queue");
-  if constexpr (!obs::kProvenanceEnabled) return;
   // Both sides are raw reads of one valuation: no validated existing
   // derivation exists, but the candidate witness is preserved for review.
   EXPECT_EQ(conflict.prov_existing, -1);
@@ -686,9 +671,7 @@ TEST(UserQueueProvenanceTest, UserResolvedConflictKeepsCandidateNode) {
   for (const ConflictRecord& conflict : result.conflicts) {
     if (conflict.resolution.rfind("user_resolved:", 0) == 0) {
       resolved = true;
-      if constexpr (obs::kProvenanceEnabled) {
-        EXPECT_GE(conflict.prov_candidate, 0);
-      }
+      EXPECT_GE(conflict.prov_candidate, 0);
     }
   }
   EXPECT_TRUE(resolved);
@@ -736,7 +719,6 @@ TEST_F(TdConflictTest, KeptExistingWithoutRanker) {
   const ConflictRecord& conflict = RunAndGetConflict(engine);
   EXPECT_EQ(conflict.kind, ConflictRecord::Kind::kTemporal);
   EXPECT_EQ(conflict.resolution, "kept_existing");
-  if constexpr (!obs::kProvenanceEnabled) return;
   // The stored direction's deduction and the losing one are both linked.
   ASSERT_GE(conflict.prov_existing, 0);
   ASSERT_GE(conflict.prov_candidate, 0);
@@ -751,7 +733,6 @@ TEST_F(TdConflictTest, ConfidencePrefersNewRecordsDecision) {
   ChaseEngine engine(&data_.db, nullptr, &models);
   const ConflictRecord& conflict = RunAndGetConflict(engine);
   EXPECT_EQ(conflict.resolution, "confidence_prefers_new(kept_existing)");
-  if constexpr (!obs::kProvenanceEnabled) return;
   EXPECT_GE(conflict.prov_existing, 0);
   EXPECT_GE(conflict.prov_candidate, 0);
 }
@@ -782,7 +763,6 @@ TEST(EidConflictTest, BlockedMergeLinksDistinctnessDerivation) {
   ASSERT_FALSE(result.conflicts.empty());
   const ConflictRecord& conflict = result.conflicts.front();
   EXPECT_EQ(conflict.kind, ConflictRecord::Kind::kEid);
-  if constexpr (!obs::kProvenanceEnabled) return;
   ASSERT_GE(conflict.prov_existing, 0);
   ASSERT_GE(conflict.prov_candidate, 0);
   const obs::ProvenanceGraph& graph = engine.fix_store().provenance();
@@ -793,7 +773,6 @@ TEST(EidConflictTest, BlockedMergeLinksDistinctnessDerivation) {
 // ---------- Metrics export and the bench provenance block ----------
 
 TEST(ProvenanceMetricsTest, ChaseExportsDeltaAndBlockRendersJson) {
-  SKIP_WITHOUT_PROVENANCE();
   obs::MetricsRegistry::Global().Reset();
   KvDb data;
   data.Insert("x", nullptr, nullptr, 0);
