@@ -11,7 +11,6 @@
 #include "src/common/mutex.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
-#include "src/ml/batch.h"
 #include "src/ml/library.h"
 #include "src/ml/lsh.h"
 #include "src/rules/eval.h"
@@ -85,10 +84,12 @@ void BM_TokenJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_TokenJaccard);
 
+using PairList = std::vector<std::pair<std::vector<Value>, std::vector<Value>>>;
+
 /// 256 candidate pairs drawn from a small vocabulary — the shape blocking
 /// produces, where the same attribute values recur across many pairs.
-const ml::PairBatch& MlBenchPairs() {
-  static ml::PairBatch* batch = [] {
+const PairList& MlBenchPairs() {
+  static PairList* pairs = [] {
     static const char* kProducts[] = {
         "iPhone 14 Pro Max 256GB",  "iPhone 14 Pro 256GB",
         "Galaxy S23 Ultra 512GB",   "Galaxy S23 Ultra 256GB",
@@ -99,103 +100,50 @@ const ml::PairBatch& MlBenchPairs() {
     };
     constexpr size_t kVocab = sizeof(kProducts) / sizeof(kProducts[0]);
     Rng rng(7);
-    auto* out = new ml::PairBatch();
+    auto* out = new PairList();
     for (int i = 0; i < 256; ++i) {
-      out->Add({Value::String(kProducts[rng.NextBounded(kVocab)]),
-                Value::Double(rng.NextDouble() * 100.0)},
-               {Value::String(kProducts[rng.NextBounded(kVocab)]),
-                Value::Double(rng.NextDouble() * 100.0)});
+      out->emplace_back(
+          std::vector<Value>{Value::String(kProducts[rng.NextBounded(kVocab)]),
+                             Value::Double(rng.NextDouble() * 100.0)},
+          std::vector<Value>{Value::String(kProducts[rng.NextBounded(kVocab)]),
+                             Value::Double(rng.NextDouble() * 100.0)});
     }
     return out;
   }();
-  return *batch;
+  return *pairs;
 }
 
-/// Scalar baseline for the batched-predicate ratchet: four rules sharing
-/// one model each score every candidate pair from scratch — the pre-batch
-/// detector's behavior.
+/// ML-predicate scoring as the evaluator does it: four rules sharing one
+/// model each score every candidate pair with the scalar Score. An
+/// absolute ceiling in the perf ratchet.
 void BM_MlPredicateScalar(benchmark::State& state) {
-  const ml::PairBatch& batch = MlBenchPairs();
+  const PairList& pairs = MlBenchPairs();
   ml::SimilarityClassifier model(0.6);
   constexpr int kRules = 4;
   for (auto _ : state) {
     double sink = 0.0;
     for (int r = 0; r < kRules; ++r) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        sink += model.Score(batch.a[i], batch.b[i]);
-      }
+      for (const auto& [a, b] : pairs) sink += model.Score(a, b);
     }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kRules * static_cast<int64_t>(batch.size()));
+                          kRules * static_cast<int64_t>(pairs.size()));
 }
 BENCHMARK(BM_MlPredicateScalar);
 
-/// Batched counterpart: one ScoreBatch through the shared scratch fills a
-/// fresh score memo, and the four rules answer from it by content key —
-/// the detector's warm-then-verify path. The perf ratchet asserts this
-/// stays at least 2x faster than BM_MlPredicateScalar.
-void BM_MlPredicateBatched(benchmark::State& state) {
-  const ml::PairBatch& batch = MlBenchPairs();
-  ml::SimilarityClassifier model(0.6);
-  constexpr int kRules = 4;
-  for (auto _ : state) {
-    ml::MlScoreCache cache;
-    ml::BatchScratch scratch;
-    std::vector<double> scores;
-    std::vector<ml::MlScoreCache::Key> keys;
-    keys.reserve(batch.size());
-    model.ScoreBatch(batch, &scratch, &scores);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      keys.push_back(ml::MlScoreCache::MakeKey("M", batch.a[i], batch.b[i]));
-    }
-    cache.InsertBatch(keys, scores);
-    double sink = 0.0;
-    for (int r = 0; r < kRules; ++r) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        double score = 0.0;
-        cache.Lookup(ml::MlScoreCache::MakeKey("M", batch.a[i], batch.b[i]),
-                     &score);
-        sink += score;
-      }
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kRules * static_cast<int64_t>(batch.size()));
-}
-BENCHMARK(BM_MlPredicateBatched);
-
 void BM_LogisticPairScalar(benchmark::State& state) {
-  const ml::PairBatch& batch = MlBenchPairs();
+  const PairList& pairs = MlBenchPairs();
   ml::LogisticPairClassifier model(2);
   for (auto _ : state) {
     double sink = 0.0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      sink += model.Score(batch.a[i], batch.b[i]);
-    }
+    for (const auto& [a, b] : pairs) sink += model.Score(a, b);
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch.size()));
+                          static_cast<int64_t>(pairs.size()));
 }
 BENCHMARK(BM_LogisticPairScalar);
-
-void BM_LogisticPairBatched(benchmark::State& state) {
-  const ml::PairBatch& batch = MlBenchPairs();
-  ml::LogisticPairClassifier model(2);
-  ml::BatchScratch scratch;
-  for (auto _ : state) {
-    scratch.Reset();
-    std::vector<double> scores;
-    model.ScoreBatch(batch, &scratch, &scores);
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch.size()));
-}
-BENCHMARK(BM_LogisticPairBatched);
 
 void BM_MinHashSignature(benchmark::State& state) {
   ml::MinHash minhash(static_cast<int>(state.range(0)));

@@ -10,10 +10,10 @@ Reads the BENCH_<name>.json files that the bench binaries emit (see
 bench/bench_telemetry.h) and applies three kinds of teeth:
 
   ratios    Hardware-robust invariants between two phases of the same
-            bench run — e.g. the batched ML-predicate phase must stay at
-            least `min` times faster than its scalar twin. Both sides
-            ran on the same machine moments apart, so these gate tightly
-            on any hardware and are the ratchet's primary teeth.
+            bench run: the `denominator` phase must stay at least `min`
+            times faster than the `numerator` phase. Both sides ran on
+            the same machine moments apart, so these gate tightly on any
+            hardware. The checked-in baseline declares none today.
   phases    Absolute per-phase ceilings: measured <= baseline *
             tolerance. The default tolerance (2.5x) is deliberately
             loose — CI runners vary — so this only catches
@@ -40,25 +40,8 @@ import sys
 
 DEFAULT_BASELINE = "scripts/perf_baseline.json"
 
-# Ratio policy written into a fresh baseline by --update-baseline. Kept in
-# the baseline file (not here) afterwards so a deliberate policy change is
-# a reviewed diff of scripts/perf_baseline.json.
-DEFAULT_RATIOS = [
-    {
-        "name": "batched_ml_predicate_vs_scalar",
-        "bench": "micro_perf",
-        "numerator": "BM_MlPredicateScalar",
-        "denominator": "BM_MlPredicateBatched",
-        "min": 2.0,
-    },
-    {
-        "name": "batched_logistic_vs_scalar",
-        "bench": "micro_perf",
-        "numerator": "BM_LogisticPairScalar",
-        "denominator": "BM_LogisticPairBatched",
-        "min": 2.0,
-    },
-]
+# Ratio policy lives in the baseline file, so a policy change is a
+# reviewed diff of scripts/perf_baseline.json; --update-baseline keeps it.
 
 # Benches whose phases are ratcheted; "total" moves with machine load and
 # bench count, so it is excluded from the recorded ceilings.
@@ -171,7 +154,7 @@ def update(benches, baseline_path, old_baseline, tolerance,
     baseline = {
         "tolerance": (tolerance if tolerance is not None
                       else old_baseline.get("tolerance") or 2.5),
-        "ratios": old_baseline.get("ratios") or DEFAULT_RATIOS,
+        "ratios": old_baseline.get("ratios", []),
         "phases": {},
         "speedups": {},
     }

@@ -3,7 +3,7 @@
 source-convention invariants.
 
 Five AST-level checks over the translation units in compile_commands.json
-(scope: src/) and nine token rules over every source under src/, tests/,
+(scope: src/) and ten token rules over every source under src/, tests/,
 bench/ and examples/, each with an annotation escape hatch and a ratchet
 baseline (scripts/rock_analyze_baseline.txt, same format and discipline as
 the clang-tidy ratchet):
@@ -69,6 +69,13 @@ Token rules (comment- and string-blind; a line opts out with
                      (src/par/round.h, the one parallel-round seam).
   unregistered-test  every tests/*.cc is globbed (*_test.cc) or named in
                      tests/CMakeLists.txt, or it never runs.
+  literal-plus-to-string
+                     no `"literal" + std::to_string(...)` under src/, even
+                     across a line break: gcc 12 raises a -Wrestrict false
+                     positive on it at -O3 depending on the inlining
+                     around it, which fails the Release -Werror build and
+                     only a full Release build shows. Use StrFormat or
+                     append.
 
 Frontends. The analyzer builds one semantic model per file and runs every
 check over it. Two frontends produce that model:
@@ -232,7 +239,16 @@ TOKEN_RULES = (
      lambda path: path != ROUND_SEAM_FILE and path.startswith(
          ("src/detect/", "src/chase/", "src/core/", "src/serve/"))),
 )
-CHECKS += tuple(rule[0] for rule in TOKEN_RULES) + (
+# Token rules matched across line breaks, reported on the line where the
+# match starts.
+SPANNING_TOKEN_RULES = (
+    ("literal-plus-to-string", re.compile(r'"\s*\+\s*std::to_string\s*\('),
+     '`"literal" + std::to_string(...)` trips gcc 12\'s -Wrestrict false '
+     "positive at -O3 (Release -Werror); build the string with StrFormat "
+     "or append",
+     lambda path: path.startswith("src/")),
+)
+CHECKS += tuple(rule[0] for rule in TOKEN_RULES + SPANNING_TOKEN_RULES) + (
     "pragma-once", "unregistered-test")
 
 ANNOT_RE = re.compile(r"ROCK_ANALYZE\(\s*([a-z-]+)\s*:\s*([^)]+)\)")
@@ -1665,6 +1681,14 @@ def check_token_rules(path, text, findings):
             if regex.search(code) and \
                     not annotation(raw_lines, lineno, rule + "-ok"):
                 findings.append(Finding(path, lineno, rule, message))
+    code_text = "\n".join(code_lines)
+    for rule, regex, message, applies in SPANNING_TOKEN_RULES:
+        if not applies(path):
+            continue
+        for match in regex.finditer(code_text):
+            lineno = code_text.count("\n", 0, match.start()) + 1
+            if not annotation(raw_lines, lineno, rule + "-ok"):
+                findings.append(Finding(path, lineno, rule, message))
     if path.endswith(".h") and "#pragma once" not in text:
         findings.append(Finding(path, 1, "pragma-once",
                                 "headers use `#pragma once`"))
@@ -2173,6 +2197,16 @@ src/par/round.h | - | #pragma once\nauto n = WorkerPool::ReplayUnrecovered(u, &l
 src/chase/chase.cc | - | hits = par::RunRound<Hits>(rules, ctx, n, options, body, s);
 src/detect/detector.cc | - | void Run(const par::WorkerPool& pool);
 tests/fault_injection_test.cc | - | par::WorkerPool pool(4, options);
+src/par/executor.cc | literal-plus-to-string | auto key = "u" + std::to_string(i);
+src/serve/protocol.cc | literal-plus-to-string | return Err("bad verb " +\n    std::to_string(verb));
+src/chase/chase.cc | literal-plus-to-string | s = std::to_string(a) + " tid " + std::to_string(b);
+src/core/engine.cc | - | auto key = StrFormat("u%d", i);
+src/core/engine.cc | - | std::string key = "u";\nkey += std::to_string(i);
+src/core/engine.cc | - | auto key = std::to_string(i) + "u";
+src/core/engine.cc | - | // "u" + std::to_string(i)
+src/core/engine.cc | - | auto s = "a \" + std::to_string(" + f(i);
+src/core/engine.cc | - | auto k = "u" + std::to_string(i);  // ROCK_ANALYZE(literal-plus-to-string-ok: demo)
+tests/rules_test.cc | - | auto key = "t" + std::to_string(i);
 tests/helper_test.cc | - | ok
 """
 

@@ -37,7 +37,7 @@ std::vector<discovery::MinedRule> EsMiner::Mine(
   auto rules = miner.Mine(eval, space);
   candidates_explored_ = miner.candidates_explored();
   for (size_t i = 0; i < rules.size(); ++i) {
-    rules[i].rule.id = "es_" + std::to_string(i);
+    rules[i].rule.id = StrFormat("es_%zu", i);
   }
   return rules;
 }
@@ -307,18 +307,21 @@ std::string NaiveSqlEngine::ToSql(const Ree& rule) const {
   sql += " FROM ";
   for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {
     if (var > 0) sql += ", ";
-    sql += schema.relation(rule.tuple_vars[var]).name() + " t" +
-           std::to_string(var);
+    sql += schema.relation(rule.tuple_vars[var]).name();
+    sql += " t";
+    sql += std::to_string(var);
   }
   sql += " WHERE ";
   std::vector<std::string> conjuncts;
   auto attr_ref = [&](int var, int attr) {
     if (attr == rules::kEidAttr) {
-      return "t" + std::to_string(var) + ".eid";
+      return StrFormat("t%d.eid", var);
     }
-    return "t" + std::to_string(var) + "." +
-           schema.relation(rule.tuple_vars[static_cast<size_t>(var)])
-               .AttributeName(attr);
+    return StrFormat(
+        "t%d.%s", var,
+        schema.relation(rule.tuple_vars[static_cast<size_t>(var)])
+            .AttributeName(attr)
+            .c_str());
   };
   auto render = [&](const Predicate& p, bool negate) {
     std::string out;
@@ -333,14 +336,13 @@ std::string NaiveSqlEngine::ToSql(const Ree& rule) const {
         break;
       case PredicateKind::kMlPair:
         // ML predicates become UDF calls (paper §6 Exp-2).
-        out = "udf_" + p.model + "(t" + std::to_string(p.var) + ", t" +
-              std::to_string(p.var2) + ")";
+        out = StrFormat("udf_%s(t%d, t%d)", p.model.c_str(), p.var, p.var2);
         break;
       case PredicateKind::kIsNull:
         out = attr_ref(p.var, p.attr) + " IS NULL";
         break;
       default:
-        out = "udf_predicate(t" + std::to_string(std::max(p.var, 0)) + ")";
+        out = StrFormat("udf_predicate(t%d)", std::max(p.var, 0));
     }
     return negate ? "NOT (" + out + ")" : out;
   };

@@ -5,6 +5,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
+#include "src/common/strings.h"
 #include "src/ml/correlation.h"
 #include "src/ml/ranking.h"
 #include "src/obs/metrics.h"
@@ -233,9 +234,10 @@ Value ChaseEngine::ResolveMiConflict(int rel, int64_t tid, int attr,
   record.resolution = resolution;
   record.prov_existing = fixes_.ProvOfCell(rel, tid, attr);
   record.prov_candidate = fixes_.AddConflictCandidate(
-      rule_id, "MI candidate " + candidate.ToString() + " for rel " +
-                   std::to_string(rel) + " tid " + std::to_string(tid) +
-                   " attr " + std::to_string(attr),
+      rule_id,
+      StrFormat("MI candidate %s for rel %d tid %lld attr %d",
+                candidate.ToString().c_str(), rel,
+                static_cast<long long>(tid), attr),
       prov);
   conflicts_.push_back(std::move(record));
   return keep;
@@ -531,7 +533,7 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
               [&](size_t r, const rules::Scope& slice,
                   par::RoundWorker& worker, std::vector<Valuation>* out) {
                 worker.eval.Enumerate(
-                    rules[r], slice, blockings[r].get(), /*scratch=*/nullptr,
+                    rules[r], slice, blockings[r].get(),
                     [out](const Valuation& v) { out->push_back(v); });
               },
               schedule);
@@ -555,8 +557,7 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
         auto admit = [&](const Valuation& v) {
           Admit(rules[r], texts[r], v, eval, &next_dirty, &result);
         };
-        eval.Enumerate(rules[r], scope, blockings[r].get(),
-                       /*scratch=*/nullptr, admit);
+        eval.Enumerate(rules[r], scope, blockings[r].get(), admit);
       }
     }
 

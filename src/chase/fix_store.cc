@@ -115,8 +115,9 @@ Status TemporalOrderStore::Add(int64_t tid1, int64_t tid2, bool strict,
   if (Reaches(tid2, tid1, &back_strict)) {
     if (strict || back_strict) {
       return Status::Conflict(
-          "temporal cycle through a strict order: " + std::to_string(tid1) +
-          " vs " + std::to_string(tid2));
+          StrFormat("temporal cycle through a strict order: %lld vs %lld",
+                    static_cast<long long>(tid1),
+                    static_cast<long long>(tid2)));
     }
     // Non-strict cycle: both directions ⪯ — the values are equally
     // current; allowed.
@@ -432,7 +433,8 @@ int64_t FixStore::CanonicalEid(int rel, int64_t tid) const {
 Status FixStore::AddGroundTruthTuple(int rel, int64_t tid) {
   const Tuple* t = FindTuple(rel, tid);
   if (t == nullptr) {
-    return Status::NotFound("no tuple with tid " + std::to_string(tid));
+    return Status::NotFound(
+        StrFormat("no tuple with tid %lld", static_cast<long long>(tid)));
   }
   for (size_t attr = 0; attr < t->values.size(); ++attr) {
     ROCK_RETURN_IF_ERROR(
@@ -464,9 +466,9 @@ Status FixStore::MergeEids(int64_t a, int64_t b, const std::string& rule_id,
   if (ra == rb) return Status::Ok();
   int64_t lo = std::min(ra, rb), hi = std::max(ra, rb);
   if (distinct_.count({lo, hi}) > 0) {
-    return Status::Conflict("eids " + std::to_string(a) + " and " +
-                            std::to_string(b) +
-                            " are validated as distinct entities");
+    return Status::Conflict(
+        StrFormat("eids %lld and %lld are validated as distinct entities",
+                  static_cast<long long>(a), static_cast<long long>(b)));
   }
   int64_t merged = eids_.Union(ra, rb);
   (void)merged;
@@ -507,8 +509,9 @@ Status FixStore::AddEidDistinct(int64_t a, int64_t b,
   int64_t ra = eids_.Find(a);
   int64_t rb = eids_.Find(b);
   if (ra == rb) {
-    return Status::Conflict("eids " + std::to_string(a) + " and " +
-                            std::to_string(b) + " were already identified");
+    return Status::Conflict(
+        StrFormat("eids %lld and %lld were already identified",
+                  static_cast<long long>(a), static_cast<long long>(b)));
   }
   auto key = std::make_pair(std::min(ra, rb), std::max(ra, rb));
   if (distinct_.insert(key).second) {
@@ -536,7 +539,8 @@ Status FixStore::SetValue(int rel, int64_t tid, int attr, Value v,
   *changed = false;
   const Tuple* t = FindTuple(rel, tid);
   if (t == nullptr) {
-    return Status::NotFound("no tuple with tid " + std::to_string(tid));
+    return Status::NotFound(
+        StrFormat("no tuple with tid %lld", static_cast<long long>(tid)));
   }
   auto key = std::make_tuple(rel, attr, tid);
   auto it = values_.find(key);
@@ -570,7 +574,8 @@ Status FixStore::ReplaceValue(int rel, int64_t tid, int attr, Value v,
                               const obs::ProvenanceRef& prov) {
   const Tuple* t = FindTuple(rel, tid);
   if (t == nullptr) {
-    return Status::NotFound("no tuple with tid " + std::to_string(tid));
+    return Status::NotFound(
+        StrFormat("no tuple with tid %lld", static_cast<long long>(tid)));
   }
   auto key = std::make_tuple(rel, attr, tid);
   auto old = values_.find(key);

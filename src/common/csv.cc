@@ -1,5 +1,7 @@
 #include "src/common/csv.h"
 
+#include "src/common/strings.h"
+
 #include <fstream>
 #include <sstream>
 
@@ -24,9 +26,9 @@ Result<CsvTable> CsvTable::Parse(std::string_view text) {
     } else {
       if (record.size() != table.header.size()) {
         return Status::InvalidArgument(
-            "CSV row has wrong number of fields: expected " +
-            std::to_string(table.header.size()) + " got " +
-            std::to_string(record.size()));
+            StrFormat("CSV row has wrong number of fields: expected %zu got "
+                      "%zu",
+                      table.header.size(), record.size()));
       }
       table.rows.push_back(std::move(record));
     }

@@ -1,5 +1,7 @@
 #include "src/common/json.h"
 
+#include "src/common/strings.h"
+
 #include <cctype>
 #include <cstdlib>
 
@@ -91,8 +93,8 @@ class Parser {
   static constexpr int kMaxDepth = 64;
 
   Status Error(const std::string& what) const {
-    return Status::InvalidArgument("json: " + what + " at offset " +
-                                   std::to_string(pos_));
+    return Status::InvalidArgument(
+        StrFormat("json: %s at offset %zu", what.c_str(), pos_));
   }
 
   void SkipWs() {

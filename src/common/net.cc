@@ -1,5 +1,7 @@
 #include "src/common/net.h"
 
+#include "src/common/strings.h"
+
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -56,7 +58,7 @@ Result<Socket> ListenLoopback(int port, int* bound_port) {
   sockaddr_in addr = LoopbackAddress(port);
   if (::bind(socket.fd(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    return Errno("bind(127.0.0.1:" + std::to_string(port) + ")");
+    return Errno(StrFormat("bind(127.0.0.1:%d)", port));
   }
   if (::listen(socket.fd(), kListenBacklog) != 0) return Errno("listen()");
   socklen_t addr_len = sizeof(addr);
@@ -82,7 +84,7 @@ Result<Socket> ConnectLoopback(int port) {
   sockaddr_in addr = LoopbackAddress(port);
   if (::connect(socket.fd(), reinterpret_cast<sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
-    return Errno("connect(127.0.0.1:" + std::to_string(port) + ")");
+    return Errno(StrFormat("connect(127.0.0.1:%d)", port));
   }
   return socket;
 }

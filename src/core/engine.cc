@@ -6,6 +6,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
+#include "src/common/strings.h"
 #include "src/ml/correlation.h"
 #include "src/ml/her.h"
 #include "src/ml/ranking.h"
@@ -163,7 +164,7 @@ std::vector<discovery::MinedRule> Rock::DiscoverRules(
     mined.insert(mined.end(), rules.begin(), rules.end());
   }
   for (size_t i = 0; i < mined.size(); ++i) {
-    mined[i].rule.id = "mined_" + std::to_string(i);
+    mined[i].rule.id = StrFormat("mined_%zu", i);
   }
   discovery::RuleScoringModel scorer;
   if (top_k == 0 || top_k >= mined.size()) {
@@ -203,8 +204,7 @@ std::vector<PolyRule> Rock::DiscoverPolynomials() {
 namespace {
 
 std::string PolyRuleId(const PolyRule& poly) {
-  return "poly_" + std::to_string(poly.rel) + "_" +
-         std::to_string(poly.expr.target_attr);
+  return StrFormat("poly_%d_%d", poly.rel, poly.expr.target_attr);
 }
 
 /// The value `poly` predicts for t's null or deviating target cell.
@@ -271,8 +271,8 @@ Result<std::vector<int64_t>> Rock::IngestBatch(int rel_index,
   ROCK_OBS_SPAN("rock.ingest_batch");
   if (rel_index < 0 ||
       static_cast<size_t>(rel_index) >= db_->num_relations()) {
-    return Status::InvalidArgument("IngestBatch: no relation with index " +
-                                   std::to_string(rel_index));
+    return Status::InvalidArgument(
+        StrFormat("IngestBatch: no relation with index %d", rel_index));
   }
   std::vector<int64_t> tids;
   tids.reserve(tuples.size());
@@ -280,8 +280,8 @@ Result<std::vector<int64_t>> Rock::IngestBatch(int rel_index,
     Result<int64_t> tid = db_->Insert(rel_index, std::move(tuples[i]));
     if (!tid.ok()) {
       return Status(tid.status().code(),
-                    "IngestBatch: tuple " + std::to_string(i) + ": " +
-                        tid.status().message());
+                    StrFormat("IngestBatch: tuple %zu: %s", i,
+                              tid.status().message().c_str()));
     }
     tids.push_back(*tid);
   }
@@ -472,8 +472,8 @@ Status Rock::DumpJson(const std::string& path) const {
 Status Rock::StartTelemetryServer(int port) {
   if (telemetry_server_ != nullptr) {
     return Status::AlreadyExists(
-        "telemetry server already running on port " +
-        std::to_string(telemetry_server_->port()));
+        StrFormat("telemetry server already running on port %d",
+                  telemetry_server_->port()));
   }
   obs::TelemetryServer::Options options;
   options.port = port;

@@ -53,7 +53,7 @@ struct RockOptions {
   Variant variant = Variant::kRock;
   discovery::MinerOptions miner;
   chase::ChaseOptions chase;
-  /// Detection knobs (ML blocking, batched ML scoring, fault plan). The
+  /// Detection knobs (ML blocking, ML score memo, fault plan). The
   /// parallel paths partition every rule by row slices of its first tuple
   /// variable (par::RunRound), so they take no block size.
   detect::DetectorOptions detector;

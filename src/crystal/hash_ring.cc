@@ -12,7 +12,9 @@ uint64_t HashRing::VirtualPosition(const std::string& node,
                                    int replica) const {
   // CRC-32 of "node#replica", widened by mixing so 2^32 positions do not
   // collide for large rings.
-  std::string key = node + "#" + std::to_string(replica);
+  std::string key = node;
+  key += '#';
+  key += std::to_string(replica);
   return MixHash64(Crc32(key));
 }
 

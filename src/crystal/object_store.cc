@@ -1,5 +1,7 @@
 #include "src/crystal/object_store.h"
 
+#include "src/common/strings.h"
+
 #include <algorithm>
 
 namespace rock::crystal {
@@ -21,8 +23,8 @@ Result<std::string> MetadataDirectory::Lookup(const std::string& object,
                                               int seq) const {
   auto it = entries_.find(Key(object, seq));
   if (it == entries_.end()) {
-    return Status::NotFound("no placement for " + object + " block " +
-                            std::to_string(seq));
+    return Status::NotFound(
+        StrFormat("no placement for %s block %d", object.c_str(), seq));
   }
   return it->second;
 }

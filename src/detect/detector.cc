@@ -18,9 +18,7 @@ struct DetectMetrics {
   obs::Counter* pairfreq_misses;
   obs::Counter* blocked_pairs;
   obs::Counter* exhaustive_pairs;
-  obs::Counter* ml_batched_pairs;
   obs::Histogram* rule_seconds;
-  obs::Gauge* interner_bytes;
   obs::Gauge* ml_cache_entries;
   obs::Gauge* ml_cache_bytes;
 
@@ -37,15 +35,8 @@ struct DetectMetrics {
           reg.GetCounter("rock_detect_blocked_pairs_checked_total");
       out.exhaustive_pairs =
           reg.GetCounter("rock_detect_exhaustive_pairs_checked_total");
-      out.ml_batched_pairs =
-          reg.GetCounter("rock_detect_ml_batched_pairs_total");
       out.rule_seconds = reg.GetHistogram("rock_detect_rule_seconds",
                                           obs::LatencyBucketsSeconds());
-      out.interner_bytes = reg.GetGauge("rock_interner_bytes");
-      reg.SetHelp("rock_interner_bytes",
-                  "Peak approximate heap bytes of the per-worker batch "
-                  "scratch (interner + token/similarity memos) in the last "
-                  "detection; cross-check for per-span alloc_bytes");
       out.ml_cache_entries = reg.GetGauge("rock_detect_ml_cache_entries");
       reg.SetHelp("rock_detect_ml_cache_entries",
                   "Entries in the ML score memo after the last detection");
@@ -59,14 +50,13 @@ struct DetectMetrics {
   }
 };
 
-/// Publishes a detection pass's pair counters and memory cross-check
-/// gauges. `cache` may be null (batching disabled).
+/// Publishes a detection pass's pair counters and the memo's gauges.
+/// `cache` may be null (no memo).
 void PublishDetection(const DetectionReport& report,
-                      const ml::MlScoreCache* cache, size_t scratch_peak) {
+                      const ml::MlScoreCache* cache) {
   const DetectMetrics& metrics = DetectMetrics::Get();
   metrics.blocked_pairs->Add(report.blocked_pairs_checked);
   metrics.exhaustive_pairs->Add(report.exhaustive_pairs_checked);
-  metrics.interner_bytes->Set(static_cast<int64_t>(scratch_peak));
   if (cache != nullptr) {
     metrics.ml_cache_entries->Set(static_cast<int64_t>(cache->size()));
     metrics.ml_cache_bytes->Set(static_cast<int64_t>(cache->ApproxBytes()));
@@ -116,17 +106,8 @@ ErrorDetector::ErrorDetector(rules::EvalContext ctx)
     : ErrorDetector(ctx, DetectorOptions()) {}
 
 ErrorDetector::ErrorDetector(rules::EvalContext ctx, DetectorOptions options)
-    : ctx_(ctx), options_(options) {}
-
-ml::MlScoreCache* ErrorDetector::MlCache() const {
-  if (!options_.batch_ml_predicates) return nullptr;
-  return options_.ml_cache != nullptr ? options_.ml_cache : &ml_scores_;
-}
-
-rules::EvalContext ErrorDetector::CachedContext() const {
-  rules::EvalContext ctx = ctx_;
-  ctx.ml_cache = MlCache();
-  return ctx;
+    : ctx_(ctx), options_(options) {
+  ctx_.ml_cache = options_.ml_cache;
 }
 
 int ErrorDetector::PairFrequency(int rel, int guard_attr, int cons_attr,
@@ -293,7 +274,6 @@ std::unique_ptr<const rules::Blocking> ErrorDetector::BlockingFor(
 void ErrorDetector::DetectRule(const Ree& rule, const rules::Scope& scope,
                                const rules::Blocking* blocking,
                                const rules::Evaluator& eval,
-                               ml::BatchScratch* scratch,
                                DetectionReport* report) const {
   auto check = [&](const Valuation& v) {
     if (blocking == nullptr) ++report->exhaustive_pairs_checked;
@@ -301,27 +281,21 @@ void ErrorDetector::DetectRule(const Ree& rule, const rules::Scope& scope,
       RecordViolation(rule, v, eval, report);
     }
   };
-  const rules::EnumerateStats stats =
-      eval.Enumerate(rule, scope, blocking, scratch, check);
-  report->blocked_pairs_checked += stats.blocked_pairs;
-  DetectMetrics::Get().ml_batched_pairs->Add(stats.ml_batched_pairs);
+  report->blocked_pairs_checked +=
+      eval.Enumerate(rule, scope, blocking, check).blocked_pairs;
 }
 
 DetectionReport ErrorDetector::DetectScope(const std::vector<Ree>& rules,
                                            const rules::Scope& scope) const {
   const DetectMetrics& metrics = DetectMetrics::Get();
   DetectionReport report;
-  rules::Evaluator eval(CachedContext());
-  ml::BatchScratch scratch;
-  size_t scratch_peak = 0;
+  rules::Evaluator eval(ctx_);
   for (const Ree& rule : rules) {
     Timer timer;
-    DetectRule(rule, scope, BlockingFor(rule).get(), eval, &scratch, &report);
-    scratch_peak = std::max(scratch_peak, scratch.ApproxBytes());
-    scratch.Reset();
+    DetectRule(rule, scope, BlockingFor(rule).get(), eval, &report);
     metrics.rule_seconds->Observe(timer.ElapsedSeconds());
   }
-  PublishDetection(report, MlCache(), scratch_peak);
+  PublishDetection(report, options_.ml_cache);
   return report;
 }
 
@@ -348,18 +322,18 @@ DetectionReport ErrorDetector::DetectParallel(
   ROCK_OBS_SPAN("detect.parallel");
   std::vector<std::unique_ptr<const rules::Blocking>> blockings;
   for (const Ree& rule : rules) blockings.push_back(BlockingFor(rule));
-  // Workers share only the read-only blocking indexes and the sharded ML
-  // score memo, whose content-keyed first-insert-wins entries are
-  // value-identical no matter which worker lands first. Each unit detects
-  // one slice of the serial enumeration order into its own report, so
-  // merging the reports in unit order reproduces Detect().
+  // Workers share only the read-only blocking indexes and, when the caller
+  // passed one, the sharded ML score memo, whose content-keyed
+  // first-insert-wins entries are value-identical no matter which worker
+  // lands first. Each unit detects one slice of the serial enumeration
+  // order into its own report, so merging the reports in unit order
+  // reproduces Detect().
   par::RoundResult<DetectionReport> round = par::RunRound<DetectionReport>(
-      rules, CachedContext(), num_workers,
+      rules, ctx_, num_workers,
       par::PoolOptions{options_.retry, options_.fault_plan},
       [&](size_t r, const rules::Scope& scope, par::RoundWorker& worker,
           DetectionReport* out) {
-        DetectRule(rules[r], scope, blockings[r].get(), worker.eval,
-                   &worker.scratch, out);
+        DetectRule(rules[r], scope, blockings[r].get(), worker.eval, out);
       },
       schedule);
   if (round.replayed_units > 0) {
@@ -376,7 +350,7 @@ DetectionReport ErrorDetector::DetectParallel(
     std::move(unit_report.errors.begin(), unit_report.errors.end(),
               std::back_inserter(report.errors));
   }
-  PublishDetection(report, MlCache(), round.scratch_peak_bytes);
+  PublishDetection(report, options_.ml_cache);
   return report;
 }
 

@@ -77,14 +77,10 @@ struct DetectorOptions {
   const par::FaultPlan* fault_plan = nullptr;
   /// Retry discipline for the pool when a fault plan is set.
   par::RetryPolicy retry;
-  /// Batched ML predicate evaluation: each (rule, slice) warms a shared
-  /// score memo with one ScoreBatch per model before verification, and
-  /// Satisfies then hits the memo instead of re-scoring per pair. Cached
-  /// scores are the exact doubles the scalar path computes, so reports are
-  /// bitwise identical with this on or off.
-  bool batch_ml_predicates = true;
-  /// External ML score cache to use instead of the detector's own (not
-  /// owned). Lets tests pre-seed or share the memo across detectors.
+  /// ML score memo (not owned) shared by every rule and worker of this
+  /// detector; nullptr (the default) scores each ML pair once per
+  /// valuation that reaches it. Memoized scores are the exact doubles
+  /// Score computes, so reports are bitwise identical with or without one.
   ml::MlScoreCache* ml_cache = nullptr;
 };
 
@@ -132,20 +128,6 @@ class ErrorDetector {
                    std::unordered_map<uint64_t, int>>
       pair_freq_ ROCK_GUARDED_BY(pair_freq_mu_);
 
-  // The ML-score counterpart of pair_freq_: a memo shared by every rule
-  // (and every DetectParallel worker) that caches PairClassifier scores by
-  // (model, pair-content) hash. Same double-checked discipline — lookup
-  // under a (shard) lock, score outside any lock, first insert wins — but
-  // sharded inside MlScoreCache because workers hit it far more often.
-  // ROCK_ANALYZE(unguarded-ok: internally synchronized by MlScoreCache shard locks)
-  mutable ml::MlScoreCache ml_scores_;
-
-  /// The active score memo: the external override, the detector's own, or
-  /// nullptr when batching is disabled.
-  ml::MlScoreCache* MlCache() const;
-  /// ctx_ with the active memo attached.
-  rules::EvalContext CachedContext() const;
-
   /// Frequency of (guard value, consequence value) among rel's tuples.
   int PairFrequency(int rel, int guard_attr, int cons_attr,
                     const Value& guard, const Value& cons) const;
@@ -162,7 +144,7 @@ class ErrorDetector {
   /// Records the violations among the rule's valuations in `scope`.
   void DetectRule(const rules::Ree& rule, const rules::Scope& scope,
                   const rules::Blocking* blocking, const rules::Evaluator& eval,
-                  ml::BatchScratch* scratch, DetectionReport* report) const;
+                  DetectionReport* report) const;
 };
 
 }  // namespace rock::detect

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/common/strings.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -173,7 +174,7 @@ std::vector<MinedRule> RuleMiner::Mine(const rules::Evaluator& eval,
 
   // Deterministic id assignment.
   for (size_t i = 0; i < out.size(); ++i) {
-    out[i].rule.id = "mined_" + std::to_string(i);
+    out[i].rule.id = StrFormat("mined_%zu", i);
   }
   const MinerMetrics& metrics = MinerMetrics::Get();
   metrics.candidates_explored->Add(candidates_explored_);

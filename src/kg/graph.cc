@@ -1,5 +1,7 @@
 #include "src/kg/graph.h"
 
+#include "src/common/strings.h"
+
 #include <algorithm>
 
 namespace rock::kg {
@@ -67,8 +69,8 @@ Result<Value> KnowledgeGraph::ValueAtPath(
     VertexId start, const std::vector<std::string>& path) const {
   std::vector<VertexId> terminals = MatchPath(start, path);
   if (terminals.empty()) {
-    return Status::NotFound("no match of path from vertex " +
-                            std::to_string(start));
+    return Status::NotFound(StrFormat("no match of path from vertex %lld",
+                                      static_cast<long long>(start)));
   }
   const std::string* best = nullptr;
   for (VertexId v : terminals) {

@@ -1,65 +1,8 @@
 #include "src/ml/batch.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "src/common/hash.h"
-#include "src/common/strings.h"
 
 namespace rock::ml {
-
-uint32_t BatchScratch::InternString(std::string_view s) {
-  const uint32_t id = interner_.Intern(s);
-  if (id >= tokens_.size()) tokens_.resize(id + 1);
-  return id;
-}
-
-const std::vector<std::string>& BatchScratch::RawTokens(uint32_t id) {
-  TokenEntry& entry = tokens_[id];
-  if (!entry.raw_ready) {
-    entry.raw = Tokenize(interner_.Lookup(id));
-    entry.raw_ready = true;
-  }
-  return entry.raw;
-}
-
-const std::vector<std::string>& BatchScratch::SortedTokens(uint32_t id) {
-  TokenEntry& entry = tokens_[id];
-  if (!entry.sorted_ready) {
-    entry.sorted = SortedUniqueTokens(interner_.Lookup(id));
-    entry.sorted_ready = true;
-  }
-  return entry.sorted;
-}
-
-BatchScratch::SimEntry& BatchScratch::SimFor(uint32_t a, uint32_t b) {
-  const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-  return sims_[key];
-}
-
-void BatchScratch::Reset() {
-  interner_.Clear();
-  tokens_.clear();
-  sims_.clear();
-}
-
-size_t BatchScratch::ApproxBytes() const {
-  size_t bytes = interner_.ApproxBytes();
-  bytes += tokens_.capacity() * sizeof(TokenEntry);
-  for (const TokenEntry& entry : tokens_) {
-    bytes += (entry.raw.capacity() + entry.sorted.capacity()) *
-             sizeof(std::string);
-    for (const std::string& t : entry.raw) bytes += t.capacity();
-    for (const std::string& t : entry.sorted) bytes += t.capacity();
-  }
-  // unordered_map: one node (key + value + next pointer) per entry plus
-  // the bucket array.
-  bytes += sims_.size() * (sizeof(uint64_t) + sizeof(SimEntry) +
-                           sizeof(void*)) +
-           sims_.bucket_count() * sizeof(void*);
-  bytes += matrix_.capacity() * sizeof(double);
-  return bytes;
-}
 
 MlScoreCache::Key MlScoreCache::MakeKey(std::string_view model_name,
                                         const std::vector<Value>& a,
@@ -99,37 +42,12 @@ bool MlScoreCache::Lookup(const Key& key, double* score) const {
   return true;
 }
 
-bool MlScoreCache::Contains(const Key& key) const {
-  const Shard& shard = shards_[ShardOf(key)];
-  common::MutexLock lock(shard.mu);
-  return shard.scores.find(key) != shard.scores.end();
-}
-
 void MlScoreCache::Insert(const Key& key, double score) {
   Shard& shard = shards_[ShardOf(key)];
   common::MutexLock lock(shard.mu);
   if (shard.scores.emplace(key, score).second) {
     inserts_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void MlScoreCache::InsertBatch(const std::vector<Key>& keys,
-                               const std::vector<double>& scores) {
-  // Group indices by shard so each shard lock is taken once per batch.
-  std::vector<uint32_t> by_shard[kNumShards];
-  for (size_t i = 0; i < keys.size(); ++i) {
-    by_shard[ShardOf(keys[i])].push_back(static_cast<uint32_t>(i));
-  }
-  uint64_t inserted = 0;
-  for (size_t s = 0; s < kNumShards; ++s) {
-    if (by_shard[s].empty()) continue;
-    Shard& shard = shards_[s];
-    common::MutexLock lock(shard.mu);
-    for (uint32_t i : by_shard[s]) {
-      if (shard.scores.emplace(keys[i], scores[i]).second) ++inserted;
-    }
-  }
-  if (inserted > 0) inserts_.fetch_add(inserted, std::memory_order_relaxed);
 }
 
 void MlScoreCache::Clear() {

@@ -9,104 +9,18 @@
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
-#include "src/storage/dictionary.h"
 #include "src/storage/value.h"
 
 namespace rock::ml {
 
-/// A batch of candidate tuple pairs destined for one classifier: two
-/// parallel arrays of attribute-value vectors. Rows are scored in index
-/// order, so the i-th output corresponds to (a[i], b[i]).
-struct PairBatch {
-  std::vector<std::vector<Value>> a;
-  std::vector<std::vector<Value>> b;
-
-  void Add(std::vector<Value> va, std::vector<Value> vb) {
-    a.push_back(std::move(va));
-    b.push_back(std::move(vb));
-  }
-  size_t size() const { return a.size(); }
-  bool empty() const { return a.empty(); }
-  void Clear() {
-    a.clear();
-    b.clear();
-  }
-};
-
-/// Per-round scratch arena for batched feature extraction. Strings are
-/// interned to dense ids (storage::StringInterner); tokenizations and
-/// string-pair similarities are memoized per id so a value that appears in
-/// many candidate pairs — the common case under blocking — is tokenized
-/// once per round instead of once per pair. The memo stores the exact
-/// doubles the scalar kernels produce, so reuse is bitwise neutral.
-///
-/// Not thread-safe: each worker owns one scratch and Reset()s it between
-/// rounds (buffers keep their capacity across resets).
-class BatchScratch {
- public:
-  // Bits of SimEntry::have.
-  static constexpr uint8_t kEdit = 1;
-  static constexpr uint8_t kJaroWinkler = 2;
-  static constexpr uint8_t kJaccard = 4;
-  static constexpr uint8_t kSoftToken = 8;
-
-  struct SimEntry {
-    double edit = 0.0;
-    double jaro_winkler = 0.0;
-    double jaccard = 0.0;
-    double soft_token = 0.0;
-    uint8_t have = 0;
-  };
-
-  /// Dense id for `s`; stable until Reset().
-  uint32_t InternString(std::string_view s);
-
-  /// Tokenize(s) for the interned string, computed once per id.
-  const std::vector<std::string>& RawTokens(uint32_t id);
-
-  /// SortedUniqueTokens(s) for the interned string, computed once per id.
-  const std::vector<std::string>& SortedTokens(uint32_t id);
-
-  /// Memo slot for the ordered string-id pair (a, b). Callers check `have`
-  /// bits and fill what they compute.
-  SimEntry& SimFor(uint32_t a, uint32_t b);
-
-  /// Row-major feature/score buffer reused across batches.
-  std::vector<double>& matrix() { return matrix_; }
-
-  /// Drops interned strings, token caches and similarity memos. Keeps
-  /// heap capacity where the containers allow it.
-  void Reset();
-
-  size_t num_interned() const { return interner_.size(); }
-
-  /// Rough heap footprint of the scratch (interner payloads, token memos,
-  /// similarity memo, feature matrix). Cross-check for the allocation-delta
-  /// columns; exported as the rock_interner_bytes gauge.
-  size_t ApproxBytes() const;
-
- private:
-  struct TokenEntry {
-    std::vector<std::string> raw;
-    std::vector<std::string> sorted;
-    bool raw_ready = false;
-    bool sorted_ready = false;
-  };
-
-  StringInterner interner_;
-  std::vector<TokenEntry> tokens_;
-  std::unordered_map<uint64_t, SimEntry> sims_;
-  std::vector<double> matrix_;
-};
-
 /// Sharded, double-checked memo of ML predicate scores keyed by
-/// (model, pair-content) hash — the batched-evaluation counterpart of the
-/// detector's pair-frequency cache, and managed under the same discipline:
-/// look up under the shard lock, compute outside any lock, first insert
-/// wins. Keys hash the *values* of both attribute vectors, so a hit returns
-/// the score of a bitwise-identical pair regardless of which rule, worker
-/// or overlay produced it, and the cached double is exactly what the scalar
-/// path would recompute.
+/// (model, pair-content) hash, for callers that score the same pairs
+/// again (a nested-loop baseline, a traced run counting reuse): look up
+/// under the shard lock, compute outside any lock, first insert wins. Keys
+/// hash the *values* of both attribute vectors, so a hit returns the score
+/// of a bitwise-identical pair regardless of which rule, worker or overlay
+/// produced it, and the cached double is exactly what Score would
+/// recompute. The evaluator runs without one unless its caller passes it.
 ///
 /// Keys are 128-bit (two independently seeded 64-bit mixes), making
 /// accidental collisions negligible at any realistic pair count.
@@ -118,8 +32,7 @@ class MlScoreCache {
     bool operator==(const Key& o) const { return hi == o.hi && lo == o.lo; }
   };
 
-  /// Hash functor for Key, usable by callers that keep key sets (e.g. the
-  /// warm pass deduplicating pairs before a batch score).
+  /// Hash functor for Key.
   struct KeyHash {
     size_t operator()(const Key& k) const {
       return static_cast<size_t>(k.hi ^ (k.lo * 0x9E3779B97F4A7C15ull));
@@ -143,17 +56,8 @@ class MlScoreCache {
   /// True and sets *score on a hit. Counts a hit or miss either way.
   bool Lookup(const Key& key, double* score) const;
 
-  /// Membership probe that does not touch the hit/miss stats — for warm
-  /// passes deciding what still needs scoring.
-  bool Contains(const Key& key) const;
-
   /// First insert wins; later inserts of the same key are ignored.
   void Insert(const Key& key, double score);
-
-  /// Inserts keys[i] -> scores[i], grouping by shard to take each shard
-  /// lock once. Preconditions: keys.size() == scores.size().
-  void InsertBatch(const std::vector<Key>& keys,
-                   const std::vector<double>& scores);
 
   void Clear();
   size_t size() const;

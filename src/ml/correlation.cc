@@ -3,17 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/hash.h"
+#include "src/common/strings.h"
+
 namespace rock::ml {
 
 CooccurrenceModel::CooccurrenceModel() : CooccurrenceModel(Options()) {}
 
+size_t CooccurrenceModel::CoocKeyHash::operator()(const CoocKey& k) const {
+  return static_cast<size_t>(HashCombine(
+      HashCombine(MixHash64(static_cast<uint64_t>(k.attr_a)), k.hash),
+      static_cast<uint64_t>(k.attr_b)));
+}
+
 void CooccurrenceModel::Count(int attr_a, const Value& va, int attr_b,
                               const Value& vb, double weight) {
-  ValueKey key{attr_a, va.Hash()};
-  cooc_[key][attr_b][vb] += weight;
-  marginal_[key] += weight;
-  attr_totals_[attr_a] += weight;
-  attr_values_[attr_b][vb] += weight;
+  cooc_[CoocKey{attr_a, va.Hash(), attr_b}][vb] += weight;
+  attr_values_[attr_b].insert(vb);
 }
 
 void CooccurrenceModel::TrainOnRelation(const Relation& relation) {
@@ -48,19 +54,15 @@ void CooccurrenceModel::TrainOnGraph(const kg::KnowledgeGraph& graph,
 double CooccurrenceModel::ConditionalScore(int attr_a, const Value& va,
                                            int attr_b,
                                            const Value& vb) const {
-  ValueKey key{attr_a, va.Hash()};
-  auto it = cooc_.find(key);
+  auto it = cooc_.find(CoocKey{attr_a, va.Hash(), attr_b});
   double joint = 0.0;
   double denom = 0.0;
   if (it != cooc_.end()) {
-    auto bt = it->second.find(attr_b);
-    if (bt != it->second.end()) {
-      // The conditional P(vb | va) within attribute B: the denominator is
-      // va's co-occurrence mass with B only, not with every attribute.
-      for (const auto& [value, count] : bt->second) {
-        denom += count;
-        if (value == vb) joint = count;
-      }
+    // The conditional P(vb | va) within attribute B: the denominator is
+    // va's co-occurrence mass with B only, not with every attribute.
+    for (const auto& [value, count] : it->second) {
+      denom += count;
+      if (value == vb) joint = count;
     }
   }
   // Distinct candidate universe for smoothing.
@@ -112,12 +114,9 @@ std::vector<Value> CooccurrenceModel::Candidates(
     if (a == attr_b) continue;
     const Value& va = values[static_cast<size_t>(a)];
     if (va.is_null()) continue;
-    ValueKey key{a, va.Hash()};
-    auto it = cooc_.find(key);
+    auto it = cooc_.find(CoocKey{a, va.Hash(), attr_b});
     if (it == cooc_.end()) continue;
-    auto bt = it->second.find(attr_b);
-    if (bt == it->second.end()) continue;
-    for (const auto& [vb, count] : bt->second) {
+    for (const auto& [vb, count] : it->second) {
       (void)count;
       scored[vb] = std::max(
           scored[vb], Strength(values, validated_attrs, attr_b, vb));
@@ -145,8 +144,8 @@ Result<Value> CooccurrenceModel::PredictValue(
     int attr_b) const {
   std::vector<Value> candidates = Candidates(values, validated_attrs, attr_b);
   if (candidates.empty()) {
-    return Status::NotFound("no candidate value for attribute " +
-                            std::to_string(attr_b));
+    return Status::NotFound(
+        StrFormat("no candidate value for attribute %d", attr_b));
   }
   return candidates.front();
 }

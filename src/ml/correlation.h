@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -88,23 +89,24 @@ class CooccurrenceModel : public CorrelationModel, public ValuePredictor {
                                 int attr_b) const override;
 
  private:
-  struct ValueKey {
-    int attr;
+  /// (attr_a, hash(va), attr_b): the values of B seen with va.
+  struct CoocKey {
+    int attr_a;
     uint64_t hash;
-    bool operator<(const ValueKey& o) const {
-      return attr != o.attr ? attr < o.attr : hash < o.hash;
-    }
+    int attr_b;
+    bool operator==(const CoocKey&) const = default;
+  };
+  struct CoocKeyHash {
+    size_t operator()(const CoocKey& k) const;
   };
 
   Options options_;
   HashedTextFeaturizer text_;
-  // cooc_[{attr_a, hash(va)}][attr_b] : value -> count.
-  std::map<ValueKey, std::map<int, std::map<Value, double>>> cooc_;
-  // Marginal counts per (attr, value) and per attr.
-  std::map<ValueKey, double> marginal_;
-  std::map<int, double> attr_totals_;
+  // cooc_[{attr_a, hash(va), attr_b}] : value -> count. The inner map is
+  // ordered, so every sum over it runs in the same order.
+  std::unordered_map<CoocKey, std::map<Value, double>, CoocKeyHash> cooc_;
   // Distinct values seen per attribute (candidate universe).
-  std::map<int, std::map<Value, double>> attr_values_;
+  std::unordered_map<int, std::set<Value>> attr_values_;
 
   void Count(int attr_a, const Value& va, int attr_b, const Value& vb,
              double weight);

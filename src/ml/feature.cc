@@ -5,7 +5,6 @@
 #include <algorithm>
 #include "src/common/hash.h"
 #include "src/common/strings.h"
-#include "src/ml/batch.h"
 
 namespace rock::ml {
 
@@ -36,57 +35,6 @@ FeatureVector PairFeaturizer::Extract(const std::vector<Value>& a,
     }
   }
   return out;
-}
-
-void PairFeaturizer::ExtractBatch(const PairBatch& batch,
-                                  BatchScratch* scratch) const {
-  std::vector<double>& matrix = scratch->matrix();
-  matrix.assign(batch.size() * static_cast<size_t>(dimension()), 0.0);
-  for (size_t row = 0; row < batch.size(); ++row) {
-    const std::vector<Value>& a = batch.a[row];
-    const std::vector<Value>& b = batch.b[row];
-    double* out = &matrix[row * static_cast<size_t>(dimension())];
-    for (int i = 0; i < num_attributes_; ++i) {
-      const Value& va = a[static_cast<size_t>(i)];
-      const Value& vb = b[static_cast<size_t>(i)];
-      double* slot = out + i * kFeaturesPerAttribute;
-      if (va.is_null() && vb.is_null()) {
-        slot[1] = 1.0;
-        continue;
-      }
-      if (va.is_null() || vb.is_null()) continue;
-      slot[0] = (va == vb) ? 1.0 : 0.0;
-      if (va.type() == ValueType::kString &&
-          vb.type() == ValueType::kString) {
-        const std::string& sa = va.AsString();
-        const std::string& sb = vb.AsString();
-        const uint32_t ida = scratch->InternString(sa);
-        const uint32_t idb = scratch->InternString(sb);
-        BatchScratch::SimEntry& memo = scratch->SimFor(ida, idb);
-        if ((memo.have & BatchScratch::kEdit) == 0) {
-          memo.edit = EditSimilarity(sa, sb);
-          memo.have |= BatchScratch::kEdit;
-        }
-        if ((memo.have & BatchScratch::kJaroWinkler) == 0) {
-          memo.jaro_winkler = JaroWinkler(sa, sb);
-          memo.have |= BatchScratch::kJaroWinkler;
-        }
-        if ((memo.have & BatchScratch::kJaccard) == 0) {
-          memo.jaccard = TokenJaccardSorted(scratch->SortedTokens(ida),
-                                            scratch->SortedTokens(idb));
-          memo.have |= BatchScratch::kJaccard;
-        }
-        slot[2] = memo.edit;
-        slot[3] = memo.jaro_winkler;
-        slot[4] = memo.jaccard;
-      } else if (va.ComparableWith(vb)) {
-        double x = va.AsDouble();
-        double y = vb.AsDouble();
-        double denom = std::max({std::abs(x), std::abs(y), 1.0});
-        slot[5] = 1.0 - std::min(1.0, std::abs(x - y) / denom);
-      }
-    }
-  }
 }
 
 FeatureVector HashedTextFeaturizer::Extract(std::string_view text) const {

@@ -8,9 +8,6 @@
 
 namespace rock::ml {
 
-struct PairBatch;
-class BatchScratch;
-
 /// Dense feature vector used across the classical ML models.
 using FeatureVector = std::vector<double>;
 
@@ -34,14 +31,6 @@ class PairFeaturizer {
   /// Precondition: a.size() == b.size() == num_attributes().
   FeatureVector Extract(const std::vector<Value>& a,
                         const std::vector<Value>& b) const;
-
-  /// Extracts all rows of `batch` into scratch->matrix(), row-major
-  /// (batch.size() x dimension()), interning strings through the scratch
-  /// so tokenization and string-pair similarities are computed once per
-  /// distinct value per round. Every slot is filled by the same kernel
-  /// call Extract would make, so each row is bitwise equal to
-  /// Extract(batch.a[i], batch.b[i]).
-  void ExtractBatch(const PairBatch& batch, BatchScratch* scratch) const;
 
  private:
   int num_attributes_;

@@ -12,16 +12,6 @@ std::vector<std::string> PairClassifier::BlockTokens(
   return BlockingTokens(a);
 }
 
-void PairClassifier::ScoreBatch(const PairBatch& batch,
-                                BatchScratch* /*scratch*/,
-                                std::vector<double>* out) const {
-  out->clear();
-  out->reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    out->push_back(Score(batch.a[i], batch.b[i]));
-  }
-}
-
 double SimilarityClassifier::Score(const std::vector<Value>& a,
                                    const std::vector<Value>& b) const {
   size_t n = std::min(a.size(), b.size());
@@ -46,65 +36,6 @@ double SimilarityClassifier::Score(const std::vector<Value>& a,
     }
   }
   return counted == 0 ? 0.0 : total / static_cast<double>(counted);
-}
-
-void SimilarityClassifier::ScoreBatch(const PairBatch& batch,
-                                      BatchScratch* scratch,
-                                      std::vector<double>* out) const {
-  if (scratch == nullptr) {
-    PairClassifier::ScoreBatch(batch, nullptr, out);
-    return;
-  }
-  out->clear();
-  out->reserve(batch.size());
-  for (size_t row = 0; row < batch.size(); ++row) {
-    const std::vector<Value>& a = batch.a[row];
-    const std::vector<Value>& b = batch.b[row];
-    const size_t n = std::min(a.size(), b.size());
-    if (n == 0) {
-      out->push_back(0.0);
-      continue;
-    }
-    // Mirrors Score attr by attr; string similarities go through the
-    // per-round memo so repeated values are computed once. The summation
-    // order and per-attr expression are identical to Score, keeping the
-    // result bitwise equal.
-    double total = 0.0;
-    size_t counted = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const Value& va = a[i];
-      const Value& vb = b[i];
-      if (va.is_null() || vb.is_null()) continue;
-      ++counted;
-      if (va.type() == ValueType::kString &&
-          vb.type() == ValueType::kString) {
-        const std::string& sa = va.AsString();
-        const std::string& sb = vb.AsString();
-        const uint32_t ida = scratch->InternString(sa);
-        const uint32_t idb = scratch->InternString(sb);
-        BatchScratch::SimEntry& memo = scratch->SimFor(ida, idb);
-        if ((memo.have & BatchScratch::kJaroWinkler) == 0) {
-          memo.jaro_winkler = JaroWinkler(sa, sb);
-          memo.have |= BatchScratch::kJaroWinkler;
-        }
-        if ((memo.have & BatchScratch::kSoftToken) == 0) {
-          memo.soft_token = SoftTokenSimilarityTokens(scratch->RawTokens(ida),
-                                                      scratch->RawTokens(idb));
-          memo.have |= BatchScratch::kSoftToken;
-        }
-        total += 0.5 * memo.jaro_winkler + 0.5 * memo.soft_token;
-      } else if (va.ComparableWith(vb)) {
-        double x = va.AsDouble();
-        double y = vb.AsDouble();
-        double denom = std::max({std::abs(x), std::abs(y), 1.0});
-        total += 1.0 - std::min(1.0, std::abs(x - y) / denom);
-      } else {
-        total += (va == vb) ? 1.0 : 0.0;
-      }
-    }
-    out->push_back(counted == 0 ? 0.0
-                                : total / static_cast<double>(counted));
-  }
 }
 
 Status LogisticPairClassifier::Train(
@@ -135,19 +66,6 @@ double LogisticPairClassifier::Score(const std::vector<Value>& a,
   return model_.Score(featurizer_.Extract(a, b));
 }
 
-void LogisticPairClassifier::ScoreBatch(const PairBatch& batch,
-                                        BatchScratch* scratch,
-                                        std::vector<double>* out) const {
-  if (scratch == nullptr) {
-    PairClassifier::ScoreBatch(batch, nullptr, out);
-    return;
-  }
-  featurizer_.ExtractBatch(batch, scratch);
-  out->clear();
-  model_.ScoreBatch(scratch->matrix().data(), batch.size(),
-                    static_cast<size_t>(featurizer_.dimension()), out);
-}
-
 Status BoostedPairClassifier::Train(
     const std::vector<std::pair<std::vector<Value>, std::vector<Value>>>&
         pairs,
@@ -176,20 +94,6 @@ double BoostedPairClassifier::Score(const std::vector<Value>& a,
                                     const std::vector<Value>& b) const {
   const FeatureVector features = featurizer_.Extract(a, b);
   return std::clamp(model_.PredictRow(features.data()), 0.0, 1.0);
-}
-
-void BoostedPairClassifier::ScoreBatch(const PairBatch& batch,
-                                       BatchScratch* scratch,
-                                       std::vector<double>* out) const {
-  if (scratch == nullptr) {
-    PairClassifier::ScoreBatch(batch, nullptr, out);
-    return;
-  }
-  featurizer_.ExtractBatch(batch, scratch);
-  out->clear();
-  model_.PredictBatch(scratch->matrix().data(), batch.size(),
-                      static_cast<size_t>(featurizer_.dimension()), out);
-  for (double& score : *out) score = std::clamp(score, 0.0, 1.0);
 }
 
 void MlLibrary::RegisterPair(const std::string& name,

@@ -7,7 +7,6 @@
 
 #include "src/common/status.h"
 #include "src/kg/graph.h"
-#include "src/ml/batch.h"
 #include "src/ml/feature.h"
 #include "src/ml/linear.h"
 #include "src/ml/tree.h"
@@ -36,16 +35,6 @@ class PairClassifier {
 
   virtual double threshold() const { return 0.5; }
 
-  /// Scores every pair of `batch` into *out (out->resize'd to
-  /// batch.size(); out[i] corresponds to (batch.a[i], batch.b[i])).
-  /// Contract: out[i] is bitwise equal to Score(batch.a[i], batch.b[i]) —
-  /// overrides may reorder *which pair is scored when* and share work
-  /// across rows through `scratch`, but each row's arithmetic must match
-  /// the scalar path exactly. The default loops over Score. `scratch` may
-  /// be nullptr (overrides then fall back to the scalar path).
-  virtual void ScoreBatch(const PairBatch& batch, BatchScratch* scratch,
-                          std::vector<double>* out) const;
-
   /// Blocking tokens for the filter-and-verify paradigm (§5.4): records
   /// with disjoint token sets are assumed non-matching by the filter.
   virtual std::vector<std::string> BlockTokens(
@@ -62,8 +51,6 @@ class SimilarityClassifier : public PairClassifier {
 
   double Score(const std::vector<Value>& a,
                const std::vector<Value>& b) const override;
-  void ScoreBatch(const PairBatch& batch, BatchScratch* scratch,
-                  std::vector<double>* out) const override;
   double threshold() const override { return threshold_; }
 
  private:
@@ -88,8 +75,6 @@ class LogisticPairClassifier : public PairClassifier {
 
   double Score(const std::vector<Value>& a,
                const std::vector<Value>& b) const override;
-  void ScoreBatch(const PairBatch& batch, BatchScratch* scratch,
-                  std::vector<double>* out) const override;
   double threshold() const override { return threshold_; }
   bool trained() const { return model_.trained(); }
 
@@ -118,8 +103,6 @@ class BoostedPairClassifier : public PairClassifier {
 
   double Score(const std::vector<Value>& a,
                const std::vector<Value>& b) const override;
-  void ScoreBatch(const PairBatch& batch, BatchScratch* scratch,
-                  std::vector<double>* out) const override;
   double threshold() const override { return threshold_; }
   bool trained() const { return model_.trained(); }
 

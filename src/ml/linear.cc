@@ -60,15 +60,6 @@ double LogisticRegression::ScoreRow(const double* row, size_t n) const {
   return Sigmoid(z);
 }
 
-void LogisticRegression::ScoreBatch(const double* data, size_t rows,
-                                    size_t cols,
-                                    std::vector<double>* out) const {
-  out->reserve(out->size() + rows);
-  for (size_t r = 0; r < rows; ++r) {
-    out->push_back(ScoreRow(data + r * cols, cols));
-  }
-}
-
 void Lasso::Train(const std::vector<FeatureVector>& x,
                   const std::vector<double>& y) {
   weights_.clear();

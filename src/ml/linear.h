@@ -31,15 +31,8 @@ class LogisticRegression {
     return ScoreRow(features.data(), features.size());
   }
 
-  /// Score over a raw feature row (the batched entry point). Identical
-  /// accumulation order to Score, so results are bitwise equal.
+  /// Score over a raw feature row of `n` doubles.
   double ScoreRow(const double* row, size_t n) const;
-
-  /// Scores `rows` consecutive rows of the row-major matrix `data`
-  /// (`cols` doubles each), appending to *out. Each row goes through
-  /// ScoreRow, so outputs match per-row Score bitwise.
-  void ScoreBatch(const double* data, size_t rows, size_t cols,
-                  std::vector<double>* out) const;
 
   bool Predict(const FeatureVector& features, double threshold = 0.5) const {
     return Score(features) >= threshold;

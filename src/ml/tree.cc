@@ -164,15 +164,6 @@ double GradientBoostedTrees::PredictRow(const double* row) const {
   return out;
 }
 
-void GradientBoostedTrees::PredictBatch(const double* data, size_t rows,
-                                        size_t cols,
-                                        std::vector<double>* out) const {
-  out->reserve(out->size() + rows);
-  for (size_t r = 0; r < rows; ++r) {
-    out->push_back(PredictRow(data + r * cols));
-  }
-}
-
 std::vector<double> GradientBoostedTrees::FeatureImportance() const {
   std::vector<double> importance(dimension_, 0.0);
   for (const DecisionTree& tree : trees_) {

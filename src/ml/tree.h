@@ -26,8 +26,8 @@ class DecisionTree {
     return PredictRow(features.data());
   }
 
-  /// Predict over a raw feature row (the batched entry point); the row
-  /// must span the training dimension.
+  /// Predict over a raw feature row; the row must span the training
+  /// dimension.
   double PredictRow(const double* row) const;
 
   /// Total variance reduction attributed to each feature across splits.
@@ -74,13 +74,7 @@ class GradientBoostedTrees {
   }
 
   /// Predict over a raw feature row spanning the training dimension.
-  /// Same tree order and accumulation as Predict — bitwise equal.
   double PredictRow(const double* row) const;
-
-  /// Predicts `rows` consecutive rows of the row-major matrix `data`
-  /// (`cols` doubles each), appending to *out; per-row PredictRow order.
-  void PredictBatch(const double* data, size_t rows, size_t cols,
-                    std::vector<double>* out) const;
 
   /// Per-feature importance (summed split gain over all trees), normalized
   /// to sum to 1 when any gain exists.

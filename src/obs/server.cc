@@ -1,6 +1,7 @@
 #include "src/obs/server.h"
 
 #include "src/common/logging.h"
+#include "src/common/strings.h"
 #include "src/common/timer.h"
 #include "src/obs/exporters.h"
 #include "src/obs/profile.h"
@@ -126,10 +127,10 @@ HttpResponse HandleTelemetryRequest(const HttpRequest& request,
 
 std::string SerializeHttpResponse(const HttpResponse& response,
                                   bool include_body) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    HttpStatusReason(response.status) + "\r\n";
+  std::string out = StrFormat("HTTP/1.1 %d %s\r\n", response.status,
+                              HttpStatusReason(response.status));
   out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
+  out += StrFormat("Content-Length: %zu\r\n", response.body.size());
   out += "Connection: close\r\n\r\n";
   if (include_body) out += response.body;
   return out;
@@ -185,8 +186,8 @@ void TelemetryServer::HandleConnection(const net::Socket& client) {
   bool head_only = false;
   if (head.size() > kMaxRequestBytes) {
     response.status = 431;
-    response.body = "request head exceeds " +
-                    std::to_string(kMaxRequestBytes) + " bytes\n";
+    response.body =
+        StrFormat("request head exceeds %zu bytes\n", kMaxRequestBytes);
   } else {
     Status parsed = ParseRequestLine(head, &request);
     if (!parsed.ok()) {

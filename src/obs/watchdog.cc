@@ -12,6 +12,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
+#include "src/common/strings.h"
 #include "src/common/timer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
@@ -162,7 +163,8 @@ std::string StallWatchdog::BuildDump(const std::string& reason) const {
     size_t shown = 0;
     for (const auto& [count, stack] : ranked) {
       if (++shown > 10) break;
-      out += "  " + *stack + " " + std::to_string(count) + "\n";
+      out += StrFormat("  %s %llu\n", stack->c_str(),
+                       static_cast<unsigned long long>(count));
     }
   } else {
     out += "partial profile: profiler not running\n";

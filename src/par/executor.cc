@@ -135,10 +135,10 @@ void PublishBreakdown(const ScheduleReport& report) {
   breakdown.mode = "threads";
   breakdown.workers = report.num_workers;
   breakdown.wall_seconds = report.wall_seconds;
-  breakdown.label = breakdown.mode + "-" +
-                    std::to_string(report.num_workers) + "#" +
-                    std::to_string(
-                        seq.fetch_add(1, std::memory_order_relaxed) + 1);
+  breakdown.label = StrFormat(
+      "%s-%d#%llu", breakdown.mode.c_str(), report.num_workers,
+      static_cast<unsigned long long>(
+          seq.fetch_add(1, std::memory_order_relaxed) + 1));
   breakdown.busy_seconds = report.busy_seconds;
   breakdown.wait_seconds = report.wait_seconds;
   breakdown.idle_seconds = report.idle_seconds;
@@ -322,8 +322,8 @@ class Schedule {
   /// a pure function of the ring and the alive set.
   size_t LocateLiveWorker(const std::string& key) const {
     for (int salt = 0;; ++salt) {
-      auto owner =
-          ring_.Locate(salt == 0 ? key : key + "#" + std::to_string(salt));
+      auto owner = ring_.Locate(
+          salt == 0 ? key : StrFormat("%s#%d", key.c_str(), salt));
       const size_t worker = owner.ok() ? WorkerIdOf(*owner) : 0;
       if (alive_[worker]) return worker;
     }
@@ -368,7 +368,7 @@ WorkerPool::WorkerPool(int num_workers, PoolOptions options)
     : num_workers_(std::max(1, num_workers)), options_(options) {
   ROCK_CHECK(options_.retry.max_attempts >= 1);
   for (int w = 0; w < num_workers_; ++w) {
-    Status s = ring_.AddNode("worker-" + std::to_string(w));
+    Status s = ring_.AddNode(StrFormat("worker-%d", w));
     ROCK_CHECK(s.ok());
   }
 }
@@ -404,7 +404,7 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
   Timer wall;
 
   auto worker_main = [&](int me) {
-    obs::Tracer::Global().SetThisThreadName("worker-" + std::to_string(me));
+    obs::Tracer::Global().SetThisThreadName(StrFormat("worker-%d", me));
     obs::ProfilerRegisterThisThread();
     while (true) {
       Schedule::Step step;

@@ -30,17 +30,17 @@ std::string FaultPlan::ToSpec() const {
   };
   for (const auto& [unit, attempt] : crash_at_attempt) {
     sep();
-    spec += "crash:" + std::to_string(unit) + "@" + std::to_string(attempt);
+    spec += StrFormat("crash:%zu@%d", unit, attempt);
   }
   for (const auto& [unit, seconds] : delay_seconds) {
     sep();
     // Microsecond resolution keeps the spec short and round-trippable.
-    spec += "delay:" + std::to_string(unit) + "=" +
-            std::to_string(static_cast<int64_t>(seconds * 1e6)) + "us";
+    spec += StrFormat("delay:%zu=%lldus", unit,
+                      static_cast<long long>(seconds * 1e6));
   }
   for (const auto& [unit, failures] : transient_failures) {
     sep();
-    spec += "flaky:" + std::to_string(unit) + "x" + std::to_string(failures);
+    spec += StrFormat("flaky:%zux%d", unit, failures);
   }
   return spec;
 }

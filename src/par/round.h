@@ -1,25 +1,21 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "src/ml/batch.h"
 #include "src/par/executor.h"
 #include "src/rules/eval.h"
 #include "src/rules/ree.h"
 
 namespace rock::par {
 
-/// What one worker of a round owns: an evaluator (its lazy equality
-/// indexes stay thread-local) and a batch scratch (not thread-safe), which
-/// the round resets after every unit.
+/// What one worker of a round owns: an evaluator, whose lazy equality
+/// indexes stay thread-local.
 struct RoundWorker {
   explicit RoundWorker(const rules::EvalContext& ctx) : eval(ctx) {}
 
   rules::Evaluator eval;
-  ml::BatchScratch scratch;
 };
 
 /// Per-unit outputs of one round, in unit order.
@@ -30,8 +26,6 @@ struct RoundResult {
   /// Units the pool abandoned (attempt budget exhausted under a fault
   /// plan) and the round re-ran serially.
   size_t replayed_units = 0;
-  /// Peak RoundWorker::scratch bytes after any unit.
-  size_t scratch_peak_bytes = 0;
 };
 
 /// One parallel round (paper §5.2), shared by parallel detection and the
@@ -63,23 +57,17 @@ RoundResult<Out> RunRound(
   const WorkerPool pool(num_workers, options);
   std::vector<RoundWorker> workers;
   for (int w = 0; w < pool.num_workers(); ++w) workers.emplace_back(ctx);
-  // peaks[w] is written only by worker w; replays run as worker 0 after
-  // the pool has joined.
-  std::vector<size_t> peaks(workers.size(), 0);
+  // Replays run as worker 0 after the pool has joined.
   auto unit_body = [&](const WorkUnit& unit, size_t index, int w) {
-    RoundWorker& worker = workers[static_cast<size_t>(w)];
     Out& out = result.outputs[index];
     out = Out();  // a replayed unit overwrites, never appends
     body(static_cast<size_t>(unit.rule_index),
-         rules::Scope::Rows(unit.rows.begin, unit.rows.end), worker, &out);
-    size_t& peak = peaks[static_cast<size_t>(w)];
-    peak = std::max(peak, worker.scratch.ApproxBytes());
-    worker.scratch.Reset();
+         rules::Scope::Rows(unit.rows.begin, unit.rows.end),
+         workers[static_cast<size_t>(w)], &out);
   };
   ScheduleReport local = pool.Execute(units, unit_body);
   result.replayed_units =
       WorkerPool::ReplayUnrecovered(units, &local, unit_body);
-  result.scratch_peak_bytes = *std::max_element(peaks.begin(), peaks.end());
   if (schedule != nullptr) *schedule = std::move(local);
   return result;
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <map>
-#include <unordered_set>
 
 #include "src/common/logging.h"
 #include "src/ml/correlation.h"
@@ -192,12 +190,50 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
   return false;
 }
 
-bool Evaluator::SatisfiesPrecondition(const Ree& rule,
-                                      const Valuation& v) const {
-  for (const Predicate& p : rule.precondition) {
-    if (!Satisfies(rule, v, p)) return false;
+namespace {
+
+/// True for the predicates whose check runs a model on the valuation's
+/// values. kPathMatch is not one: its model lookup does not depend on the
+/// valuation.
+bool ModelScored(const Predicate& p) {
+  switch (p.kind) {
+    case PredicateKind::kMlPair:
+    case PredicateKind::kHer:
+    case PredicateKind::kCorrelation:
+    case PredicateKind::kPredictValue:
+      return true;
+    case PredicateKind::kTemporal:
+      return !p.model.empty();  // ranker-backed
+    case PredicateKind::kConstant:
+    case PredicateKind::kAttrCompare:
+    case PredicateKind::kPathMatch:
+    case PredicateKind::kValExtract:
+    case PredicateKind::kIsNull:
+      return false;
+  }
+  return false;
+}
+
+/// Calls `check` on the predicates of `preds` in cost order — the cheap
+/// ones, then the ModelScored ones, each group in written order — and
+/// stops at the first that returns false.
+template <typename Check>
+bool AllInCostOrder(const std::vector<Predicate>& preds, Check&& check) {
+  for (const bool scored : {false, true}) {
+    for (const Predicate& p : preds) {
+      if (ModelScored(p) == scored && !check(p)) return false;
+    }
   }
   return true;
+}
+
+}  // namespace
+
+bool Evaluator::SatisfiesPrecondition(const Ree& rule,
+                                      const Valuation& v) const {
+  return AllInCostOrder(rule.precondition, [&](const Predicate& p) {
+    return Satisfies(rule, v, p);
+  });
 }
 
 obs::Witness Evaluator::CaptureWitness(const Ree& rule, const Valuation& v,
@@ -498,86 +534,19 @@ std::vector<int> Blocking::Candidates(const Evaluator& eval, const Ree& rule,
 
 void Evaluator::ForEachSatisfying(
     const Ree& rule, const std::function<bool(const Valuation&)>& cb) const {
-  Walk(rule, Scope{}, /*blocking=*/nullptr, /*skip_ml=*/false, cb);
+  Walk(rule, Scope{}, /*blocking=*/nullptr, cb);
 }
 
 EnumerateStats Evaluator::Enumerate(
     const Ree& rule, const Scope& scope, const Blocking* blocking,
-    ml::BatchScratch* scratch,
     const std::function<void(const Valuation&)>& sink) const {
-  const size_t ml_batched_pairs = WarmMlCache(rule, scratch, scope, blocking);
   const std::function<bool(const Valuation&)> emit = [&](const Valuation& v) {
     sink(v);
     return true;
   };
-  EnumerateStats stats = Walk(rule, scope, blocking, /*skip_ml=*/false, emit);
-  stats.ml_batched_pairs = ml_batched_pairs;
+  EnumerateStats stats = Walk(rule, scope, blocking, emit);
   UnindexedRowsCounter()->Add(stats.unindexed_rows);
   return stats;
-}
-
-size_t Evaluator::WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
-                              const Scope& scope,
-                              const Blocking* blocking) const {
-  if (ctx_.ml_cache == nullptr || ctx_.models == nullptr) return 0;
-  if (rule.num_vertex_vars != 0) return 0;
-  // Every ML predicate must bind at the deepest variable: the warm
-  // enumeration below skips ML predicates entirely, which is free only
-  // when they never prune an enumeration prefix.
-  const int last = static_cast<int>(rule.tuple_vars.size()) - 1;
-  std::vector<const Predicate*> ml_preds;
-  for (const Predicate& p : rule.precondition) {
-    if (p.kind != PredicateKind::kMlPair) continue;
-    int max_var = -1;
-    for (int tv : p.TupleVars()) max_var = std::max(max_var, tv);
-    if (max_var != last) return 0;
-    ml_preds.push_back(&p);
-  }
-  if (ml_preds.empty()) return 0;
-
-  struct Pending {
-    const ml::PairClassifier* model = nullptr;
-    ml::PairBatch batch;
-    std::vector<ml::MlScoreCache::Key> keys;
-  };
-  std::map<std::string, Pending> pending;
-  std::unordered_set<ml::MlScoreCache::Key, ml::MlScoreCache::KeyHash> queued;
-  size_t pending_pairs = 0;
-  size_t scored = 0;
-  auto flush = [&] {
-    std::vector<double> scores;
-    for (auto& [name, entry] : pending) {
-      if (entry.batch.empty()) continue;
-      entry.model->ScoreBatch(entry.batch, scratch, &scores);
-      ctx_.ml_cache->InsertBatch(entry.keys, scores);
-      scored += scores.size();
-      entry.batch.Clear();
-      entry.keys.clear();
-    }
-    pending_pairs = 0;
-  };
-  Walk(rule, scope, blocking, /*skip_ml=*/true, [&](const Valuation& v) {
-    for (const Predicate* p : ml_preds) {
-      const ml::PairClassifier* model = ctx_.models->FindPair(p->model);
-      if (model == nullptr) continue;
-      std::vector<Value> a, b;
-      for (int attr : p->attrs_a) a.push_back(GetCell(rule, v, p->var, attr));
-      for (int attr : p->attrs_b) b.push_back(GetCell(rule, v, p->var2, attr));
-      const ml::MlScoreCache::Key key =
-          ml::MlScoreCache::MakeKey(p->model, a, b);
-      if (!queued.insert(key).second || ctx_.ml_cache->Contains(key)) {
-        continue;
-      }
-      Pending& entry = pending[p->model];
-      entry.model = model;
-      entry.batch.Add(std::move(a), std::move(b));
-      entry.keys.push_back(key);
-      if (++pending_pairs >= 4096) flush();
-    }
-    return true;
-  });
-  flush();
-  return scored;
 }
 
 std::vector<Evaluator::Source> Evaluator::PlanSources(
@@ -622,22 +591,26 @@ std::vector<Evaluator::Source> Evaluator::PlanSources(
 
 EnumerateStats Evaluator::Walk(
     const Ree& rule, const Scope& scope, const Blocking* blocking,
-    bool skip_ml, const std::function<bool(const Valuation&)>& cb) const {
-  // ready[d] = predicates fully bound once vars 0..d are assigned (vertex-
-  // var predicates are deferred to the vertex phase).
+    const std::function<bool(const Valuation&)>& cb) const {
+  // ready[d] = predicates fully bound once vars 0..d are assigned; vertex-
+  // var predicates are deferred to the vertex phase. Both in cost order.
   const size_t num_vars = rule.tuple_vars.size();
   std::vector<std::vector<const Predicate*>> ready(num_vars);
-  for (const Predicate& p : rule.precondition) {
-    if (p.vertex_var >= 0) continue;
-    if (skip_ml && p.kind == PredicateKind::kMlPair) continue;
+  std::vector<const Predicate*> vertex_ready;
+  AllInCostOrder(rule.precondition, [&](const Predicate& p) {
+    if (p.vertex_var >= 0) {
+      vertex_ready.push_back(&p);
+      return true;
+    }
     int max_var = -1;
     for (int tv : p.TupleVars()) max_var = std::max(max_var, tv);
     if (max_var < 0) max_var = 0;
     if (static_cast<size_t>(max_var) < num_vars) {
       ready[static_cast<size_t>(max_var)].push_back(&p);
     }
-  }
-  Pass pass{ready, cb, blocking};
+    return true;
+  });
+  Pass pass{ready, vertex_ready, cb, blocking};
   pass.candidates.resize(num_vars);
   Valuation v;
   v.rows.assign(num_vars, -1);
@@ -752,9 +725,8 @@ void Evaluator::AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,
   if (vertex_depth == rule.num_vertex_vars) {
     // Check every predicate involving vertex variables (tuple-only
     // predicates were already checked during Recurse).
-    for (const Predicate& p : rule.precondition) {
-      if (p.vertex_var < 0) continue;
-      if (!Satisfies(rule, v, p)) return;
+    for (const Predicate* p : pass.vertex_ready) {
+      if (!Satisfies(rule, v, *p)) return;
     }
     if (!pass.cb(v)) pass.keep_going = false;
     return;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/kg/graph.h"
+#include "src/ml/batch.h"
 #include "src/ml/library.h"
 #include "src/ml/lsh.h"
 #include "src/obs/provenance.h"
@@ -66,12 +67,13 @@ struct EvalContext {
   const ml::MlLibrary* models = nullptr;
   const CellOverlay* overlay = nullptr;
   const TemporalOracle* temporal = nullptr;
-  /// Shared memo of ML pair-predicate scores keyed by (model, pair
-  /// content); nullptr disables caching. With a cache, kMlPair predicates
-  /// threshold the memoized Score — identical to the default Predict, so
-  /// only models relying on the default Score-vs-threshold Predict should
-  /// run with a cache. Keys hash the overlay-aware cell *values*, so the
-  /// cache stays sound across overlays, rules and workers.
+  /// Optional memo of ML pair-predicate scores keyed by (model, pair
+  /// content); nullptr (the default) scores every pair with the model's
+  /// Predict. With a memo, kMlPair predicates threshold the memoized Score
+  /// — identical to the default Predict, so only models relying on the
+  /// default Score-vs-threshold Predict should run with one. Keys hash the
+  /// overlay-aware cell *values*, so a memo stays sound across overlays,
+  /// rules and workers.
   ml::MlScoreCache* ml_cache = nullptr;
 };
 
@@ -119,13 +121,11 @@ struct Scope {
 };
 
 /// What one Enumerate call checked: candidate pairs the blocking filter
-/// proposed, ML pairs the warm pre-pass scored, and rows tried by a plain
-/// scan at a variable other than the scope's own (variable 0 of a full or
-/// row scope, a delta seed's variable) — rows no index, LSH block or seed
-/// probe proposed.
+/// proposed, and rows tried by a plain scan at a variable other than the
+/// scope's own (variable 0 of a full or row scope, a delta seed's
+/// variable) — rows no index, LSH block or seed probe proposed.
 struct EnumerateStats {
   size_t blocked_pairs = 0;
-  size_t ml_batched_pairs = 0;
   size_t unindexed_rows = 0;
 };
 
@@ -183,7 +183,7 @@ class Evaluator {
   bool Satisfies(const Ree& rule, const Valuation& v,
                  const Predicate& p) const;
 
-  /// h |= X (every precondition predicate).
+  /// h |= X (every precondition predicate), checked in cost order.
   bool SatisfiesPrecondition(const Ree& rule, const Valuation& v) const;
 
   /// The full witness of `v` satisfying `rule`'s precondition: the rule
@@ -200,37 +200,23 @@ class Evaluator {
   /// Enumerates valuations with h |= X. The callback returns false to stop
   /// early. Equality predicates against already-bound variables (EIDs
   /// included) and constants are pushed into index lookups; HER predicates
-  /// restrict vertex candidates via the model's blocking index. Valuations
-  /// come in ascending row order of variable 0, then of each later
-  /// variable's candidates.
+  /// restrict vertex candidates via the model's blocking index. At each
+  /// binding step the predicates are checked in cost order: the
+  /// model-scored ones (ML pair, HER, correlation, value prediction,
+  /// ranker-backed temporal) after the others, each group in written
+  /// order, so a model scores only what the cheap checks let through.
+  /// Valuations come in ascending row order of variable 0, then of each
+  /// later variable's candidates.
   void ForEachSatisfying(const Ree& rule,
                          const std::function<bool(const Valuation&)>& cb) const;
 
   /// The one enumerator of detection and the chase: every valuation in
-  /// `scope` with h |= X, in ForEachSatisfying's order, after warming
-  /// their ML pairs (WarmMlCache). With `blocking`, variable 1 ranges over
-  /// the LSH candidates of variable 0 (filter) and X verifies them.
+  /// `scope` with h |= X, in ForEachSatisfying's order, in one walk. With
+  /// `blocking`, variable 1 ranges over the LSH candidates of variable 0
+  /// (filter) and X verifies them.
   EnumerateStats Enumerate(
       const Ree& rule, const Scope& scope, const Blocking* blocking,
-      ml::BatchScratch* scratch,
       const std::function<void(const Valuation&)>& sink) const;
-
-  /// Pre-scores the rule's ML pair predicates into ctx().ml_cache with one
-  /// ScoreBatch per model (in rounds of at most 4096 pairs): enumerates
-  /// the valuations of `scope` satisfying the *non-ML* precondition
-  /// predicates and queues their uncached ML pairs. Later Satisfies calls
-  /// hit the memo instead of re-scoring per pair.
-  ///
-  /// Warms only rules where every ML pair predicate binds at the deepest
-  /// tuple variable and no vertex variables exist — skipping the ML
-  /// predicates then loses no pruning at shallower depths, so the warm
-  /// enumeration visits no more prefixes than the real one. Other rules
-  /// return 0 and fall back to per-pair scoring (which still populates the
-  /// cache). Cached values equal the scalar path's bitwise, so warming
-  /// never changes detection results. Returns the number of pairs scored.
-  size_t WarmMlCache(const Ree& rule, ml::BatchScratch* scratch,
-                     const Scope& scope = {},
-                     const Blocking* blocking = nullptr) const;
 
   /// Enumerates violations: h |= X but h !|= p0.
   void ForEachViolation(const Ree& rule,
@@ -281,9 +267,12 @@ class Evaluator {
                                   const Blocking* blocking) const;
 
   /// One pass: `var` bound to rows [begin, end); with `delta`, variables
-  /// before `var` kept off ΔD.
+  /// before `var` kept off ΔD. ready[d] holds the predicates fully bound
+  /// once variables 0..d are, and `vertex_ready` those on vertex
+  /// variables, each list in cost order.
   struct Pass {
     const std::vector<std::vector<const Predicate*>>& ready;
+    const std::vector<const Predicate*>& vertex_ready;
     const std::function<bool(const Valuation&)>& cb;
     const Blocking* blocking = nullptr;
     std::vector<Source> sources = {};
@@ -295,10 +284,10 @@ class Evaluator {
     EnumerateStats stats = {};
     bool keep_going = true;
   };
-  /// Runs `cb` on the valuations of `scope` satisfying X (minus its ML
-  /// predicates if `skip_ml`); returns the blocked and unindexed rows.
+  /// Runs `cb` on the valuations of `scope` satisfying X; returns the
+  /// blocked and unindexed rows.
   EnumerateStats Walk(const Ree& rule, const Scope& scope,
-                      const Blocking* blocking, bool skip_ml,
+                      const Blocking* blocking,
                       const std::function<bool(const Valuation&)>& cb) const;
   void Recurse(const Ree& rule, Valuation& v, size_t depth, Pass& pass) const;
   void AssignVertices(const Ree& rule, Valuation& v, int vertex_depth,

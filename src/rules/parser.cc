@@ -518,7 +518,7 @@ Result<Ree> ParseRee(std::string_view text, const DatabaseSchema& schema) {
       if (arg_list.size() != 2) {
         return Status::InvalidArgument("vertex() takes (x, G)");
       }
-      std::string expected = "x" + std::to_string(st.rule.num_vertex_vars);
+      std::string expected = StrFormat("x%d", st.rule.num_vertex_vars);
       if (Trim(arg_list[0]) != expected) {
         return Status::InvalidArgument("vertex variables must be bound in "
                                        "order x0, x1, ...");
@@ -530,7 +530,7 @@ Result<Ree> ParseRee(std::string_view text, const DatabaseSchema& schema) {
         args.find('.') == std::string::npos &&
         args.find('[') == std::string::npos &&
         args.find(',') == std::string::npos) {
-      std::string expected = "t" + std::to_string(st.rule.tuple_vars.size());
+      std::string expected = StrFormat("t%zu", st.rule.tuple_vars.size());
       if (Trim(args) != expected) {
         return Status::InvalidArgument("tuple variables must be bound in "
                                        "order t0, t1, ...; got " + args);

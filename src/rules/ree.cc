@@ -171,11 +171,12 @@ std::string PredicateToString(const Predicate& p, const Ree& rule,
 std::string Ree::ToString(const DatabaseSchema& schema) const {
   std::vector<std::string> parts;
   for (size_t i = 0; i < tuple_vars.size(); ++i) {
-    parts.push_back(schema.relation(tuple_vars[i]).name() + "(t" +
-                    std::to_string(i) + ")");
+    parts.push_back(StrFormat("%s(t%zu)",
+                              schema.relation(tuple_vars[i]).name().c_str(),
+                              i));
   }
   for (int j = 0; j < num_vertex_vars; ++j) {
-    parts.push_back("vertex(x" + std::to_string(j) + ", G)");
+    parts.push_back(StrFormat("vertex(x%d, G)", j));
   }
   for (const Predicate& p : precondition) {
     parts.push_back(PredicateToString(p, *this, schema));

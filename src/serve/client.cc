@@ -1,5 +1,7 @@
 #include "src/serve/client.h"
 
+#include "src/common/strings.h"
+
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -64,8 +66,9 @@ Result<Response> Client::RoundTrip(const Request& request) {
   if (!response.ok()) return response;
   if (response->id != request.id) {
     return Status::Internal(
-        "response id " + std::to_string(response->id) +
-        " does not match request id " + std::to_string(request.id));
+        StrFormat("response id %llu does not match request id %llu",
+                  static_cast<unsigned long long>(response->id),
+                  static_cast<unsigned long long>(request.id)));
   }
   return response;
 }

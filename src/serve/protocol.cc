@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/common/hash.h"
+#include "src/common/strings.h"
 
 namespace rock::serve {
 
@@ -152,8 +153,8 @@ Status WireReader::Str(std::string* v) {
   ROCK_RETURN_IF_ERROR(U32(&len));
   if (len > remaining()) {
     return Status::InvalidArgument(
-        "string length " + std::to_string(len) + " exceeds the " +
-        std::to_string(remaining()) + " bytes left in the frame");
+        StrFormat("string length %u exceeds the %zu bytes left in the frame",
+                  len, remaining()));
   }
   v->assign(data_.data() + pos_, len);
   pos_ += len;
@@ -166,9 +167,9 @@ Status WireReader::Count(size_t min_element_bytes, uint32_t* count) {
   if (min_element_bytes == 0) min_element_bytes = 1;
   if (raw > remaining() / min_element_bytes) {
     return Status::InvalidArgument(
-        "repeated-field count " + std::to_string(raw) +
-        " cannot fit in the " + std::to_string(remaining()) +
-        " bytes left in the frame");
+        StrFormat("repeated-field count %llu cannot fit in the %zu bytes "
+                  "left in the frame",
+                  static_cast<unsigned long long>(raw), remaining()));
   }
   *count = raw;
   return Status::Ok();
@@ -201,8 +202,8 @@ Status DecodeValue(WireReader* r, Value* out) {
   uint8_t type = 0;
   ROCK_RETURN_IF_ERROR(r->U8(&type));
   if (type > kMaxValueTypeByte) {
-    return Status::InvalidArgument("unknown value type tag " +
-                                   std::to_string(type));
+    return Status::InvalidArgument(
+        StrFormat("unknown value type tag %d", type));
   }
   switch (static_cast<ValueType>(type)) {
     case ValueType::kNull:
@@ -320,8 +321,8 @@ Status DecodeRequestBody(WireReader* r, Request* out) {
       uint8_t scope = 0;
       ROCK_RETURN_IF_ERROR(r->U8(&scope));
       if (scope > static_cast<uint8_t>(DetectScope::kSession)) {
-        return Status::InvalidArgument("unknown detect scope " +
-                                       std::to_string(scope));
+        return Status::InvalidArgument(
+            StrFormat("unknown detect scope %d", scope));
       }
       out->scope = static_cast<DetectScope>(scope);
       return Status::Ok();
@@ -351,8 +352,8 @@ Status DecodeErrorRecord(WireReader* r, detect::ErrorRecord* out) {
   uint8_t error_class = 0;
   ROCK_RETURN_IF_ERROR(r->U8(&error_class));
   if (error_class > static_cast<uint8_t>(detect::ErrorClass::kStale)) {
-    return Status::InvalidArgument("unknown error class " +
-                                   std::to_string(error_class));
+    return Status::InvalidArgument(
+        StrFormat("unknown error class %d", error_class));
   }
   out->error_class = static_cast<detect::ErrorClass>(error_class);
   ROCK_RETURN_IF_ERROR(r->Str(&out->rule_id));
@@ -450,24 +451,22 @@ Status DecodeEnvelope(WireReader* r, uint8_t expected_kind, Verb* verb,
   uint8_t version = 0;
   ROCK_RETURN_IF_ERROR(r->U8(&version));
   if (version != kProtocolVersion) {
-    return Status::InvalidArgument("protocol version " +
-                                   std::to_string(version) + " != " +
-                                   std::to_string(kProtocolVersion));
+    return Status::InvalidArgument(StrFormat(
+        "protocol version %d != %d", version, kProtocolVersion));
   }
   uint8_t kind = 0;
   ROCK_RETURN_IF_ERROR(r->U8(&kind));
   if (kind != expected_kind) {
     return Status::InvalidArgument(
         kind > kKindResponse
-            ? "unknown message kind " + std::to_string(kind)
+            ? StrFormat("unknown message kind %d", kind)
             : std::string("unexpected message kind (request/response "
                           "direction mismatch)"));
   }
   uint8_t verb_byte = 0;
   ROCK_RETURN_IF_ERROR(r->U8(&verb_byte));
   if (!VerbFromByte(verb_byte, verb)) {
-    return Status::InvalidArgument("unknown verb " +
-                                   std::to_string(verb_byte));
+    return Status::InvalidArgument(StrFormat("unknown verb %d", verb_byte));
   }
   return r->U64(id);
 }
@@ -524,8 +523,7 @@ Status DecodeResponse(std::string_view payload, Response* out) {
   uint8_t code = 0;
   ROCK_RETURN_IF_ERROR(r.U8(&code));
   if (code > kMaxStatusByte) {
-    return Status::InvalidArgument("unknown status code " +
-                                   std::to_string(code));
+    return Status::InvalidArgument(StrFormat("unknown status code %d", code));
   }
   response.code = static_cast<StatusCode>(code);
   ROCK_RETURN_IF_ERROR(r.Str(&response.error));
@@ -569,9 +567,8 @@ Status DecodeFrameHeader(std::string_view header_bytes,
     // Rejected from the header alone: the payload is never buffered, so an
     // adversarial length prefix cannot drive an allocation.
     return Status(StatusCode::kResourceExhausted,
-                  "frame length " + std::to_string(header.length) +
-                      " exceeds the " + std::to_string(max_frame_bytes) +
-                      "-byte limit");
+                  StrFormat("frame length %u exceeds the %zu-byte limit",
+                            header.length, max_frame_bytes));
   }
   *out = header;
   return Status::Ok();
@@ -580,8 +577,8 @@ Status DecodeFrameHeader(std::string_view header_bytes,
 Status CheckFramePayload(const FrameHeader& header, std::string_view payload) {
   if (payload.size() != header.length) {
     return Status::InvalidArgument(
-        "frame payload is " + std::to_string(payload.size()) +
-        " bytes, header declared " + std::to_string(header.length));
+        StrFormat("frame payload is %zu bytes, header declared %u",
+                  payload.size(), header.length));
   }
   uint32_t crc = Crc32(payload);
   if (crc != header.crc) {

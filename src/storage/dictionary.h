@@ -10,11 +10,11 @@
 
 namespace rock {
 
-/// Dense string interning for batch feature extraction: the first Intern of
-/// a string assigns the next uint32 id, later calls return the same id, and
-/// per-id derived data (tokenizations, similarity memos) can live in plain
-/// vectors indexed by id. Not thread-safe; batch callers keep one per
-/// worker scratch and Clear() it between rounds.
+/// Dense string interning: the first Intern of a string assigns the next
+/// uint32 id, later calls return the same id, and per-id derived data
+/// (tokenizations, similarity memos) can live in plain vectors indexed by
+/// id. Not thread-safe; callers keep one per worker and Clear() it between
+/// rounds.
 class StringInterner {
  public:
   /// Id for `s`, assigning the next dense id on first sight.

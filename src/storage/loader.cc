@@ -125,9 +125,9 @@ Result<size_t> LoadCsvInto(Database* db, int rel_index,
                                           static_cast<int>(attr)));
       if (!value.ok()) {
         return Status::InvalidArgument(
-            "row " + std::to_string(inserted) + ", column '" +
-            schema.AttributeName(static_cast<int>(attr)) +
-            "': " + value.status().message());
+            StrFormat("row %zu, column '%s': %s", inserted,
+                      schema.AttributeName(static_cast<int>(attr)).c_str(),
+                      value.status().message().c_str()));
       }
       t.values.push_back(std::move(*value));
     }

@@ -1,5 +1,7 @@
 #include "src/storage/relation.h"
 
+#include "src/common/strings.h"
+
 #include <algorithm>
 
 namespace rock {
@@ -7,9 +9,9 @@ namespace rock {
 Status Relation::Append(Tuple tuple) {
   if (tuple.values.size() != schema_.num_attributes()) {
     return Status::InvalidArgument(
-        "tuple arity mismatch for " + schema_.name() + ": expected " +
-        std::to_string(schema_.num_attributes()) + " got " +
-        std::to_string(tuple.values.size()));
+        StrFormat("tuple arity mismatch for %s: expected %zu got %zu",
+                  schema_.name().c_str(), schema_.num_attributes(),
+                  tuple.values.size()));
   }
   for (size_t i = 0; i < tuple.values.size(); ++i) {
     const Value& v = tuple.values[i];
@@ -74,8 +76,8 @@ const Relation* Database::FindRelation(std::string_view name) const {
 
 Result<int64_t> Database::Insert(int rel_index, Tuple tuple) {
   if (rel_index < 0 || rel_index >= static_cast<int>(relations_.size())) {
-    return Status::OutOfRange("no such relation index: " +
-                              std::to_string(rel_index));
+    return Status::OutOfRange(
+        StrFormat("no such relation index: %d", rel_index));
   }
   tuple.tid = next_tid_++;
   if (tuple.eid < 0) tuple.eid = tuple.tid;

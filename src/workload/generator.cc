@@ -47,6 +47,11 @@ const char* Pick(const char* (&pool)[N], size_t index) {
   return pool[index % N];
 }
 
+/// `prefix` followed by the decimal digits of `n` ("c", 12 -> "c12").
+std::string Numbered(const char* prefix, uint64_t n) {
+  return std::string(prefix).append(std::to_string(n));
+}
+
 /// Appends a tuple and registers its true entity and version in `data`.
 int64_t AddRow(GeneratedData* data, int rel, int64_t eid,
                std::vector<Value> values,
@@ -137,12 +142,11 @@ std::string InjectTypo(const std::string& text, Rng* rng) {
 
 std::string SyntheticName(size_t entity, bool company) {
   if (company) {
-    return std::string(Pick(kCompanyStems, entity)) + " " +
-           Pick(kCompanySuffixes, entity / 16) + " " +
-           std::to_string(entity % 97);
+    return StrFormat("%s %s %zu", Pick(kCompanyStems, entity),
+                     Pick(kCompanySuffixes, entity / 16), entity % 97);
   }
-  return std::string(Pick(kFirstNames, entity)) + " " +
-         Pick(kLastNames, entity / 16) + " " + std::to_string(entity % 89);
+  return StrFormat("%s %s %zu", Pick(kFirstNames, entity),
+                   Pick(kLastNames, entity / 16), entity % 89);
 }
 
 GeneratedData MakeBankData(const GeneratorOptions& options) {
@@ -188,8 +192,8 @@ GeneratedData MakeBankData(const GeneratorOptions& options) {
     size_t city = branch % 10;
     int64_t tid = AddRow(
         &data, kCustomer, kEidBase + static_cast<int64_t>(i),
-        {S("c" + std::to_string(i)), S(SyntheticName(i, false)),
-         S("branch-" + std::to_string(branch)), S(kCities[city]),
+        {S(Numbered("c", i)), S(SyntheticName(i, false)),
+         S(Numbered("branch-", branch)), S(kCities[city]),
          S(kAreaCodes[city]), Value::Double(100.0 + rng.NextBounded(900)),
          S(rng.NextBernoulli(0.3) ? "premium" : "standard")});
     customer_tids.push_back(tid);
@@ -200,7 +204,7 @@ GeneratedData MakeBankData(const GeneratorOptions& options) {
     size_t city = rng.NextBounded(10);
     int64_t tid = AddRow(
         &data, kCompany, kEidBase + 100000 + static_cast<int64_t>(i),
-        {S("comp" + std::to_string(i)), S(SyntheticName(i, true)),
+        {S(Numbered("comp", i)), S(SyntheticName(i, true)),
          S(Pick(kIndustries, rng.NextBounded(6))), S(kCities[city]),
          S("R-" + std::string(kCities[city]))});
     company_tids.push_back(tid);
@@ -215,8 +219,8 @@ GeneratedData MakeBankData(const GeneratorOptions& options) {
     double tax = std::floor(amount * 0.06 * 100) / 100;
     int64_t tid = AddRow(
         &data, kPayment, kEidBase + 200000 + static_cast<int64_t>(i),
-        {S("pay" + std::to_string(i)),
-         S("c" + std::to_string(rng.NextBounded(options.rows))),
+        {S(Numbered("pay", i)),
+         S(Numbered("c", rng.NextBounded(options.rows))),
          Value::Double(amount), Value::Double(fee), Value::Double(tax),
          Value::Double(amount + fee + tax)});
     payment_tids.push_back(tid);
@@ -323,7 +327,7 @@ GeneratedData MakeBankData(const GeneratorOptions& options) {
     size_t old_branch = rng.NextBounded(20);
     size_t old_city = old_branch % 10;
     std::vector<Value> values = current.values;
-    values[2] = S("branch-" + std::to_string(old_branch));
+    values[2] = S(Numbered("branch-", old_branch));
     values[3] = S(kCities[old_city]);
     values[4] = S(kAreaCodes[old_city]);
     values[5] = Value::Double(values[5].AsDouble() / 2.0);  // fewer points
@@ -423,9 +427,9 @@ GeneratedData MakeLogisticsData(const GeneratorOptions& options) {
     size_t seller = rng.NextBounded(25);
     int64_t tid = AddRow(
         &data, kShipment, kEidBase + static_cast<int64_t>(i),
-        {S("ship" + std::to_string(i)), S(SyntheticName(i, false)),
+        {S(Numbered("ship", i)), S(SyntheticName(i, false)),
          S(Pick(kStreets, z)), S(Pick(kAreas, z)), S(Pick(kCities, z / 4)),
-         S(zip_of(z)), S("sel" + std::to_string(seller)),
+         S(zip_of(z)), S(Numbered("sel", seller)),
          S(SyntheticName(seller, true)),
          Value::Double(0.5 + rng.NextDouble() * 20),
          Value::Time(20240100 + static_cast<int64_t>(rng.NextBounded(400)))});
@@ -565,9 +569,9 @@ GeneratedData MakeSalesData(const GeneratorOptions& options) {
     size_t company = rng.NextBounded(30);
     int64_t tid = AddRow(
         &data, kClient, kEidBase + static_cast<int64_t>(i),
-        {S("cl" + std::to_string(i)), S(SyntheticName(i, false)),
+        {S(Numbered("cl", i)), S(SyntheticName(i, false)),
          S(SyntheticName(company, true)), S(kCities[company % 10]),
-         S("d" + std::to_string(1 + company % 4)),
+         S(Numbered("d", 1 + company % 4)),
          Value::Double(1000.0 + rng.NextBounded(50000))});
     client_tids.push_back(tid);
   }
@@ -576,7 +580,7 @@ GeneratedData MakeSalesData(const GeneratorOptions& options) {
     size_t brand = rng.NextBounded(6);
     int64_t tid = AddRow(
         &data, kProduct, kEidBase + 100000 + static_cast<int64_t>(i),
-        {S("pr" + std::to_string(i)),
+        {S(Numbered("pr", i)),
          // Product names repeat across SKUs of the same line, so the
          // name -> brand dependency is observable (CCN's signal).
          S(std::string(kBrands[brand]) + " " + Pick(kCategories, i % 3) +
@@ -592,8 +596,8 @@ GeneratedData MakeSalesData(const GeneratorOptions& options) {
     int64_t qty = 1 + static_cast<int64_t>(rng.NextBounded(9));
     int64_t tid = AddRow(
         &data, kOrder, kEidBase + 200000 + static_cast<int64_t>(i),
-        {S("o" + std::to_string(i)),
-         S("pr" + std::to_string(rng.NextBounded(options.rows / 4))),
+        {S(Numbered("o", i)),
+         S(Numbered("pr", rng.NextBounded(options.rows / 4))),
          Value::Int(qty), Value::Double(price), Value::Double(rate),
          Value::Double(price - price * rate),
          Value::Double(static_cast<double>(qty) * price)});
@@ -682,7 +686,7 @@ GeneratedData MakeSalesData(const GeneratorOptions& options) {
     if (touched.count(current.tid)) continue;
     touched.insert(current.tid);
     std::vector<Value> values = current.values;
-    values[4] = S("d" + std::to_string(1 + rng.NextBounded(4)));
+    values[4] = S(Numbered("d", 1 + rng.NextBounded(4)));
     values[5] = Value::Double(values[5].AsDouble() / 3.0);
     std::vector<int64_t> timestamps(values.size(), kNoTimestamp);
     timestamps[4] = 500;

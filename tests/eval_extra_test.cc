@@ -5,9 +5,11 @@
 #include "src/chase/chase.h"
 #include "src/common/mutex.h"
 #include "src/ml/correlation.h"
+#include "src/ml/her.h"
 #include "src/ml/library.h"
 #include "src/rules/parser.h"
 #include "src/workload/ecommerce.h"
+#include "src/workload/generator.h"
 
 namespace rock {
 namespace {
@@ -248,6 +250,172 @@ TEST_F(EvalExtraTest, OverlayChangesEvaluationOutcome) {
     return true;
   });
   EXPECT_EQ(after, 0u);
+}
+
+// ---------- Cost order: model-scored predicates run last ----------
+
+/// A pair classifier that counts its Score calls (Predict goes through
+/// Score). Matches equal attribute vectors.
+class CountingClassifier : public ml::PairClassifier {
+ public:
+  double Score(const std::vector<Value>& a,
+               const std::vector<Value>& b) const override {
+    ++calls_;
+    return a == b ? 1.0 : 0.0;
+  }
+  size_t calls() const { return calls_; }
+
+ private:
+  mutable size_t calls_ = 0;
+};
+
+/// An overlay that repairs nothing and counts the cells the evaluator
+/// reads through it.
+class CountingOverlay : public rules::CellOverlay {
+ public:
+  std::optional<Value> GetCell(int, int64_t, int) const override {
+    ++cell_reads_;
+    return std::nullopt;
+  }
+  std::optional<int64_t> GetEid(int, int64_t) const override {
+    return std::nullopt;
+  }
+  std::vector<int64_t> PatchedTids(int, int) const override { return {}; }
+  std::vector<int64_t> PatchedTidsEq(int, int, uint64_t) const override {
+    return {};
+  }
+  std::vector<int64_t> EidClass(int64_t eid) const override { return {eid}; }
+  size_t cell_reads() const { return cell_reads_; }
+
+ private:
+  mutable size_t cell_reads_ = 0;
+};
+
+workload::GeneratedData SmallLogistics(size_t rows) {
+  workload::GeneratorOptions options;
+  options.rows = rows;
+  return workload::MakeLogisticsData(options);
+}
+
+TEST(CostOrderTest, MlPairScoredOnlyAfterBothEqualities) {
+  // Logistics r5: MER is written first, but it may score only the pairs
+  // that pass both equalities.
+  workload::GeneratedData data = SmallLogistics(120);
+  auto mer = std::make_shared<CountingClassifier>();
+  ml::MlLibrary models;
+  models.RegisterPair("MER", mer);
+  rules::EvalContext ctx;
+  ctx.db = &data.db;
+  ctx.models = &models;
+  auto rule = rules::ParseRee(
+      "Shipment(t0) ^ Shipment(t1) ^ MER(t0[recipient], t1[recipient]) ^ "
+      "t0.zip = t1.zip ^ t0.order_date = t1.order_date -> t0.eid = t1.eid",
+      data.db.schema());
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+
+  const Relation& shipment = data.db.relation(rule->tuple_vars[0]);
+  const int zip = shipment.schema().AttributeIndex("zip");
+  const int date = shipment.schema().AttributeIndex("order_date");
+  auto equal = [&](size_t i, size_t j, int attr) {
+    const Value& a = shipment.tuple(i).value(attr);
+    const Value& b = shipment.tuple(j).value(attr);
+    return !a.is_null() && !b.is_null() && a == b;
+  };
+  size_t same_zip = 0;
+  size_t both = 0;
+  for (size_t i = 0; i < shipment.size(); ++i) {
+    for (size_t j = 0; j < shipment.size(); ++j) {
+      if (!equal(i, j, zip)) continue;
+      ++same_zip;
+      if (equal(i, j, date)) ++both;
+    }
+  }
+  // Written order would score every same-zip pair.
+  ASSERT_LT(both, same_zip);
+
+  const rules::Evaluator eval(ctx);
+  size_t emitted = 0;
+  eval.Enumerate(*rule, rules::Scope{}, /*blocking=*/nullptr,
+                 [&](const rules::Valuation&) { ++emitted; });
+  EXPECT_EQ(mer->calls(), both);
+  EXPECT_GT(emitted, 0u);
+
+  const size_t before = mer->calls();
+  rules::Valuation v;
+  for (int i = 0; i < static_cast<int>(shipment.size()); ++i) {
+    for (int j = 0; j < static_cast<int>(shipment.size()); ++j) {
+      v.rows = {i, j};
+      (void)eval.SatisfiesPrecondition(*rule, v);
+    }
+  }
+  EXPECT_EQ(mer->calls() - before, both);
+}
+
+TEST(CostOrderTest, HerScoredOnlyOnVerticesWithThePath) {
+  // Logistics r4: HER is written before the graph test, but it may score
+  // only the vertices that have the AreaOf path. HER reads the whole
+  // tuple through the overlay per vertex it scores; the match test reads
+  // no cell.
+  workload::GeneratedData data = SmallLogistics(40);
+  auto her = std::make_shared<ml::HerModel>();
+  her->IndexGraph(data.graph);
+  ml::MlLibrary models;
+  models.RegisterHer(her);
+  CountingOverlay overlay;
+  rules::EvalContext ctx;
+  ctx.db = &data.db;
+  ctx.graph = &data.graph;
+  ctx.models = &models;
+  ctx.overlay = &overlay;
+  auto rule = rules::ParseRee(
+      "Shipment(t0) ^ vertex(x0, G) ^ HER(t0, x0) ^ "
+      "match(t0.area, x0.(AreaOf)) -> t0.area = val(x0.(AreaOf))",
+      data.db.schema());
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+
+  const Relation& shipment = data.db.relation(rule->tuple_vars[0]);
+  const size_t num_attrs = shipment.schema().num_attributes();
+  auto has_path = [&](kg::VertexId x) {
+    return data.graph.HasPath(x, {"AreaOf"});
+  };
+  // Per row: one read of the tuple for HER's candidate lookup, then one
+  // per candidate vertex that has the path.
+  size_t expected = 0;
+  size_t candidates = 0;
+  size_t with_path = 0;
+  for (size_t row = 0; row < shipment.size(); ++row) {
+    expected += num_attrs;
+    for (kg::VertexId x :
+         her->Candidates(shipment.tuple(row).values, shipment.schema())) {
+      ++candidates;
+      if (!has_path(x)) continue;
+      ++with_path;
+      expected += num_attrs;
+    }
+  }
+  // Written order would score every candidate.
+  ASSERT_LT(with_path, candidates);
+
+  const rules::Evaluator eval(ctx);
+  size_t emitted = 0;
+  eval.Enumerate(*rule, rules::Scope{}, /*blocking=*/nullptr,
+                 [&](const rules::Valuation&) { ++emitted; });
+  EXPECT_EQ(overlay.cell_reads(), expected);
+  EXPECT_GT(emitted, 0u);
+
+  const size_t before = overlay.cell_reads();
+  size_t vertices_with_path = 0;
+  rules::Valuation v;
+  for (kg::VertexId x : data.graph.AllVertices()) {
+    if (has_path(x)) ++vertices_with_path;
+    for (int row = 0; row < static_cast<int>(shipment.size()); ++row) {
+      v.rows = {row};
+      v.vertices = {x};
+      (void)eval.SatisfiesPrecondition(*rule, v);
+    }
+  }
+  EXPECT_EQ(overlay.cell_reads() - before,
+            num_attrs * shipment.size() * vertices_with_path);
 }
 
 }  // namespace

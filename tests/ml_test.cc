@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -400,6 +402,85 @@ TEST(CooccurrenceModelTest, GraphTrainingAddsCandidates) {
   auto predicted = model.PredictValue(tuple, {0}, 1);
   ASSERT_TRUE(predicted.ok());
   EXPECT_EQ(predicted->AsString(), "Chaoyang");
+}
+
+// PredictValue's value as text, or "<none>" when there is no candidate.
+std::string PredictedText(const CooccurrenceModel& model,
+                          const std::vector<Value>& values,
+                          const std::vector<int>& attrs, int attr_b) {
+  Result<Value> predicted = model.PredictValue(values, attrs, attr_b);
+  return predicted.ok() ? predicted->ToString() : std::string("<none>");
+}
+
+TEST(CooccurrenceModelTest, StrengthAndPredictValueArePinned) {
+  // Exact outputs on a fixed relation plus graph. Every sum runs over an
+  // ordered value map, so a change to how the counts are stored must
+  // reproduce each double bit for bit (hex literals; EXPECT_EQ, not NEAR).
+  Relation relation(Schema("T", {{"zip", ValueType::kString},
+                                 {"area", ValueType::kString},
+                                 {"city", ValueType::kString}}));
+  auto add = [&relation](int copies, const char* zip, const char* area,
+                         const char* city) {
+    for (int i = 0; i < copies; ++i) {
+      Tuple t;
+      t.values = {Value::String(zip),
+                  area == nullptr ? Value::Null() : Value::String(area),
+                  Value::String(city)};
+      ASSERT_TRUE(relation.Append(std::move(t)).ok());
+    }
+  };
+  add(4, "Z1", "Chaoyang", "Beijing");
+  add(1, "Z1", "Haidian", "Beijing");
+  add(3, "Z2", "Haidian", "Beijing");
+  add(1, "Z2", "Pudong", "Shanghai");
+  add(3, "Z3", "Pudong", "Shanghai");
+  add(1, "Z3", nullptr, "Shanghai");
+  add(2, "Z4", "Xuhui", "Shanghai");
+  kg::KnowledgeGraph graph;
+  const kg::VertexId z1 = graph.AddVertex("Z1");
+  const kg::VertexId z5 = graph.AddVertex("Z5");
+  ASSERT_TRUE(graph.AddEdge(z1, "AreaOf", graph.AddVertex("Chaoyang")).ok());
+  ASSERT_TRUE(graph.AddEdge(z5, "AreaOf", graph.AddVertex("Minhang")).ok());
+  CooccurrenceModel model;
+  model.TrainOnRelation(relation);
+  model.TrainOnGraph(graph, /*subject_attr=*/0, /*object_attr=*/1);
+
+  const std::vector<Value> beijing = {Value::String("Z1"), Value::Null(),
+                                      Value::String("Beijing")};
+  const std::vector<Value> shanghai = {Value::String("Z3"),
+                                       Value::String("Pudong"), Value::Null()};
+  const std::vector<Value> minhang = {Value::String("Z5"), Value::Null(),
+                                      Value::Null()};
+  const std::vector<double> strengths = {
+      model.Strength(beijing, {0, 2}, 1, Value::String("Chaoyang")),
+      model.Strength(beijing, {0, 2}, 1, Value::String("Haidian")),
+      model.Strength(beijing, {0, 2}, 1, Value::String("Pudong")),
+      model.Strength(beijing, {0, 2}, 1, Value::String("Atlantis")),
+      model.Strength(shanghai, {0, 1}, 2, Value::String("Shanghai")),
+      model.Strength(shanghai, {0, 1}, 2, Value::String("Beijing")),
+      model.Strength(minhang, {0}, 1, Value::String("Minhang")),
+      model.Strength(minhang, {0}, 1, Value::String("Xuhui")),
+  };
+  const std::vector<std::string> predicted = {
+      PredictedText(model, beijing, {0, 2}, 1),
+      PredictedText(model, shanghai, {0, 1}, 2),
+      PredictedText(model, {Value::String("Z2"), Value::Null(),
+                            Value::String("Beijing")}, {0, 2}, 1),
+      PredictedText(model, minhang, {0}, 1),
+      PredictedText(model, minhang, {0}, 2),
+  };
+  const std::vector<double> pinned = {
+      0x1.3c2397c5003fep-1, 0x1.71f81f81f81f8p-2, 0x1.76fcb942831f9p-4,
+      0x1.a25baf57423a4p-4, 0x1.d4c4b7c85ace2p-1, 0x1.9a9ef3662559bp-4,
+      0x1.6c8eb95455c1p-1,  0x1.0da740da740dbp-3,
+  };
+  ASSERT_EQ(strengths.size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_EQ(strengths[i], pinned[i]) << "case " << i;
+  }
+  EXPECT_EQ(predicted, (std::vector<std::string>{"Chaoyang", "Shanghai",
+                                                 "Haidian", "Minhang",
+                                                 "<none>"}));
 }
 
 // ---------- HER + path matcher ----------

@@ -669,7 +669,7 @@ RowLists OracleValuations(const rules::Evaluator& eval, const rules::Ree& rule,
 RowLists Enumerated(const rules::Evaluator& eval, const rules::Ree& rule,
                     const rules::Scope& scope) {
   RowLists out;
-  eval.Enumerate(rule, scope, /*blocking=*/nullptr, /*scratch=*/nullptr,
+  eval.Enumerate(rule, scope, /*blocking=*/nullptr,
                  [&](const rules::Valuation& v) { out.push_back(v.rows); });
   return out;
 }
@@ -788,7 +788,7 @@ TEST(EnumerateIndexTest, BankCuratedRulesTryNoUnindexedRow) {
       for (const rules::Scope& scope :
            {rules::Scope{}, rules::Scope::Delta(delta)}) {
         const rules::EnumerateStats stats =
-            eval.Enumerate(rule, scope, nullptr, nullptr,
+            eval.Enumerate(rule, scope, nullptr,
                            [&](const rules::Valuation&) { ++emitted; });
         EXPECT_EQ(stats.unindexed_rows, 0u)
             << rule.id << " overlay=" << (ctx.overlay != nullptr)
@@ -810,7 +810,7 @@ TEST(EnumerateIndexTest, BankCuratedRulesTryNoUnindexedRow) {
   const uint64_t before = counter->Value();
   const size_t n = data.db.relation(cross->tuple_vars[0]).size();
   const rules::EnumerateStats stats = rules::Evaluator(plain).Enumerate(
-      *cross, rules::Scope{}, nullptr, nullptr, [](const rules::Valuation&) {});
+      *cross, rules::Scope{}, nullptr, [](const rules::Valuation&) {});
   EXPECT_EQ(stats.unindexed_rows, n * n);
   EXPECT_EQ(counter->Value() - before, stats.unindexed_rows);
 }
