@@ -122,10 +122,11 @@ CHECKS = (
 # these from a loop over an unordered container makes the container's
 # iteration order part of the result.
 SINK_CALLS = {
-    # chase::FixStore mutators (apply-phase, provenance-carrying).
+    # chase::FixStore mutators (apply-phase, provenance-carrying) and the
+    # funnel that records each fact.
     "RegisterTuple", "AddGroundTruthTuple", "AddGroundTruthValue",
     "AddGroundTruthOrder", "MergeEids", "SetValue", "ReplaceValue",
-    "AddTemporal",
+    "AddTemporal", "AppendFix",
     # Provenance capture.
     "CaptureWitness", "LinkMerge",
 }

@@ -142,45 +142,18 @@ void ChaseEngine::MarkEntityDirty(
 bool ChaseEngine::PremisesValidated(const Ree& rule,
                                     const Valuation& v) const {
   for (const Predicate& p : rule.precondition) {
-    auto cell_validated = [&](int var, int attr) {
-      if (attr == rules::kEidAttr) return true;  // EIDs are always known
-      int rel = rule.tuple_vars[static_cast<size_t>(var)];
-      const Tuple& t = db_->relation(rel).tuple(
-          static_cast<size_t>(v.rows[static_cast<size_t>(var)]));
-      return fixes_.IsValidated(rel, t.tid, attr);
-    };
-    switch (p.kind) {
-      case PredicateKind::kConstant:
-      case PredicateKind::kIsNull:
-        if (p.kind == PredicateKind::kConstant &&
-            !cell_validated(p.var, p.attr)) {
-          return false;
-        }
-        break;
-      case PredicateKind::kAttrCompare:
-        if (!cell_validated(p.var, p.attr)) return false;
-        if (!cell_validated(p.var2, p.attr2)) return false;
-        break;
-      case PredicateKind::kMlPair:
-        for (int a : p.attrs_a) {
-          if (!cell_validated(p.var, a)) return false;
-        }
-        for (int b : p.attrs_b) {
-          if (!cell_validated(p.var2, b)) return false;
-        }
-        break;
-      case PredicateKind::kCorrelation:
-      case PredicateKind::kPredictValue:
-        for (int a : p.attrs_a) {
-          if (!cell_validated(p.var, a)) return false;
-        }
-        break;
-      case PredicateKind::kTemporal:
-      case PredicateKind::kHer:
-      case PredicateKind::kPathMatch:
-      case PredicateKind::kValExtract:
-        break;  // validated through the oracle / graph themselves
-    }
+    // null(t[A]) holds on the missing value itself: nothing to validate.
+    if (p.kind == PredicateKind::kIsNull) continue;
+    bool validated = true;
+    rules::ForEachPremiseCell(
+        p, [&](int var, int attr, obs::PremiseSource source) {
+          if (!validated || source != obs::PremiseSource::kRaw) return;
+          const int rel = rule.tuple_vars[static_cast<size_t>(var)];
+          const Tuple& t = db_->relation(rel).tuple(
+              static_cast<size_t>(v.rows[static_cast<size_t>(var)]));
+          validated = fixes_.IsValidated(rel, t.tid, attr);
+        });
+    if (!validated) return false;
   }
   return true;
 }
@@ -189,7 +162,7 @@ Value ChaseEngine::ResolveMiConflict(int rel, int64_t tid, int attr,
                                      const Value& existing,
                                      const Value& candidate,
                                      const std::string& rule_id,
-                                     const obs::ProvenanceRef& prov) {
+                                     const obs::Witness* witness) {
   // Only reached from ApplyConsequence, which already runs on the serial
   // apply thread (the role is recursion-safe: acquiring it is a no-op).
   common::RoleGuard apply(fixes_.apply_role());
@@ -238,7 +211,7 @@ Value ChaseEngine::ResolveMiConflict(int rel, int64_t tid, int attr,
       StrFormat("MI candidate %s for rel %d tid %lld attr %d",
                 candidate.ToString().c_str(), rel,
                 static_cast<long long>(tid), attr),
-      prov);
+      witness);
   conflicts_.push_back(std::move(record));
   return keep;
 }
@@ -262,9 +235,7 @@ size_t ChaseEngine::ApplyConsequence(
   // Witness capture: record the satisfying valuation's bindings, premise
   // cells and ML scores BEFORE mutating the store (the premises must
   // reflect the state the deduction actually read).
-  obs::Witness witness = eval.CaptureWitness(rule, v, rule_text);
-  obs::ProvenanceRef prov;
-  prov.witness = &witness;
+  const obs::Witness witness = eval.CaptureWitness(rule, v, rule_text);
 
   // Value-deducing consequences (constant, val extraction, prediction):
   // validate `value` for attr of p.var's tuple, or settle an MI conflict
@@ -277,13 +248,14 @@ size_t ChaseEngine::ApplyConsequence(
     bool changed = false;
     if (existing.has_value() && !(*existing == value)) {
       Value keep = ResolveMiConflict(rel, tid, attr, *existing, value,
-                                     rule.id, prov);
+                                     rule.id, &witness);
       changed = !(keep == *existing);
       if (changed) {
-        s = fixes_.ReplaceValue(rel, tid, attr, keep, rule.id, prov);
+        s = fixes_.ReplaceValue(rel, tid, attr, keep, rule.id, &witness);
       }
     } else {
-      s = fixes_.SetValue(rel, tid, attr, value, rule.id, &changed, prov);
+      s = fixes_.SetValue(rel, tid, attr, value, rule.id, &changed,
+                          &witness);
     }
     if (!s.ok() || !changed) return 0;
     MarkEntityDirty(rel, tid, newly_dirty);
@@ -295,7 +267,7 @@ size_t ChaseEngine::ApplyConsequence(
                     int64_t existing, std::string resolution) {
     conflicts_.push_back(
         {kind, rule.id, s.message(), std::move(resolution), existing,
-         fixes_.AddConflictCandidate(rule.id, s.message(), prov)});
+         fixes_.AddConflictCandidate(rule.id, s.message(), &witness)});
   };
 
   switch (p.kind) {
@@ -306,9 +278,9 @@ size_t ChaseEngine::ApplyConsequence(
         bool changed = false;
         Status s;
         if (p.op == rules::CmpOp::kEq) {
-          s = fixes_.MergeEids(e1, e2, rule.id, &changed, prov);
+          s = fixes_.MergeEids(e1, e2, rule.id, &changed, &witness);
         } else if (p.op == rules::CmpOp::kNe) {
-          s = fixes_.AddEidDistinct(e1, e2, rule.id, &changed, prov);
+          s = fixes_.AddEidDistinct(e1, e2, rule.id, &changed, &witness);
         } else {
           return 0;
         }
@@ -341,7 +313,7 @@ size_t ChaseEngine::ApplyConsequence(
       auto assign = [&](int var, int attr, const Value& value) {
         bool changed = false;
         Status s = fixes_.SetValue(rel_of(var), tid_of(var), attr, value,
-                                   rule.id, &changed, prov);
+                                   rule.id, &changed, &witness);
         if (!s.ok()) {
           reject(ConflictRecord::Kind::kValue, s,
                  fixes_.ProvOfCell(rel_of(var), tid_of(var), attr),
@@ -380,7 +352,7 @@ size_t ChaseEngine::ApplyConsequence(
           // node carries the shared witness (there is no validated
           // "existing" derivation to link).
           record.prov_candidate = fixes_.AddConflictCandidate(
-              rule.id, record.description, prov);
+              rule.id, record.description, &witness);
           if (options_.user_resolver) {
             std::optional<Value> keep =
                 options_.user_resolver(record, va, vb);
@@ -417,7 +389,7 @@ size_t ChaseEngine::ApplyConsequence(
       int64_t t2 = tid_of(p.var2);
       bool changed = false;
       Status s = fixes_.AddTemporal(rel, p.attr, t1, t2, p.strict, rule.id,
-                                    &changed, prov);
+                                    &changed, &witness);
       if (!s.ok()) {
         // TD conflict: keep the direction with the higher M_rank confidence
         // (paper §4.2 (2)). The stored direction came first; replacing it

@@ -182,7 +182,9 @@ class ChaseEngine {
                           const rules::Evaluator& eval,
                           std::vector<std::pair<int, int64_t>>* newly_dirty);
 
-  /// Certain-fix admission: every cell the precondition reads is validated.
+  /// Certain-fix admission: every kRaw premise cell (rules::
+  /// ForEachPremiseCell) of the precondition is validated. Cells a side
+  /// structure answers count as validated, and null(t[A]) tests none.
   bool PremisesValidated(const rules::Ree& rule,
                          const rules::Valuation& v) const;
 
@@ -190,12 +192,12 @@ class ChaseEngine {
                        std::vector<std::pair<int, int64_t>>* out) const;
 
   /// Resolves an MI value conflict by M_c argmax; returns the value to keep.
-  /// `prov` is the losing/candidate derivation's witness, recorded on the
+  /// `witness` is the losing/candidate derivation's, recorded on the
   /// ConflictRecord alongside the existing derivation's node.
   Value ResolveMiConflict(int rel, int64_t tid, int attr,
                           const Value& existing, const Value& candidate,
                           const std::string& rule_id,
-                          const obs::ProvenanceRef& prov);
+                          const obs::Witness* witness);
 };
 
 }  // namespace rock::chase

@@ -1,7 +1,9 @@
 #include "src/chase/fix_store.h"
 
 #include <algorithm>
+#include <set>
 
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 
 namespace rock::chase {
@@ -361,7 +363,7 @@ FixStore::FixStore(const Database* db) : db_(db) {
 FixStore::Checkpoint FixStore::TakeCheckpoint() const {
   Checkpoint cp;
   cp.fixes = fixes_.size();
-  cp.value_cells = values_.size();
+  cp.value_cells = cells_.size();
   cp.merges = eids_.num_merges();
   cp.distinct = distinct_.size();
   cp.ground_truth_cells = ground_truth_cells_;
@@ -419,6 +421,13 @@ void FixStore::UnindexChangedCell(int rel, int attr, int64_t tid,
   if (tids.empty()) changed_by_hash_.erase(bucket);
 }
 
+size_t FixStore::CellKeyHash::operator()(const CellKey& key) const {
+  return HashCombine(
+      HashCombine(MixHash64(static_cast<uint64_t>(key.rel)),
+                  static_cast<uint64_t>(key.attr)),
+      MixHash64(static_cast<uint64_t>(key.tid)));
+}
+
 const Tuple* FixStore::FindTuple(int rel, int64_t tid) const {
   const Relation& relation = db_->relation(rel);
   int row = relation.RowOfTid(tid);
@@ -459,7 +468,7 @@ Status FixStore::AddGroundTruthOrder(int rel, int attr, int64_t tid1,
 }
 
 Status FixStore::MergeEids(int64_t a, int64_t b, const std::string& rule_id,
-                           bool* changed, const obs::ProvenanceRef& prov) {
+                           bool* changed, const obs::Witness* witness) {
   *changed = false;
   int64_t ra = eids_.Find(a);
   int64_t rb = eids_.Find(b);
@@ -470,41 +479,33 @@ Status FixStore::MergeEids(int64_t a, int64_t b, const std::string& rule_id,
         StrFormat("eids %lld and %lld are validated as distinct entities",
                   static_cast<long long>(a), static_cast<long long>(b)));
   }
-  int64_t merged = eids_.Union(ra, rb);
-  (void)merged;
+  eids_.Union(ra, rb);
   // Re-canonicalize distinctness constraints touching the merged classes.
-  std::set<std::pair<int64_t, int64_t>> rebuilt;
-  std::map<std::pair<int64_t, int64_t>, int64_t> rebuilt_prov;
-  for (const auto& [x, y] : distinct_) {
-    int64_t cx = eids_.Find(x);
-    int64_t cy = eids_.Find(y);
+  // When the merge folds two pairs into one key, the later pair's node
+  // wins.
+  std::map<std::pair<int64_t, int64_t>, int64_t> rebuilt;
+  for (const auto& [pair, node] : distinct_) {
+    int64_t cx = eids_.Find(pair.first);
+    int64_t cy = eids_.Find(pair.second);
     if (cx == cy) {
       return Status::Conflict("merge collapses a distinctness constraint");
     }
-    auto new_key = std::make_pair(std::min(cx, cy), std::max(cx, cy));
-    rebuilt.insert(new_key);
-    auto it = prov_by_distinct_.find({x, y});
-    if (it != prov_by_distinct_.end()) rebuilt_prov[new_key] = it->second;
+    rebuilt[{std::min(cx, cy), std::max(cx, cy)}] = node;
   }
   distinct_ = std::move(rebuilt);
-  prov_by_distinct_ = std::move(rebuilt_prov);
-  FixRecord record;
-  record.kind = FixRecord::Kind::kMergeEid;
-  record.rule_id = rule_id;
-  record.eid_a = a;
-  record.eid_b = b;
-  record.prov_id = AddProvNode(
-      rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-      rule_id, record.ToString(), prov);
-  prov_.LinkMerge(a, b, record.prov_id);
-  fixes_.push_back(std::move(record));
+  prov_.LinkMerge(a, b,
+                  AppendFix({.kind = FixRecord::Kind::kMergeEid,
+                             .rule_id = rule_id,
+                             .eid_a = a,
+                             .eid_b = b},
+                            witness));
   *changed = true;
   return Status::Ok();
 }
 
 Status FixStore::AddEidDistinct(int64_t a, int64_t b,
                                 const std::string& rule_id, bool* changed,
-                                const obs::ProvenanceRef& prov) {
+                                const obs::Witness* witness) {
   *changed = false;
   int64_t ra = eids_.Find(a);
   int64_t rb = eids_.Find(b);
@@ -513,21 +514,18 @@ Status FixStore::AddEidDistinct(int64_t a, int64_t b,
         StrFormat("eids %lld and %lld were already identified",
                   static_cast<long long>(a), static_cast<long long>(b)));
   }
-  auto key = std::make_pair(std::min(ra, rb), std::max(ra, rb));
-  if (distinct_.insert(key).second) {
-    FixRecord record;
-    record.kind = FixRecord::Kind::kMergeEid;  // recorded as an ER fact
-    record.rule_id = rule_id;
-    record.eid_a = a;
-    record.eid_b = b;
-    record.prov_id = AddProvNode(
-        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-        rule_id,
+  auto [it, inserted] =
+      distinct_.try_emplace({std::min(ra, rb), std::max(ra, rb)}, -1);
+  if (inserted) {
+    // Recorded as an ER fact.
+    it->second = AppendFix(
+        {.kind = FixRecord::Kind::kMergeEid,
+         .rule_id = rule_id,
+         .eid_a = a,
+         .eid_b = b},
+        witness,
         StrFormat("[%s] eid %lld != %lld", rule_id.c_str(),
-                  static_cast<long long>(a), static_cast<long long>(b)),
-        prov);
-    prov_by_distinct_[key] = record.prov_id;
-    fixes_.push_back(std::move(record));
+                  static_cast<long long>(a), static_cast<long long>(b)));
     *changed = true;
   }
   return Status::Ok();
@@ -535,119 +533,111 @@ Status FixStore::AddEidDistinct(int64_t a, int64_t b,
 
 Status FixStore::SetValue(int rel, int64_t tid, int attr, Value v,
                           const std::string& rule_id, bool* changed,
-                          const obs::ProvenanceRef& prov) {
+                          const obs::Witness* witness) {
+  return WriteValue(rel, tid, attr, std::move(v), rule_id, witness,
+                    /*replace=*/false, changed);
+}
+
+Status FixStore::ReplaceValue(int rel, int64_t tid, int attr, Value v,
+                              const std::string& rule_id,
+                              const obs::Witness* witness) {
+  bool changed = false;
+  return WriteValue(rel, tid, attr, std::move(v), rule_id, witness,
+                    /*replace=*/true, &changed);
+}
+
+Status FixStore::WriteValue(int rel, int64_t tid, int attr, Value v,
+                            const std::string& rule_id,
+                            const obs::Witness* witness, bool replace,
+                            bool* changed) {
   *changed = false;
   const Tuple* t = FindTuple(rel, tid);
   if (t == nullptr) {
     return Status::NotFound(
         StrFormat("no tuple with tid %lld", static_cast<long long>(tid)));
   }
-  auto key = std::make_tuple(rel, attr, tid);
-  auto it = values_.find(key);
-  if (it != values_.end()) {
-    if (it->second == v) return Status::Ok();
-    return Status::Conflict(
-        "attribute already validated to a different value: " +
-        it->second.ToString() + " vs " + v.ToString());
+  auto [it, fresh] = cells_.try_emplace(CellKey{rel, attr, tid});
+  ValidatedCell& cell = it->second;
+  if (!fresh) {
+    if (!replace) {
+      if (cell.value == v) return Status::Ok();
+      return Status::Conflict(
+          "attribute already validated to a different value: " +
+          cell.value.ToString() + " vs " + v.ToString());
+    }
+    // Move the tid out of the superseded bucket so PatchedTidsEq never
+    // serves it under a value it no longer holds.
+    UnindexChangedCell(rel, attr, tid, cell.value);
   }
   IndexChangedCell(rel, attr, *t, v);
-  values_.emplace(key, v);
-  FixRecord record;
-  record.kind = FixRecord::Kind::kSetValue;
-  record.rule_id = rule_id;
-  record.rel = rel;
-  record.attr = attr;
-  record.eid = t->eid;
-  record.tid1 = tid;
-  record.value = std::move(v);
-  record.prov_id = AddProvNode(
-      rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-      rule_id, record.ToString(), prov);
-  prov_by_cell_[key] = record.prov_id;
-  fixes_.push_back(std::move(record));
+  cell.value = v;
+  // The witness's premises see the cell's previous node (-1 when fresh).
+  cell.node = AppendFix({.kind = FixRecord::Kind::kSetValue,
+                         .rule_id = rule_id,
+                         .rel = rel,
+                         .attr = attr,
+                         .eid = t->eid,
+                         .value = std::move(v),
+                         .tid1 = tid},
+                        witness);
   *changed = true;
-  return Status::Ok();
-}
-
-Status FixStore::ReplaceValue(int rel, int64_t tid, int attr, Value v,
-                              const std::string& rule_id,
-                              const obs::ProvenanceRef& prov) {
-  const Tuple* t = FindTuple(rel, tid);
-  if (t == nullptr) {
-    return Status::NotFound(
-        StrFormat("no tuple with tid %lld", static_cast<long long>(tid)));
-  }
-  auto key = std::make_tuple(rel, attr, tid);
-  auto old = values_.find(key);
-  // Move the tid out of the superseded bucket so PatchedTidsEq never
-  // serves it under a value it no longer holds.
-  if (old != values_.end()) UnindexChangedCell(rel, attr, tid, old->second);
-  IndexChangedCell(rel, attr, *t, v);
-  values_[key] = v;
-  FixRecord record;
-  record.kind = FixRecord::Kind::kSetValue;
-  record.rule_id = rule_id;
-  record.rel = rel;
-  record.attr = attr;
-  record.eid = t->eid;
-  record.tid1 = tid;
-  record.value = std::move(v);
-  record.prov_id = AddProvNode(
-      rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-      rule_id, record.ToString(), prov);
-  prov_by_cell_[key] = record.prov_id;
-  fixes_.push_back(std::move(record));
   return Status::Ok();
 }
 
 std::optional<Value> FixStore::ValidatedValue(int rel, int64_t tid,
                                               int attr) const {
-  auto it = values_.find(std::make_tuple(rel, attr, tid));
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
+  auto it = cells_.find(CellKey{rel, attr, tid});
+  if (it == cells_.end()) return std::nullopt;
+  return it->second.value;
 }
 
 bool FixStore::IsValidated(int rel, int64_t tid, int attr) const {
-  return ValidatedValue(rel, tid, attr).has_value();
+  return cells_.count(CellKey{rel, attr, tid}) > 0;
 }
 
 Status FixStore::AddTemporal(int rel, int attr, int64_t tid1, int64_t tid2,
                              bool strict, const std::string& rule_id,
-                             bool* changed, const obs::ProvenanceRef& prov) {
+                             bool* changed, const obs::Witness* witness) {
   *changed = false;
   bool added = false;
   Status s = temporal_[{rel, attr}].Add(tid1, tid2, strict, &added);
   if (!s.ok()) return s;
   if (added) {
-    FixRecord record;
-    record.kind = FixRecord::Kind::kTemporalOrder;
-    record.rule_id = rule_id;
-    record.rel = rel;
-    record.attr = attr;
-    record.tid1 = tid1;
-    record.tid2 = tid2;
-    record.strict = strict;
-    record.prov_id = AddProvNode(
-        rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-        rule_id, record.ToString(), prov);
     prov_by_temporal_[std::make_tuple(rel, attr, std::min(tid1, tid2),
                                       std::max(tid1, tid2))] =
-        record.prov_id;
-    fixes_.push_back(std::move(record));
+        AppendFix({.kind = FixRecord::Kind::kTemporalOrder,
+                   .rule_id = rule_id,
+                   .rel = rel,
+                   .attr = attr,
+                   .tid1 = tid1,
+                   .tid2 = tid2,
+                   .strict = strict},
+                  witness);
     *changed = true;
   }
   return Status::Ok();
 }
 
+int64_t FixStore::AppendFix(FixRecord record, const obs::Witness* witness,
+                            std::string target) {
+  if (target.empty()) target = record.ToString();
+  record.prov_id = AddProvNode(
+      record.rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
+      record.rule_id, std::move(target), witness);
+  const int64_t node = record.prov_id;
+  fixes_.push_back(std::move(record));
+  return node;
+}
+
 int64_t FixStore::AddProvNode(obs::ProvKind kind, const std::string& rule_id,
                               std::string target,
-                              const obs::ProvenanceRef& prov) {
+                              const obs::Witness* witness) {
   obs::ProvenanceNode node;
   node.kind = kind;
   node.rule_id = rule_id;
   node.target = std::move(target);
-  if (prov.witness != nullptr) {
-    node.witness = *prov.witness;
+  if (witness != nullptr) {
+    node.witness = *witness;
     // Upgrade premise sources against the validated state: a cell another
     // deduction (or Γ) validated is a prior-fix / ground-truth premise
     // with an upstream edge to its node; everything else stays raw/oracle.
@@ -668,8 +658,8 @@ int64_t FixStore::AddProvNode(obs::ProvKind kind, const std::string& rule_id,
 }
 
 int64_t FixStore::ProvOfCell(int rel, int64_t tid, int attr) const {
-  auto it = prov_by_cell_.find(std::make_tuple(rel, attr, tid));
-  return it == prov_by_cell_.end() ? -1 : it->second;
+  auto it = cells_.find(CellKey{rel, attr, tid});
+  return it == cells_.end() ? -1 : it->second.node;
 }
 
 int64_t FixStore::ProvOfTemporal(int rel, int attr, int64_t tid1,
@@ -682,9 +672,8 @@ int64_t FixStore::ProvOfTemporal(int rel, int attr, int64_t tid1,
 int64_t FixStore::ProvOfDistinct(int64_t a, int64_t b) const {
   int64_t ra = eids_.Find(a);
   int64_t rb = eids_.Find(b);
-  auto it =
-      prov_by_distinct_.find({std::min(ra, rb), std::max(ra, rb)});
-  return it == prov_by_distinct_.end() ? -1 : it->second;
+  auto it = distinct_.find({std::min(ra, rb), std::max(ra, rb)});
+  return it == distinct_.end() ? -1 : it->second;
 }
 
 int64_t FixStore::ProvOfMerge(int64_t a, int64_t b) const {
@@ -694,9 +683,9 @@ int64_t FixStore::ProvOfMerge(int64_t a, int64_t b) const {
 
 int64_t FixStore::AddConflictCandidate(const std::string& rule_id,
                                        std::string target,
-                                       const obs::ProvenanceRef& prov) {
+                                       const obs::Witness* witness) {
   return AddProvNode(obs::ProvKind::kConflictCandidate, rule_id,
-                     std::move(target), prov);
+                     std::move(target), witness);
 }
 
 obs::ProofTree FixStore::ExplainCell(int rel, int64_t tid, int attr,

@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -85,7 +85,7 @@ struct FixRecord {
   int rel = -1;
   int attr = -1;
   int64_t eid = -1;
-  Value value;
+  Value value = {};
   // kTemporalOrder
   int64_t tid1 = -1, tid2 = -1;
   bool strict = false;
@@ -197,32 +197,34 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
                              bool strict) ROCK_REQUIRES(apply_role_);
 
   // ---- Chase-deduced fixes ----
+  // Each mutator takes the witness of the deducing rule application. A
+  // null witness (the default) means no rule application is behind the
+  // fact (ground truth, polynomial repair, direct store manipulation in
+  // tests): it becomes a leaf node in the proof DAG.
 
   /// t.EID = s.EID. Returns kConflict when a distinctness constraint
   /// forbids the merge. `*changed` reports whether the store grew.
-  /// `prov` carries the witness of the deducing rule application; the
-  /// default (no witness) records a leaf provenance node.
   Status MergeEids(int64_t a, int64_t b, const std::string& rule_id,
-                   bool* changed, const obs::ProvenanceRef& prov = {})
+                   bool* changed, const obs::Witness* witness = nullptr)
       ROCK_REQUIRES(apply_role_);
 
   /// t.EID != s.EID.
   Status AddEidDistinct(int64_t a, int64_t b, const std::string& rule_id,
-                        bool* changed, const obs::ProvenanceRef& prov = {})
+                        bool* changed, const obs::Witness* witness = nullptr)
       ROCK_REQUIRES(apply_role_);
 
   /// Validates value `v` for attribute `attr` of tuple `tid`.
   /// kConflict when a different value is already validated.
   Status SetValue(int rel, int64_t tid, int attr, Value v,
                   const std::string& rule_id, bool* changed,
-                  const obs::ProvenanceRef& prov = {})
+                  const obs::Witness* witness = nullptr)
       ROCK_REQUIRES(apply_role_);
 
   /// Overwrites a validated value — used only by deterministic conflict
   /// resolution (M_c argmax for MI, §4.2), never by plain chase steps.
   Status ReplaceValue(int rel, int64_t tid, int attr, Value v,
                       const std::string& rule_id,
-                      const obs::ProvenanceRef& prov = {})
+                      const obs::Witness* witness = nullptr)
       ROCK_REQUIRES(apply_role_);
 
   /// Validated value of the cell, if any.
@@ -234,7 +236,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   /// Adds a temporal pair; kConflict on contradiction.
   Status AddTemporal(int rel, int attr, int64_t tid1, int64_t tid2,
                      bool strict, const std::string& rule_id, bool* changed,
-                     const obs::ProvenanceRef& prov = {})
+                     const obs::Witness* witness = nullptr)
       ROCK_REQUIRES(apply_role_);
 
   // ---- CellOverlay / TemporalOracle (the repaired view) ----
@@ -254,7 +256,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   std::vector<FixRecord>& mutable_fixes() ROCK_REQUIRES(apply_role_) {
     return fixes_;
   }
-  size_t num_value_fixes() const { return values_.size(); }
+  size_t num_value_fixes() const { return cells_.size(); }
   size_t num_ground_truth_cells() const { return ground_truth_cells_; }
 
   /// Canonical eid of a tuple (through the union-find).
@@ -278,7 +280,7 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   /// Records a derivation that LOST a conflict resolution (its witness is
   /// kept so ConflictRecord links both sides). Returns the node id.
   int64_t AddConflictCandidate(const std::string& rule_id, std::string target,
-                               const obs::ProvenanceRef& prov)
+                               const obs::Witness* witness)
       ROCK_REQUIRES(apply_role_);
 
   /// Depth-bounded proof tree for a validated cell / an eid merge.
@@ -292,8 +294,23 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   /// Zero-cost capability for the serial apply phase (see class comment).
   common::ThreadRole apply_role_;
   UnionFind eids_;
-  // (rel, attr, tid) -> validated value.
-  std::map<std::tuple<int, int, int64_t>, Value> values_;
+  /// A validated cell: its value and the provenance node that validated
+  /// it (-1 while that node is being recorded).
+  struct ValidatedCell {
+    Value value;
+    int64_t node = -1;
+  };
+  struct CellKey {
+    int rel;
+    int attr;
+    int64_t tid;
+    bool operator==(const CellKey&) const = default;
+  };
+  struct CellKeyHash {
+    size_t operator()(const CellKey& key) const;
+  };
+  // (rel, attr, tid) -> the validated cell. Looked up, never iterated.
+  std::unordered_map<CellKey, ValidatedCell, CellKeyHash> cells_;
   // (rel, attr, value hash) -> tids whose validated value differs from the
   // raw one and hashes so: the overlay's changed cells (PatchedTids,
   // PatchedTidsEq). ReplaceValue moves the tid out of the superseded
@@ -301,8 +318,9 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   // hashes differently, nor one replaced back to its raw value.
   std::map<std::tuple<int, int, uint64_t>, std::vector<int64_t>>
       changed_by_hash_;
-  // Distinctness constraints between canonical eids (stored unordered).
-  std::set<std::pair<int64_t, int64_t>> distinct_;
+  // Distinctness constraints: canonical (lo, hi) eid pair -> node of the
+  // deduction (re-canonicalized on merges).
+  std::map<std::pair<int64_t, int64_t>, int64_t> distinct_;
   // (rel, attr) -> temporal order DAG.
   std::map<std::pair<int, int>, TemporalOrderStore> temporal_;
   std::vector<FixRecord> fixes_;
@@ -312,13 +330,8 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
 
   // ---- Provenance capture ----
   obs::ProvenanceGraph prov_;
-  // (rel, attr, tid) -> node that validated the cell.
-  std::map<std::tuple<int, int, int64_t>, int64_t> prov_by_cell_;
   // (rel, attr, min tid, max tid) -> node that installed the pair.
   std::map<std::tuple<int, int, int64_t, int64_t>, int64_t> prov_by_temporal_;
-  // Canonical (lo, hi) eid pair -> node of the distinctness deduction
-  // (re-canonicalized alongside distinct_ on merges).
-  std::map<std::pair<int64_t, int64_t>, int64_t> prov_by_distinct_;
 
   const Tuple* FindTuple(int rel, int64_t tid) const;
 
@@ -329,11 +342,24 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
   void UnindexChangedCell(int rel, int attr, int64_t tid, const Value& v)
       ROCK_REQUIRES(apply_role_);
 
+  /// SetValue (`replace` false) and ReplaceValue (true): validates `v`
+  /// for the cell and records the fix.
+  Status WriteValue(int rel, int64_t tid, int attr, Value v,
+                    const std::string& rule_id, const obs::Witness* witness,
+                    bool replace, bool* changed) ROCK_REQUIRES(apply_role_);
+
+  /// The one place a fact is recorded: appends `record` to the audit
+  /// trail with its provenance node — a Γ leaf when the rule is "Γ", else
+  /// a fix citing `witness` — whose target is `target`, or the record's
+  /// text when `target` is empty. Returns the node id.
+  int64_t AppendFix(FixRecord record, const obs::Witness* witness,
+                    std::string target = {}) ROCK_REQUIRES(apply_role_);
+
   /// Copies the witness, upgrades premise sources against the validated
   /// state (raw -> ground-truth / prior-fix with upstream edges), and
   /// appends the node. Returns the node id.
   int64_t AddProvNode(obs::ProvKind kind, const std::string& rule_id,
-                      std::string target, const obs::ProvenanceRef& prov)
+                      std::string target, const obs::Witness* witness)
       ROCK_REQUIRES(apply_role_);
 };
 

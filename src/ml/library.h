@@ -27,9 +27,10 @@ class PairClassifier {
   virtual double Score(const std::vector<Value>& a,
                        const std::vector<Value>& b) const = 0;
 
-  /// The Boolean predicate value; by default Score >= threshold().
-  virtual bool Predict(const std::vector<Value>& a,
-                       const std::vector<Value>& b) const {
+  /// The Boolean predicate value: Score >= threshold(), always, so a
+  /// memoized or recorded score decides exactly as Predict does.
+  bool Predict(const std::vector<Value>& a,
+               const std::vector<Value>& b) const {
     return Score(a, b) >= threshold();
   }
 

@@ -23,9 +23,12 @@ class TemporalRanker {
   virtual double Confidence(const Tuple& t1, const Tuple& t2, int attr,
                             bool strict) const = 0;
 
+  /// The confidence at which the order predicate holds.
+  static constexpr double kThreshold = 0.5;
+
   bool Predict(const Tuple& t1, const Tuple& t2, int attr,
                bool strict) const {
-    return Confidence(t1, t2, attr, strict) >= 0.5;
+    return Confidence(t1, t2, attr, strict) >= kThreshold;
   }
 };
 

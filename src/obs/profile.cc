@@ -3,16 +3,21 @@
 #ifndef ROCK_OBS_DISABLE_PROFILER
 
 #include <cxxabi.h>
+#include <dlfcn.h>
+#include <elf.h>
 #include <execinfo.h>
+#include <link.h>
 #include <signal.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <vector>
 
@@ -143,39 +148,148 @@ struct ThreadProfileGuard {
 };
 thread_local ThreadProfileGuard t_profile_guard;
 
-/// Demangles one backtrace_symbols(3) line:
-/// "module(_ZN4rock...+0x1f) [0x55...]" -> "rock::...". Falls back to the
-/// module basename or the raw address when there is no symbol (static
-/// functions, stripped binaries). Never returns a string containing ';'
-/// or whitespace, the folded format's separators.
-std::string SymbolizeFrame(const char* raw, void* pc) {
-  std::string name;
-  if (raw != nullptr) {
-    const char* open = std::strchr(raw, '(');
-    if (open != nullptr && open[1] != '\0' && open[1] != ')' &&
-        open[1] != '+') {
-      const char* end = open + 1;
-      while (*end != '\0' && *end != '+' && *end != ')') ++end;
-      std::string mangled(open + 1, end);
-      int demangle_status = 0;
-      char* demangled = abi::__cxa_demangle(mangled.c_str(), nullptr, nullptr,
-                                            &demangle_status);
-      if (demangle_status == 0 && demangled != nullptr) {
-        name = demangled;
-      } else {
-        name = mangled;
+/// The function symbols of the main executable's ELF .symtab. Unlike the
+/// dynamic symbol table that dladdr(3) reads, it also names local
+/// functions: static ones, anonymous namespaces, and the IPA clones an -O3
+/// build makes (`f(int) [clone .constprop.0]`). Read from /proc/self/exe
+/// once per snapshot, never in the handler; empty when the file has no
+/// .symtab (a stripped binary).
+class ExeSymbols {
+ public:
+  ExeSymbols() {
+    // The first object dl_iterate_phdr reports is the main program: its
+    // load bias and executable segments.
+    dl_iterate_phdr(
+        [](dl_phdr_info* info, size_t, void* self) {
+          auto* symbols = static_cast<ExeSymbols*>(self);
+          symbols->bias_ = info->dlpi_addr;
+          for (int i = 0; i < info->dlpi_phnum; ++i) {
+            const ElfW(Phdr)& ph = info->dlpi_phdr[i];
+            if (ph.p_type != PT_LOAD || (ph.p_flags & PF_X) == 0) continue;
+            const uintptr_t begin = info->dlpi_addr + ph.p_vaddr;
+            symbols->text_.emplace_back(begin, begin + ph.p_memsz);
+          }
+          return 1;  // stop after the main program
+        },
+        this);
+    std::ifstream exe("/proc/self/exe", std::ios::binary | std::ios::ate);
+    const auto file_size =
+        static_cast<uint64_t>(std::max<std::streamoff>(exe.tellg(), 0));
+    // Every table read lies inside the file, which bounds each buffer
+    // before it is allocated.
+    auto in_file = [file_size](uint64_t offset, uint64_t bytes) {
+      return offset <= file_size && bytes <= file_size - offset;
+    };
+    Elf64_Ehdr header{};
+    if (!Read(exe, 0, &header, sizeof(header)) ||
+        std::memcmp(header.e_ident, ELFMAG, SELFMAG) != 0 ||
+        header.e_ident[EI_CLASS] != ELFCLASS64 ||
+        header.e_shentsize != sizeof(Elf64_Shdr) ||
+        !in_file(header.e_shoff, header.e_shnum * sizeof(Elf64_Shdr))) {
+      return;
+    }
+    std::vector<Elf64_Shdr> sections(header.e_shnum);
+    if (!Read(exe, header.e_shoff, sections.data(),
+              sections.size() * sizeof(Elf64_Shdr))) {
+      return;
+    }
+    for (const Elf64_Shdr& section : sections) {
+      if (section.sh_type != SHT_SYMTAB || section.sh_link >= sections.size()) {
+        continue;
       }
-      std::free(demangled);
-    } else {
-      // No symbol: keep "module+0xaddr" so the frame is at least
-      // attributable to a library.
-      const char* slash = std::strrchr(raw, '/');
-      std::string module(slash != nullptr ? slash + 1 : raw);
-      size_t paren = module.find('(');
-      if (paren != std::string::npos) module.resize(paren);
+      const Elf64_Shdr& strtab = sections[section.sh_link];
+      if (!in_file(section.sh_offset, section.sh_size) ||
+          !in_file(strtab.sh_offset, strtab.sh_size)) {
+        return;
+      }
+      std::vector<Elf64_Sym> raw(section.sh_size / sizeof(Elf64_Sym));
+      names_.resize(strtab.sh_size);
+      if (!Read(exe, section.sh_offset, raw.data(),
+                raw.size() * sizeof(Elf64_Sym)) ||
+          !Read(exe, strtab.sh_offset, names_.data(), names_.size())) {
+        names_.clear();
+        return;
+      }
+      for (const Elf64_Sym& sym : raw) {
+        if (ELF64_ST_TYPE(sym.st_info) != STT_FUNC || sym.st_value == 0 ||
+            sym.st_name >= names_.size()) {
+          continue;
+        }
+        const uintptr_t begin = bias_ + sym.st_value;
+        symbols_.push_back({begin, begin + std::max<uint64_t>(sym.st_size, 1),
+                            sym.st_name});
+      }
+      std::sort(symbols_.begin(), symbols_.end(),
+                [](const Symbol& a, const Symbol& b) {
+                  return a.begin < b.begin;
+                });
+      return;
+    }
+  }
+
+  /// The mangled name of the main-executable function containing `pc`;
+  /// nullptr when `pc` lies outside the executable's code or no symbol
+  /// covers it.
+  const char* Find(void* pc) const {
+    const auto addr = reinterpret_cast<uintptr_t>(pc);
+    const bool in_text = std::any_of(
+        text_.begin(), text_.end(), [addr](const auto& segment) {
+          return segment.first <= addr && addr < segment.second;
+        });
+    if (!in_text) return nullptr;
+    auto it = std::upper_bound(
+        symbols_.begin(), symbols_.end(), addr,
+        [](uintptr_t a, const Symbol& sym) { return a < sym.begin; });
+    if (it == symbols_.begin() || addr >= (--it)->end) return nullptr;
+    return names_.c_str() + it->name;
+  }
+
+ private:
+  struct Symbol {
+    uintptr_t begin;
+    uintptr_t end;
+    uint32_t name;  // offset into names_
+  };
+
+  static bool Read(std::ifstream& in, uint64_t offset, void* out,
+                   size_t bytes) {
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(static_cast<char*>(out), static_cast<std::streamsize>(bytes));
+    return static_cast<bool>(in);
+  }
+
+  uintptr_t bias_ = 0;
+  std::vector<std::pair<uintptr_t, uintptr_t>> text_;
+  std::vector<Symbol> symbols_;
+  std::string names_;
+};
+
+std::string Demangle(const char* mangled) {
+  int status = 0;
+  char* demangled = abi::__cxa_demangle(mangled, nullptr, nullptr, &status);
+  std::string name = status == 0 && demangled != nullptr ? demangled : mangled;
+  std::free(demangled);
+  return name;
+}
+
+/// Names the function at `pc`: from the executable's .symtab, else from
+/// the dynamic symbols dladdr(3) finds (shared objects). Falls back to
+/// "module+0xaddr" when the module has no symbol there, or the raw address.
+/// Never returns a string containing ';' or whitespace, the folded
+/// format's separators.
+std::string SymbolizeFrame(const ExeSymbols& exe, void* pc) {
+  std::string name;
+  Dl_info info{};
+  if (const char* mangled = exe.Find(pc)) {
+    name = Demangle(mangled);
+  } else if (::dladdr(pc, &info) != 0) {
+    if (info.dli_sname != nullptr) {
+      name = Demangle(info.dli_sname);
+    } else if (info.dli_fname != nullptr) {
+      const char* slash = std::strrchr(info.dli_fname, '/');
       char addr[32];
       std::snprintf(addr, sizeof(addr), "+%p", pc);
-      name = module + addr;
+      name = std::string(slash != nullptr ? slash + 1 : info.dli_fname) + addr;
     }
   }
   if (name.empty()) {
@@ -353,19 +467,12 @@ ProfileSnapshot CpuProfiler::TakeSnapshot() const {
   }
   snap.samples = samples.size();
 
-  // Pass 2: symbolize each unique PC once (backtrace_symbols + demangle —
-  // allocation-heavy, which is exactly why it happens here and never in
-  // the handler).
-  {
-    std::vector<void*> pcs;
-    pcs.reserve(names.size());
-    for (auto& [pc, name] : names) pcs.push_back(pc);
-    char** raw = ::backtrace_symbols(pcs.data(), static_cast<int>(pcs.size()));
-    for (size_t i = 0; i < pcs.size(); ++i) {
-      names[pcs[i]] = SymbolizeFrame(raw != nullptr ? raw[i] : nullptr,
-                                     pcs[i]);
-    }
-    std::free(raw);
+  // Pass 2: symbolize each unique PC once (a file read, symbol lookups
+  // and demangling — allocation-heavy, which is exactly why it happens
+  // here and never in the handler).
+  if (!names.empty()) {
+    const ExeSymbols exe;
+    for (auto& [pc, name] : names) name = SymbolizeFrame(exe, pc);
   }
 
   // Pass 3: fold. backtrace() is leaf-first and its top frames are the

@@ -41,8 +41,9 @@ struct ProfileSnapshot {
 /// (timer_create over CLOCK_THREAD_CPUTIME_ID) delivers SIGPROF to each
 /// registered thread; the async-signal-safe handler appends a raw
 /// backtrace(3) PC vector to a preallocated sample buffer. Symbolization
-/// (backtrace_symbols + __cxa_demangle) happens offline in
-/// TakeSnapshot(), never in the handler. Threads join the profiled set
+/// (the executable's ELF .symtab, dladdr for shared objects, then
+/// __cxa_demangle) happens offline in TakeSnapshot(), never in the
+/// handler. Threads join the profiled set
 /// via ProfilerRegisterThisThread() (WorkerPool workers do this
 /// automatically; Start() registers the calling thread).
 class CpuProfiler {

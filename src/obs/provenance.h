@@ -67,14 +67,6 @@ struct Witness {
   std::vector<MlInvocation> ml_calls;
 };
 
-/// What the fix-store mutators take alongside each deduction. A null
-/// witness means the fix has no rule application behind it (ground truth,
-/// polynomial repair, direct store manipulation in tests) — it becomes a
-/// leaf node in the proof DAG.
-struct ProvenanceRef {
-  const Witness* witness = nullptr;
-};
-
 /// Node kinds in the provenance DAG.
 enum class ProvKind {
   kGroundTruth,        // Γ leaf

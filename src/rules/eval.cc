@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <string_view>
 
 #include "src/common/logging.h"
 #include "src/ml/correlation.h"
@@ -53,8 +54,27 @@ std::vector<Value> Evaluator::GetValues(const Ree& rule, const Valuation& v,
   return out;
 }
 
+namespace {
+
+/// Returns `passed`, first appending the model call that decided it to
+/// `record` when the caller keeps one.
+bool Verdict(obs::Witness* record, const Ree& rule,
+             const DatabaseSchema& schema, const Predicate& p,
+             std::string_view model, double score, double threshold,
+             bool passed) {
+  if (record != nullptr) {
+    record->ml_calls.push_back({std::string(model),
+                                PredicateToString(p, rule, schema), score,
+                                threshold, passed});
+  }
+  return passed;
+}
+
+}  // namespace
+
 bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
-                          const Predicate& p) const {
+                          const Predicate& p, obs::Witness* record) const {
+  const DatabaseSchema& schema = ctx_.db->schema();
   switch (p.kind) {
     case PredicateKind::kConstant: {
       Value cell = GetCell(rule, v, p.var, p.attr);
@@ -79,7 +99,11 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
       if (ctx_.models == nullptr) return false;
       const ml::PairClassifier* model = ctx_.models->FindPair(p.model);
       if (model == nullptr) {
-        ROCK_LOG(kWarning) << "unknown pair model " << p.model;
+        // A recording call re-reads a check the walk already made (and
+        // warned about).
+        if (record == nullptr) {
+          ROCK_LOG(kWarning) << "unknown pair model " << p.model;
+        }
         return false;
       }
       std::vector<Value> a, b;
@@ -87,21 +111,23 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
       b.reserve(p.attrs_b.size());
       for (int attr : p.attrs_a) a.push_back(GetCell(rule, v, p.var, attr));
       for (int attr : p.attrs_b) b.push_back(GetCell(rule, v, p.var2, attr));
+      double score;
       if (ctx_.ml_cache != nullptr) {
         // Double-checked memo: look up, score outside any lock on a miss,
         // first insert wins. The cached double is exactly what Score
-        // returns for this content, so the thresholded result matches the
-        // uncached (default-Predict) path bitwise.
+        // returns for this content, so the verdict matches the uncached
+        // path bitwise.
         const ml::MlScoreCache::Key key =
             ml::MlScoreCache::MakeKey(p.model, a, b);
-        double score;
         if (!ctx_.ml_cache->Lookup(key, &score)) {
           score = model->Score(a, b);
           ctx_.ml_cache->Insert(key, score);
         }
-        return score >= model->threshold();
+      } else {
+        score = model->Score(a, b);
       }
-      return model->Predict(a, b);
+      return Verdict(record, rule, schema, p, p.model, score,
+                     model->threshold(), score >= model->threshold());
     }
     case PredicateKind::kTemporal: {
       int rel = rule.tuple_vars[static_cast<size_t>(p.var)];
@@ -113,7 +139,11 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
             ctx_.models == nullptr ? nullptr
                                    : ctx_.models->FindRanker(p.model);
         if (ranker == nullptr) return false;
-        return ranker->Predict(t1, t2, p.attr, p.strict);
+        const double confidence =
+            ranker->Confidence(t1, t2, p.attr, p.strict);
+        return Verdict(record, rule, schema, p, p.model, confidence,
+                       ml::TemporalRanker::kThreshold,
+                       confidence >= ml::TemporalRanker::kThreshold);
       }
       // Plain temporal predicate over the explicit partial order. ⪯ is
       // reflexive and ≺ irreflexive on the same tuple.
@@ -136,15 +166,17 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
         return false;
       }
       int rel = rule.tuple_vars[static_cast<size_t>(p.var)];
-      return ctx_.models->her()->Match(
-          GetValues(rule, v, p.var), ctx_.db->schema().relation(rel),
-          *ctx_.graph, v.vertices[static_cast<size_t>(p.vertex_var)]);
+      const bool matched = ctx_.models->her()->Match(
+          GetValues(rule, v, p.var), schema.relation(rel), *ctx_.graph,
+          v.vertices[static_cast<size_t>(p.vertex_var)]);
+      return Verdict(record, rule, schema, p, "HER", matched ? 1.0 : 0.0,
+                     0.5, matched);
     }
     case PredicateKind::kPathMatch: {
       if (ctx_.graph == nullptr) return false;
       int rel = rule.tuple_vars[static_cast<size_t>(p.var)];
       const std::string& attr_name =
-          ctx_.db->schema().relation(rel).AttributeName(p.attr);
+          schema.relation(rel).AttributeName(p.attr);
       kg::VertexId x = v.vertices[static_cast<size_t>(p.vertex_var)];
       bool name_match =
           ctx_.models != nullptr && ctx_.models->path_matcher() != nullptr
@@ -170,8 +202,10 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
                             ? p.constant
                             : GetCell(rule, v, p.var, p.attr2);
       if (candidate.is_null()) return false;
-      return model->Strength(values, p.attrs_a, p.attr2, candidate) >=
-             p.threshold;
+      const double strength =
+          model->Strength(values, p.attrs_a, p.attr2, candidate);
+      return Verdict(record, rule, schema, p, p.model, strength, p.threshold,
+                     strength >= p.threshold);
     }
     case PredicateKind::kPredictValue: {
       if (ctx_.models == nullptr) return false;
@@ -180,9 +214,12 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
       std::vector<Value> values = GetValues(rule, v, p.var);
       Result<Value> predicted =
           model->PredictValue(values, p.attrs_a, p.attr2);
-      if (!predicted.ok()) return false;
-      Value cell = GetCell(rule, v, p.var, p.attr2);
-      return !cell.is_null() && cell == *predicted;
+      bool passed = false;
+      if (predicted.ok()) {
+        Value cell = GetCell(rule, v, p.var, p.attr2);
+        passed = !cell.is_null() && cell == *predicted;
+      }
+      return Verdict(record, rule, schema, p, p.model, 1.0, 0.0, passed);
     }
     case PredicateKind::kIsNull:
       return GetCell(rule, v, p.var, p.attr).is_null();
@@ -239,133 +276,24 @@ bool Evaluator::SatisfiesPrecondition(const Ree& rule,
 obs::Witness Evaluator::CaptureWitness(const Ree& rule, const Valuation& v,
                                        std::string rule_text) const {
   obs::Witness w;
-  const DatabaseSchema& schema = ctx_.db->schema();
   w.rule_text = std::move(rule_text);
   w.tuples.reserve(rule.tuple_vars.size());
   for (size_t var = 0; var < rule.tuple_vars.size(); ++var) {
-    obs::WitnessTuple t;
-    t.var = static_cast<int>(var);
-    t.rel = rule.tuple_vars[var];
-    t.tid = GetTuple(rule, v, static_cast<int>(var)).tid;
-    w.tuples.push_back(t);
+    w.tuples.push_back({static_cast<int>(var), rule.tuple_vars[var],
+                        GetTuple(rule, v, static_cast<int>(var)).tid});
   }
-
-  auto add_cell = [&](int var, int attr,
-                      obs::PremiseSource source = obs::PremiseSource::kRaw) {
-    obs::PremiseCell cell;
-    cell.rel = rule.tuple_vars[static_cast<size_t>(var)];
-    cell.tid = GetTuple(rule, v, var).tid;
-    cell.attr = attr;
-    if (attr == kEidAttr) {
-      cell.value = std::to_string(GetEid(rule, v, var));
-      cell.source = obs::PremiseSource::kOracle;  // answered by E_=
-    } else {
-      cell.value = GetCell(rule, v, var, attr).ToString();
-      cell.source = source;
-    }
-    w.premises.push_back(std::move(cell));
-  };
-  auto add_ml = [&](const Predicate& p, const std::string& model,
-                    double score, double threshold, bool passed) {
-    obs::MlInvocation call;
-    call.model = model;
-    call.detail = PredicateToString(p, rule, schema);
-    call.score = score;
-    call.threshold = threshold;
-    call.passed = passed;
-    w.ml_calls.push_back(std::move(call));
-  };
-
   for (const Predicate& p : rule.precondition) {
-    switch (p.kind) {
-      case PredicateKind::kConstant:
-      case PredicateKind::kIsNull:
-        add_cell(p.var, p.attr);
-        break;
-      case PredicateKind::kAttrCompare:
-        add_cell(p.var, p.attr);
-        add_cell(p.var2, p.attr2 == kEidAttr || p.attr == kEidAttr
-                             ? kEidAttr
-                             : p.attr2);
-        break;
-      case PredicateKind::kMlPair: {
-        for (int a : p.attrs_a) add_cell(p.var, a);
-        for (int b : p.attrs_b) add_cell(p.var2, b);
-        const ml::PairClassifier* model =
-            ctx_.models == nullptr ? nullptr : ctx_.models->FindPair(p.model);
-        if (model != nullptr) {
-          std::vector<Value> a, b;
-          for (int attr : p.attrs_a) a.push_back(GetCell(rule, v, p.var, attr));
-          for (int attr : p.attrs_b) {
-            b.push_back(GetCell(rule, v, p.var2, attr));
-          }
-          double score = model->Score(a, b);
-          add_ml(p, p.model, score, model->threshold(),
-                 score >= model->threshold());
-        }
-        break;
-      }
-      case PredicateKind::kTemporal: {
-        add_cell(p.var, p.attr, obs::PremiseSource::kOracle);
-        add_cell(p.var2, p.attr, obs::PremiseSource::kOracle);
-        if (!p.model.empty() && ctx_.models != nullptr) {
-          const ml::TemporalRanker* ranker = ctx_.models->FindRanker(p.model);
-          if (ranker != nullptr) {
-            const Tuple& t1 = GetTuple(rule, v, p.var);
-            const Tuple& t2 = GetTuple(rule, v, p.var2);
-            double conf = ranker->Confidence(t1, t2, p.attr, p.strict);
-            add_ml(p, p.model, conf, 0.5, conf >= 0.5);
-          }
-        }
-        break;
-      }
-      case PredicateKind::kHer: {
-        if (ctx_.models != nullptr && ctx_.models->her() != nullptr &&
-            ctx_.graph != nullptr) {
-          int rel = rule.tuple_vars[static_cast<size_t>(p.var)];
-          bool matched = ctx_.models->her()->Match(
-              GetValues(rule, v, p.var), schema.relation(rel), *ctx_.graph,
-              v.vertices[static_cast<size_t>(p.vertex_var)]);
-          add_ml(p, "HER", matched ? 1.0 : 0.0, 0.5, matched);
-        }
-        break;
-      }
-      case PredicateKind::kPathMatch:
-        add_cell(p.var, p.attr, obs::PremiseSource::kOracle);
-        break;
-      case PredicateKind::kValExtract:
-        add_cell(p.var, p.attr, obs::PremiseSource::kOracle);
-        break;
-      case PredicateKind::kCorrelation: {
-        for (int a : p.attrs_a) add_cell(p.var, a);
-        const ml::CorrelationModel* model =
-            ctx_.models == nullptr ? nullptr
-                                   : ctx_.models->FindCorrelation(p.model);
-        if (model != nullptr) {
-          std::vector<Value> values = GetValues(rule, v, p.var);
-          Value candidate = p.has_constant
-                                ? p.constant
-                                : GetCell(rule, v, p.var, p.attr2);
-          if (!candidate.is_null()) {
-            double strength =
-                model->Strength(values, p.attrs_a, p.attr2, candidate);
-            add_ml(p, p.model, strength, p.threshold,
-                   strength >= p.threshold);
-          }
-        }
-        break;
-      }
-      case PredicateKind::kPredictValue: {
-        for (int a : p.attrs_a) add_cell(p.var, a);
-        const ml::ValuePredictor* model =
-            ctx_.models == nullptr ? nullptr
-                                   : ctx_.models->FindPredictor(p.model);
-        if (model != nullptr) {
-          add_ml(p, p.model, 1.0, 0.0, true);
-        }
-        break;
-      }
-    }
+    ForEachPremiseCell(p, [&](int var, int attr, obs::PremiseSource source) {
+      obs::PremiseCell cell;
+      cell.rel = rule.tuple_vars[static_cast<size_t>(var)];
+      cell.tid = GetTuple(rule, v, var).tid;
+      cell.attr = attr;
+      cell.value = attr == kEidAttr ? std::to_string(GetEid(rule, v, var))
+                                    : GetCell(rule, v, var, attr).ToString();
+      cell.source = source;
+      w.premises.push_back(std::move(cell));
+    });
+    if (ModelScored(p)) Satisfies(rule, v, p, &w);
   }
   return w;
 }

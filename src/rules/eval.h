@@ -68,12 +68,10 @@ struct EvalContext {
   const CellOverlay* overlay = nullptr;
   const TemporalOracle* temporal = nullptr;
   /// Optional memo of ML pair-predicate scores keyed by (model, pair
-  /// content); nullptr (the default) scores every pair with the model's
-  /// Predict. With a memo, kMlPair predicates threshold the memoized Score
-  /// — identical to the default Predict, so only models relying on the
-  /// default Score-vs-threshold Predict should run with one. Keys hash the
-  /// overlay-aware cell *values*, so a memo stays sound across overlays,
-  /// rules and workers.
+  /// content); nullptr (the default) scores every pair that reaches a
+  /// kMlPair check. Either way the check thresholds the exact double Score
+  /// returns. Keys hash the overlay-aware cell *values*, so a memo stays
+  /// sound across overlays, rules and workers.
   ml::MlScoreCache* ml_cache = nullptr;
 };
 
@@ -87,6 +85,49 @@ struct Valuation {
     return rows == other.rows && vertices == other.vertices;
   }
 };
+
+/// The premise cells of `p`, the one list both a witness and certain-fix
+/// mode use: calls `read(var, attr, source)` for each cell the predicate
+/// reads, in the order a witness lists them. `attr` is kEidAttr for a
+/// tuple's EID. `source` is kOracle for a cell a side structure answers
+/// (E_= for an EID, the temporal order, the KG) and kRaw for a cell read
+/// from the data. HER predicates list none.
+template <typename Read>
+void ForEachPremiseCell(const Predicate& p, Read&& read) {
+  using obs::PremiseSource;
+  auto cell = [&](int var, int attr, PremiseSource source) {
+    read(var, attr, attr == kEidAttr ? PremiseSource::kOracle : source);
+  };
+  switch (p.kind) {
+    case PredicateKind::kConstant:
+    case PredicateKind::kIsNull:
+      cell(p.var, p.attr, PremiseSource::kRaw);
+      break;
+    case PredicateKind::kAttrCompare:
+      cell(p.var, p.attr, PremiseSource::kRaw);
+      cell(p.var2, p.attr == kEidAttr ? kEidAttr : p.attr2,
+           PremiseSource::kRaw);
+      break;
+    case PredicateKind::kMlPair:
+      for (int a : p.attrs_a) cell(p.var, a, PremiseSource::kRaw);
+      for (int b : p.attrs_b) cell(p.var2, b, PremiseSource::kRaw);
+      break;
+    case PredicateKind::kCorrelation:
+    case PredicateKind::kPredictValue:
+      for (int a : p.attrs_a) cell(p.var, a, PremiseSource::kRaw);
+      break;
+    case PredicateKind::kTemporal:
+      cell(p.var, p.attr, PremiseSource::kOracle);
+      cell(p.var2, p.attr, PremiseSource::kOracle);
+      break;
+    case PredicateKind::kPathMatch:
+    case PredicateKind::kValExtract:
+      cell(p.var, p.attr, PremiseSource::kOracle);
+      break;
+    case PredicateKind::kHer:
+      break;
+  }
+}
 
 /// ΔD as rows: per relation, the distinct rows of the given tids,
 /// ascending (unknown tids dropped).
@@ -179,21 +220,25 @@ class Evaluator {
   std::vector<Value> GetValues(const Ree& rule, const Valuation& v,
                                int var) const;
 
-  /// h |= p.
-  bool Satisfies(const Ree& rule, const Valuation& v,
-                 const Predicate& p) const;
+  /// h |= p. With `record`, a check that runs a model appends the call it
+  /// made to record->ml_calls: the model, the predicate text, the score,
+  /// the threshold and the verdict returned. (HER records its match as
+  /// 1 or 0 against 0.5; a value prediction, which has no score, as 1
+  /// against 0.) Nothing is appended when the model is missing.
+  bool Satisfies(const Ree& rule, const Valuation& v, const Predicate& p,
+                 obs::Witness* record = nullptr) const;
 
   /// h |= X (every precondition predicate), checked in cost order.
   bool SatisfiesPrecondition(const Ree& rule, const Valuation& v) const;
 
   /// The full witness of `v` satisfying `rule`'s precondition: the rule
   /// text (`rule_text`, the caller's rule.ToString rendered once per
-  /// run), the tuple bindings, every cell the precondition read (with its
-  /// overlay-aware value; sources default to kRaw / kOracle — the fix
-  /// store upgrades them to ground-truth / prior-fix when it knows the
-  /// cell is validated), and every ML-predicate invocation re-scored so
-  /// the proof records the actual score against its threshold. Call only
-  /// for valuations that satisfy the precondition.
+  /// run), the tuple bindings, and per precondition predicate in written
+  /// order the cells it reads (ForEachPremiseCell, with their
+  /// overlay-aware values; the fix store upgrades kRaw sources to
+  /// ground-truth / prior-fix when it knows the cell is validated) and,
+  /// for a model-scored predicate, the model call its Satisfies check
+  /// records. Call only for valuations that satisfy the precondition.
   obs::Witness CaptureWitness(const Ree& rule, const Valuation& v,
                               std::string rule_text) const;
 

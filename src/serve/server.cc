@@ -69,12 +69,12 @@ void RockServer::WaitUntilStopped() {
   // The accept loop exits only once drain is requested, so this join doubles
   // as the wait-for-drain.
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::map<uint64_t, std::thread> connections;
   {
     common::MutexLock lock(state_mu_);
     connections.swap(connection_threads_);
   }
-  for (std::thread& t : connections) {
+  for (auto& [session_id, t] : connections) {
     if (t.joinable()) t.join();
   }
   joined_ = true;
@@ -90,20 +90,41 @@ void RockServer::AcceptLoop() {
   static obs::Counter* connections_total =
       obs::MetricsRegistry::Global().GetCounter("rock_serve_connections_total");
   while (!draining_.load(std::memory_order_acquire)) {
+    ReapFinishedConnections();
     // Times out every 100ms to re-check the drain flag.
     net::Socket client = net::AcceptWithTimeout(listener_, 100);
     if (!client.valid()) continue;
     connections_total->Add();
     uint64_t session_id =
         next_session_id_.fetch_add(1, std::memory_order_relaxed);
+    // Held while the thread is stored, so its last act (listing itself as
+    // finished) always finds it in connection_threads_.
     common::MutexLock lock(state_mu_);
-    connection_threads_.emplace_back(
-        [this, client = std::move(client), session_id] {
+    connection_threads_.emplace(
+        session_id,
+        std::thread([this, client = std::move(client), session_id] {
           ServeConnection(client, session_id);
-        });
+          common::MutexLock finished(state_mu_);
+          finished_connections_.push_back(session_id);
+        }));
   }
   // From here on connect() is refused, which is what "draining" promises.
   listener_.Close();
+}
+
+void RockServer::ReapFinishedConnections() {
+  std::vector<std::thread> finished;
+  {
+    common::MutexLock lock(state_mu_);
+    for (uint64_t session_id : finished_connections_) {
+      auto it = connection_threads_.find(session_id);
+      finished.push_back(std::move(it->second));
+      connection_threads_.erase(it);
+    }
+    finished_connections_.clear();
+  }
+  // Each has returned from ServeConnection; join waits out its exit.
+  for (std::thread& t : finished) t.join();
 }
 
 RockServer::FrameRead RockServer::ReadFrame(const net::Socket& client,

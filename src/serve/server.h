@@ -8,11 +8,12 @@
 // (graceful drain).
 //
 // Concurrency model: one accept-loop thread plus one thread per live
-// connection. Engine access is serialized through a readers-writer lock —
-// ingest takes the writer side, detect/explain the reader side — so served
-// results are computed by exactly the same library calls a linked-in
-// caller would make, on a quiescent engine, and compare bitwise equal to
-// them (tests/serve_test.cc proves this).
+// connection; the accept loop joins each connection thread once it has
+// finished serving. Engine access is serialized through a readers-writer
+// lock — ingest takes the writer side, detect/explain the reader side — so
+// served results are computed by exactly the same library calls a
+// linked-in caller would make, on a quiescent engine, and compare bitwise
+// equal to them (tests/serve_test.cc proves this).
 //
 // Session model: each connection is a session. A session accumulates the
 // tids it has ingested; a detect request with DetectScope::kSession runs
@@ -29,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -119,6 +121,8 @@ class RockServer {
   };
 
   void AcceptLoop();
+  /// Joins the connection threads that have finished serving.
+  void ReapFinishedConnections();
   void ServeConnection(const net::Socket& client, uint64_t session_id);
   FrameRead ReadFrame(const net::Socket& client, std::string* payload,
                       Status* error);
@@ -140,7 +144,11 @@ class RockServer {
   std::atomic<uint64_t> next_session_id_{1};
 
   common::Mutex state_mu_;
-  std::vector<std::thread> connection_threads_ ROCK_GUARDED_BY(state_mu_);
+  /// Connection threads not yet joined, by session id. A thread lists its
+  /// id in finished_connections_ as its last act.
+  std::map<uint64_t, std::thread> connection_threads_
+      ROCK_GUARDED_BY(state_mu_);
+  std::vector<uint64_t> finished_connections_ ROCK_GUARDED_BY(state_mu_);
 
   /// Serializes WaitUntilStopped callers (std::thread::join is
   /// single-caller). Lock order: join_mu_ before state_mu_.

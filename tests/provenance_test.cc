@@ -3,6 +3,7 @@
 // the audit trail.
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -16,7 +17,9 @@
 #include "src/common/json.h"
 #include "src/common/mutex.h"
 #include "src/core/engine.h"
+#include "src/ml/batch.h"
 #include "src/ml/correlation.h"
+#include "src/ml/her.h"
 #include "src/ml/library.h"
 #include "src/ml/ranking.h"
 #include "src/obs/provenance.h"
@@ -830,6 +833,300 @@ TEST(ProvenanceMetricsTest, DroppedSpanGaugeIsExported) {
   EXPECT_TRUE(found);
   // A quiescent test process must not be dropping spans.
   EXPECT_EQ(snap.dropped_spans, 0u);
+}
+
+// ---------- The check that decides writes the witness ----------
+
+// Counting fakes with fixed, non-round scores, so a bitwise comparison
+// tells a recorded score from a recomputed or rounded one.
+class CountingPair : public ml::PairClassifier {
+ public:
+  double Score(const std::vector<Value>&,
+               const std::vector<Value>&) const override {
+    ++calls;
+    return 0.7310585786300049;
+  }
+  mutable size_t calls = 0;
+};
+
+class CountingRanker : public ml::TemporalRanker {
+ public:
+  double Confidence(const Tuple&, const Tuple&, int, bool) const override {
+    ++calls;
+    return 0.6224593312018546;
+  }
+  mutable size_t calls = 0;
+};
+
+class CountingCorrelation : public ml::CorrelationModel {
+ public:
+  double Strength(const std::vector<Value>&, const std::vector<int>&, int,
+                  const Value&) const override {
+    ++calls;
+    return 0.8175744761936437;
+  }
+  mutable size_t calls = 0;
+};
+
+class CountingPredictor : public ml::ValuePredictor {
+ public:
+  Result<Value> PredictValue(const std::vector<Value>& values,
+                             const std::vector<int>&,
+                             int attr_b) const override {
+    ++calls;
+    return values[static_cast<size_t>(attr_b)];  // always right
+  }
+  std::vector<Value> Candidates(const std::vector<Value>&,
+                                const std::vector<int>&, int) const override {
+    return {};
+  }
+  mutable size_t calls = 0;
+};
+
+/// An overlay that repairs nothing and counts the cells read through it.
+class CountingOverlay : public rules::CellOverlay {
+ public:
+  std::optional<Value> GetCell(int, int64_t, int) const override {
+    ++cell_reads;
+    return std::nullopt;
+  }
+  std::optional<int64_t> GetEid(int, int64_t) const override {
+    return std::nullopt;
+  }
+  std::vector<int64_t> PatchedTids(int, int) const override { return {}; }
+  std::vector<int64_t> PatchedTidsEq(int, int, uint64_t) const override {
+    return {};
+  }
+  std::vector<int64_t> EidClass(int64_t eid) const override { return {eid}; }
+  mutable size_t cell_reads = 0;
+};
+
+class WitnessContentTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    models_.RegisterPair("MER", pair_);
+    models_.RegisterRanker("Mrank", ranker_);
+    models_.RegisterCorrelation("Mc", correlation_);
+    models_.RegisterPredictor("Md", predictor_);
+    auto her = std::make_shared<ml::HerModel>();
+    her->IndexGraph(data_.graph);
+    models_.RegisterHer(her);
+  }
+
+  rules::EvalContext Context() {
+    rules::EvalContext ctx;
+    ctx.db = &data_.db;
+    ctx.graph = &data_.graph;
+    ctx.models = &models_;
+    return ctx;
+  }
+
+  /// Decides `rule`'s last precondition predicate (its one model-scored
+  /// one) with a record, captures the witness, and expects the witness's
+  /// one model call to be exactly the one the check recorded. Returns it.
+  obs::MlInvocation ExpectWitnessIsTheCheck(const rules::Evaluator& eval,
+                                            const Ree& rule,
+                                            const rules::Valuation& v) {
+    const rules::Predicate& p = rule.precondition.back();
+    obs::Witness decided;
+    const bool verdict = eval.Satisfies(rule, v, p, &decided);
+    const obs::Witness witness = eval.CaptureWitness(rule, v, "text");
+    EXPECT_EQ(decided.ml_calls.size(), 1u);
+    EXPECT_EQ(witness.ml_calls.size(), 1u);
+    if (decided.ml_calls.size() != 1 || witness.ml_calls.size() != 1) {
+      return {};
+    }
+    const obs::MlInvocation& want = decided.ml_calls[0];
+    const obs::MlInvocation& got = witness.ml_calls[0];
+    EXPECT_EQ(got.model, want.model);
+    EXPECT_EQ(got.detail, rules::PredicateToString(p, rule, data_.db.schema()));
+    EXPECT_EQ(got.detail, want.detail);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.score),
+              std::bit_cast<uint64_t>(want.score));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.threshold),
+              std::bit_cast<uint64_t>(want.threshold));
+    EXPECT_EQ(got.passed, verdict);
+    EXPECT_EQ(want.passed, verdict);
+    return got;
+  }
+
+  Ree Parse(const std::string& text) {
+    return MustParse(text, data_.db.schema(), "w");
+  }
+
+  workload::EcommerceData data_ = workload::MakeEcommerceData();
+  ml::MlLibrary models_;
+  std::shared_ptr<CountingPair> pair_ = std::make_shared<CountingPair>();
+  std::shared_ptr<CountingRanker> ranker_ =
+      std::make_shared<CountingRanker>();
+  std::shared_ptr<CountingCorrelation> correlation_ =
+      std::make_shared<CountingCorrelation>();
+  std::shared_ptr<CountingPredictor> predictor_ =
+      std::make_shared<CountingPredictor>();
+};
+
+TEST_F(WitnessContentTest, MlPairRecordsItsScoreOnce) {
+  const Ree rule = Parse(
+      "Trans(t0) ^ Trans(t1) ^ t0.mfg = t1.mfg ^ "
+      "MER(t0[com], t1[com]) -> t0.price = t1.price");
+  const rules::Evaluator eval(Context());
+  const rules::Valuation v{{0, 1}, {}};
+  const obs::MlInvocation call = ExpectWitnessIsTheCheck(eval, rule, v);
+  EXPECT_EQ(call.model, "MER");
+  EXPECT_EQ(call.score, 0.7310585786300049);
+  EXPECT_EQ(call.threshold, 0.5);
+  EXPECT_TRUE(call.passed);
+  const size_t before = pair_->calls;
+  eval.CaptureWitness(rule, v, "text");
+  EXPECT_EQ(pair_->calls, before + 1);
+}
+
+TEST_F(WitnessContentTest, MemoizedMlPairRecordsTheMemoizedScore) {
+  const Ree rule = Parse(
+      "Trans(t0) ^ Trans(t1) ^ MER(t0[com], t1[com]) -> t0.price = t1.price");
+  ml::MlScoreCache cache;
+  rules::EvalContext ctx = Context();
+  ctx.ml_cache = &cache;
+  const rules::Evaluator eval(ctx);
+  const rules::Valuation v{{0, 1}, {}};
+  // The first capture scores the pair once and fills the memo; the check
+  // and later captures read the memo and score nothing.
+  const obs::Witness first = eval.CaptureWitness(rule, v, "text");
+  EXPECT_EQ(pair_->calls, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  const obs::MlInvocation call = ExpectWitnessIsTheCheck(eval, rule, v);
+  EXPECT_EQ(pair_->calls, 1u);
+  ASSERT_EQ(first.ml_calls.size(), 1u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(first.ml_calls[0].score),
+            std::bit_cast<uint64_t>(call.score));
+}
+
+TEST_F(WitnessContentTest, HerRecordsItsMatchOnce) {
+  const Ree rule = Parse(
+      "Store(t0) ^ vertex(x0, G) ^ HER(t0, x0) -> "
+      "t0.location = val(x0.(LocationAt))");
+  const Relation& store = data_.db.relation(data_.store);
+  int row = -1;
+  for (size_t r = 0; r < store.size(); ++r) {
+    if (store.tuple(r).value(1) == Value::String("Huawei Flagship")) {
+      row = static_cast<int>(r);
+    }
+  }
+  ASSERT_GE(row, 0);
+  CountingOverlay overlay;
+  rules::EvalContext ctx = Context();
+  ctx.overlay = &overlay;
+  const rules::Evaluator eval(ctx);
+  const rules::Valuation v{{row}, {data_.huawei_store_vertex}};
+  const obs::MlInvocation call = ExpectWitnessIsTheCheck(eval, rule, v);
+  EXPECT_EQ(call.model, "HER");
+  EXPECT_EQ(call.score, 1.0);
+  EXPECT_EQ(call.threshold, 0.5);
+  EXPECT_TRUE(call.passed);
+  // HER lists no premise cells, and its one Match reads each of the
+  // tuple's cells once: the capture ran the model once.
+  overlay.cell_reads = 0;
+  const obs::Witness witness = eval.CaptureWitness(rule, v, "text");
+  EXPECT_TRUE(witness.premises.empty());
+  EXPECT_EQ(overlay.cell_reads,
+            data_.db.schema().relation(data_.store).num_attributes());
+}
+
+TEST_F(WitnessContentTest, RankerBackedTemporalRecordsItsConfidenceOnce) {
+  const Ree rule = Parse(
+      "Person(t0) ^ Person(t1) ^ Mrank(t0, t1, <=[status]) -> "
+      "t0 <=[status] t1");
+  const rules::Evaluator eval(Context());
+  const rules::Valuation v{{0, 1}, {}};
+  const obs::MlInvocation call = ExpectWitnessIsTheCheck(eval, rule, v);
+  EXPECT_EQ(call.model, "Mrank");
+  EXPECT_EQ(call.score, 0.6224593312018546);
+  EXPECT_EQ(call.threshold, ml::TemporalRanker::kThreshold);
+  EXPECT_TRUE(call.passed);
+  const size_t before = ranker_->calls;
+  const obs::Witness witness = eval.CaptureWitness(rule, v, "text");
+  EXPECT_EQ(ranker_->calls, before + 1);
+  ASSERT_EQ(witness.premises.size(), 2u);  // both order cells, by oracle
+  EXPECT_EQ(witness.premises[0].source, obs::PremiseSource::kOracle);
+}
+
+TEST_F(WitnessContentTest, CorrelationRecordsItsStrengthOnce) {
+  const Ree rule = Parse(
+      "Trans(t0) ^ Mc(t0[com,mfg], t0.price) >= 0.9 -> t0.date = t0.date");
+  const rules::Evaluator eval(Context());
+  const rules::Valuation v{{0}, {}};
+  const obs::MlInvocation call = ExpectWitnessIsTheCheck(eval, rule, v);
+  EXPECT_EQ(call.model, "Mc");
+  EXPECT_EQ(call.score, 0.8175744761936437);
+  EXPECT_EQ(call.threshold, 0.9);
+  EXPECT_FALSE(call.passed);  // the witness records a failed check too
+  const size_t before = correlation_->calls;
+  eval.CaptureWitness(rule, v, "text");
+  EXPECT_EQ(correlation_->calls, before + 1);
+}
+
+TEST_F(WitnessContentTest, ValuePredictionRecordsAFixedEntryOnce) {
+  const Ree rule = Parse(
+      "Trans(t0) ^ t0.price = Md(t0[com,mfg], price) -> t0.date = t0.date");
+  const rules::Evaluator eval(Context());
+  const rules::Valuation v{{0}, {}};
+  const obs::MlInvocation call = ExpectWitnessIsTheCheck(eval, rule, v);
+  EXPECT_EQ(call.model, "Md");
+  EXPECT_EQ(call.score, 1.0);
+  EXPECT_EQ(call.threshold, 0.0);
+  EXPECT_TRUE(call.passed);
+  const size_t before = predictor_->calls;
+  const obs::Witness witness = eval.CaptureWitness(rule, v, "text");
+  EXPECT_EQ(predictor_->calls, before + 1);
+  EXPECT_EQ(witness.premises.size(), 2u);  // com, mfg
+}
+
+TEST_F(WitnessContentTest, MissingModelRecordsCellsButNoCall) {
+  const Ree rule = Parse(
+      "Trans(t0) ^ Trans(t1) ^ MER(t0[com], t1[com]) -> t0.price = t1.price");
+  ml::MlLibrary empty;
+  rules::EvalContext ctx = Context();
+  ctx.models = &empty;
+  const rules::Evaluator eval(ctx);
+  const obs::Witness witness =
+      eval.CaptureWitness(rule, rules::Valuation{{0, 1}, {}}, "text");
+  EXPECT_EQ(witness.premises.size(), 2u);  // listed without the model
+  EXPECT_TRUE(witness.ml_calls.empty());
+}
+
+// Certain-fix mode admits an application only when its kRaw premise cells
+// are validated — but null(t[A]) reads a missing value, which is never
+// validated, so it does not gate admission. The witness still lists it.
+TEST(CertainFixGateTest, NullTestIsListedButNeverGates) {
+  KvDb data;
+  const int64_t trusted_key = data.Insert("x", nullptr, "-", 0);
+  const int64_t raw_key = data.Insert("x", nullptr, "-", 1);
+  ChaseOptions options;
+  options.certain_fixes_only = true;
+  ml::MlLibrary models;
+  ChaseEngine engine(&data.db, nullptr, &models, options);
+  {
+    common::RoleGuard apply(engine.fix_store().apply_role());
+    ASSERT_TRUE(engine.fix_store()
+                    .AddGroundTruthValue(0, trusted_key, 0, Value::String("x"))
+                    .ok());
+  }
+  const Ree rule = MustParse("S(t0) ^ t0.k = 'x' ^ null(t0.v) -> t0.v = 'a'",
+                             data.db.schema(), "mi1");
+  engine.Run({rule});
+  EXPECT_EQ(engine.fix_store().ValidatedValue(0, trusted_key, 1),
+            std::optional<Value>(Value::String("a")));
+  EXPECT_FALSE(engine.fix_store().IsValidated(0, raw_key, 1));
+
+  const obs::ProofTree tree = engine.Explain(0, trusted_key, 1);
+  ASSERT_NE(tree.root.node, nullptr);
+  const std::vector<obs::PremiseCell>& premises =
+      tree.root.node->witness.premises;
+  ASSERT_EQ(premises.size(), 2u);
+  EXPECT_EQ(premises[0].attr, 0);
+  EXPECT_EQ(premises[0].source, obs::PremiseSource::kGroundTruth);
+  EXPECT_EQ(premises[1].attr, 1);
+  EXPECT_EQ(premises[1].source, obs::PremiseSource::kRaw);
 }
 
 }  // namespace

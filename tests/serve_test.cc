@@ -12,6 +12,7 @@
 //     refused.
 
 #include <atomic>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,6 +43,17 @@ core::ModelTrainingSpec BankSpec() {
   spec.monotone_attrs = {{"Customer", "points"}};
   spec.path_synonyms = {{"area", {"AreaOf"}}};
   return spec;
+}
+
+/// This process's virtual size (VmSize) in KiB, from /proc/self/status;
+/// 0 when it cannot be read.
+size_t VirtualKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
 }
 
 /// A fully-initialized engine + running server per test: trained models,
@@ -319,6 +331,25 @@ TEST_F(ServeTest, StopIsIdempotentAndBeginDrainAloneStops) {
   if (rejected.ok()) {
     EXPECT_FALSE((*rejected)->Ping().ok());
   }
+}
+
+TEST_F(ServeTest, SequentialConnectionsDoNotKeepTheirThreadStacks) {
+  StartServer();
+  auto cycle = [&] {
+    std::unique_ptr<Client> client = MustConnect();
+    ASSERT_TRUE(client->Ping().ok());
+  };
+  for (int i = 0; i < 20; ++i) cycle();  // warm the allocators
+  const size_t before = VirtualKib();
+  ASSERT_GT(before, 0u);
+  // One connection at a time, each closed before the next opens. A
+  // connection thread that is never joined keeps its stack mapped (8 MiB
+  // by default), so 200 of them would add about 1.6 GiB.
+  for (int i = 0; i < 200; ++i) cycle();
+  const size_t after = VirtualKib();
+  EXPECT_LT(after, before + 256 * 1024)
+      << "VmSize grew from " << before << " KiB to " << after << " KiB";
+  EXPECT_EQ(server_->requests_served(), 220u);
 }
 
 }  // namespace
