@@ -79,10 +79,10 @@ void PrintChase(std::FILE* out, const std::string& label,
                 const chase::ChaseEngine& engine) {
   const chase::ChaseResult& chase = result.chase;
   std::fprintf(out, "correct %s rounds=%d fixes=%zu applications=%zu "
-               "converged=%d conflicts=%zu poly_fixes=%zu passes=%d\n",
+               "converged=%d conflicts=%zu passes=%d\n",
                label.c_str(), chase.rounds, chase.fixes_applied,
                chase.applications, chase.converged ? 1 : 0,
-               chase.conflicts.size(), result.poly_fixes, result.passes);
+               chase.conflicts.size(), result.passes);
   for (const chase::FixRecord& fix : engine.fix_store().fixes()) {
     std::fprintf(out, "  fix %s\n", fix.ToJson().c_str());
   }

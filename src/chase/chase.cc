@@ -1,6 +1,7 @@
 #include "src/chase/chase.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "src/common/logging.h"
@@ -237,7 +238,8 @@ size_t ChaseEngine::ApplyConsequence(
   // reflect the state the deduction actually read).
   const obs::Witness witness = eval.CaptureWitness(rule, v, rule_text);
 
-  // Value-deducing consequences (constant, val extraction, prediction):
+  // Value-deducing consequences (constant, polynomial, val extraction,
+  // prediction):
   // validate `value` for attr of p.var's tuple, or settle an MI conflict
   // with an already validated value.
   auto impute = [&](int attr, const Value& value) -> size_t {
@@ -422,6 +424,14 @@ size_t ChaseEngine::ApplyConsequence(
         MarkEntityDirty(rel, t2, newly_dirty);
       }
       return new_fixes;
+    }
+    case PredicateKind::kPoly: {
+      if (p.op != rules::CmpOp::kEq) return 0;
+      Result<double> value = p.poly.Evaluate(
+          [&](int attr) { return eval.GetCell(rule, v, p.var, attr); });
+      if (!value.ok()) return 0;
+      // Rounded to cents, as the generators' monetary values are.
+      return impute(p.attr, Value::Double(std::round(*value * 100.0) / 100.0));
     }
     case PredicateKind::kValExtract: {
       if (graph_ == nullptr) return 0;

@@ -1,12 +1,12 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
 #include "src/common/strings.h"
+#include "src/discovery/poly.h"
 #include "src/ml/correlation.h"
 #include "src/ml/her.h"
 #include "src/ml/ranking.h"
@@ -178,7 +178,7 @@ std::vector<discovery::MinedRule> Rock::DiscoverRules(
   return discovery::SelectTopK(mined, top_k, scorer, /*diversify=*/false);
 }
 
-std::vector<PolyRule> Rock::DiscoverPolynomials() {
+const std::vector<Ree>& Rock::DiscoverPolynomials() {
   ROCK_OBS_SPAN("rock.discover_polynomials");
   poly_rules_.clear();
   if (!options_.enable_polynomials) return poly_rules_;
@@ -194,57 +194,19 @@ std::vector<PolyRule> Rock::DiscoverPolynomials() {
       if (!expr.ok()) continue;
       if (expr->r_squared < options_.poly_min_r2) continue;
       if (expr->exact_support < options_.poly_min_exact_support) continue;
-      if (expr->terms.empty()) continue;
-      poly_rules_.push_back({static_cast<int>(rel), std::move(*expr)});
+      if (expr->poly.terms.empty()) continue;
+      Ree rule;
+      rule.id = StrFormat("poly_%zu_%zu", rel, attr);
+      rule.tuple_vars = {static_cast<int>(rel)};
+      rule.precondition = {rules::Predicate::Poly(
+          0, static_cast<int>(attr), rules::CmpOp::kNe, std::move(expr->poly),
+          options_.poly_tolerance)};
+      rule.consequence = rule.precondition[0];
+      rule.consequence.op = rules::CmpOp::kEq;
+      poly_rules_.push_back(std::move(rule));
     }
   }
   return poly_rules_;
-}
-
-namespace {
-
-std::string PolyRuleId(const PolyRule& poly) {
-  return StrFormat("poly_%d_%d", poly.rel, poly.expr.target_attr);
-}
-
-/// The value `poly` predicts for t's null or deviating target cell.
-std::optional<double> PolyMisfit(const PolyRule& poly, const Tuple& t,
-                                 double tolerance) {
-  auto predicted = poly.expr.Evaluate(t);
-  if (!predicted.ok()) return std::nullopt;
-  const Value& actual = t.value(poly.expr.target_attr);
-  double scale = std::max(1.0, std::abs(*predicted));
-  if (!actual.is_null() &&
-      std::abs(actual.AsDouble() - *predicted) / scale <= tolerance) {
-    return std::nullopt;
-  }
-  return *predicted;
-}
-
-}  // namespace
-
-void Rock::DetectPolyViolations(const rules::DeltaRows* delta,
-                                detect::DetectionReport* report) const {
-  for (const PolyRule& poly : poly_rules_) {
-    const Relation& relation = db_->relation(poly.rel);
-    auto check = [&](size_t row) {
-      const Tuple& t = relation.tuple(row);
-      if (!PolyMisfit(poly, t, options_.poly_tolerance)) return;
-      detect::ErrorRecord record;
-      record.rule_id = PolyRuleId(poly);
-      record.error_class = t.value(poly.expr.target_attr).is_null()
-                               ? detect::ErrorClass::kMissing
-                               : detect::ErrorClass::kConflict;
-      record.cells.push_back({poly.rel, t.tid, poly.expr.target_attr});
-      report->errors.push_back(std::move(record));
-      ++report->violations;
-    };
-    if (delta == nullptr) {
-      for (size_t row = 0; row < relation.size(); ++row) check(row);
-    } else {
-      for (int row : delta->rows(poly.rel)) check(static_cast<size_t>(row));
-    }
-  }
 }
 
 Status Rock::ActivateRules(const std::string& text) {
@@ -324,38 +286,15 @@ detect::DetectionReport Rock::Detect(
     const std::vector<Ree>& rules,
     const std::vector<std::pair<int, int64_t>>* dirty,
     std::optional<int> workers, par::ScheduleReport* schedule) const {
+  // The polynomial rules come last, so the caller's rules report first.
+  std::vector<Ree> all = rules;
+  all.insert(all.end(), poly_rules_.begin(), poly_rules_.end());
   detect::ErrorDetector detector(Context(), options_.detector);
-  std::optional<rules::DeltaRows> delta;
-  if (dirty != nullptr) delta.emplace(*db_, *dirty);
-  detect::DetectionReport report =
-      delta.has_value()    ? detector.DetectIncremental(rules, *delta)
-      : workers.has_value() ? detector.DetectParallel(rules, *workers, schedule)
-                            : detector.Detect(rules);
-  DetectPolyViolations(delta.has_value() ? &*delta : nullptr, &report);
-  return report;
-}
-
-size_t Rock::ApplyPolyFixes(chase::ChaseEngine* engine) const {
-  // Runs before the chase starts — the caller is the apply thread.
-  common::RoleGuard apply(engine->fix_store().apply_role());
-  size_t applied = 0;
-  for (const PolyRule& poly : poly_rules_) {
-    const Relation& relation = db_->relation(poly.rel);
-    for (size_t row = 0; row < relation.size(); ++row) {
-      const Tuple& t = relation.tuple(row);
-      std::optional<double> predicted =
-          PolyMisfit(poly, t, options_.poly_tolerance);
-      if (!predicted) continue;
-      // Round to cents to match the generators' monetary values.
-      double rounded = std::round(*predicted * 100.0) / 100.0;
-      bool changed = false;
-      Status s = engine->fix_store().SetValue(
-          poly.rel, t.tid, poly.expr.target_attr, Value::Double(rounded),
-          PolyRuleId(poly), &changed);
-      if (s.ok() && changed) ++applied;
-    }
+  if (dirty != nullptr) return detector.DetectIncremental(all, *dirty);
+  if (workers.has_value()) {
+    return detector.DetectParallel(all, *workers, schedule);
   }
-  return applied;
+  return detector.Detect(all);
 }
 
 std::shared_ptr<chase::ChaseEngine> Rock::CorrectErrors(
@@ -393,8 +332,11 @@ std::shared_ptr<chase::ChaseEngine> Rock::Correct(
       }
     }
   }
+  // The polynomial rules come first, so chase round 0 imputes their
+  // targets before the other rules read them.
+  std::vector<Ree> all = poly_rules_;
+  all.insert(all.end(), rules.begin(), rules.end());
   CorrectionResult local;
-  local.poly_fixes = ApplyPolyFixes(engine.get());
   // One chase pass; with workers its round 0 runs under the pool.
   auto chase = [&](const std::vector<Ree>& pass_rules) {
     return workers.has_value()
@@ -404,7 +346,7 @@ std::shared_ptr<chase::ChaseEngine> Rock::Correct(
 
   if (options_.variant == Variant::kRock ||
       options_.variant == Variant::kNoMl) {
-    local.chase = chase(rules);
+    local.chase = chase(all);
     local.passes = 1;
   } else {
     // ER, CR, MI, TD one task at a time: Rock_seq iterates until no task
@@ -416,7 +358,7 @@ std::shared_ptr<chase::ChaseEngine> Rock::Correct(
       for (RuleTask task :
            {RuleTask::kEr, RuleTask::kCr, RuleTask::kMi, RuleTask::kTd}) {
         std::vector<Ree> subset;
-        for (const Ree& rule : rules) {
+        for (const Ree& rule : all) {
           if (rule.Task() == task) subset.push_back(rule);
         }
         if (subset.empty()) continue;

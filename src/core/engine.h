@@ -8,7 +8,6 @@
 #include "src/chase/chase.h"
 #include "src/detect/detector.h"
 #include "src/discovery/miner.h"
-#include "src/discovery/poly.h"
 #include "src/discovery/topk.h"
 #include "src/kg/graph.h"
 #include "src/ml/library.h"
@@ -60,7 +59,7 @@ struct RockOptions {
   /// Discover and enforce polynomial expressions over numeric attributes
   /// (§5.4); disabled for kNoMl.
   bool enable_polynomials = true;
-  /// Relative tolerance for polynomial violations.
+  /// Relative tolerance of the discovered polynomial rules' poly(...).
   double poly_tolerance = 0.02;
   /// Minimum fit quality before a polynomial is enforced. Arithmetic
   /// invariants (total = amount + fee + tax) fit exactly; near-miss fits
@@ -73,12 +72,6 @@ struct RockOptions {
   double poly_min_exact_support = 0.7;
 };
 
-/// A discovered-and-enforced polynomial expression bound to a relation.
-struct PolyRule {
-  int rel = -1;
-  discovery::PolyExpression expr;
-};
-
 struct CorrectionResult {
   /// For kRock and kNoMl, the one pass's result. For the per-task variants
   /// (kSequential, kNoChase), fixes, applications and replayed units sum
@@ -86,8 +79,6 @@ struct CorrectionResult {
   /// kNoChase), and `conflicts` is the engine's whole conflict list after
   /// the last pass.
   chase::ChaseResult chase;
-  /// Value fixes contributed by polynomial imputation/repair.
-  size_t poly_fixes = 0;
   /// Chase passes executed (1 for kRock; per-task passes otherwise).
   int passes = 0;
 };
@@ -137,9 +128,12 @@ class Rock {
       const discovery::PredicateSpaceOptions& space_options,
       size_t top_k = 0);
 
-  /// Discovers polynomial expressions for every numeric attribute that
-  /// fits well enough (§5.4); they participate in Detect/Correct.
-  std::vector<PolyRule> DiscoverPolynomials();
+  /// Discovers a polynomial expression for every numeric attribute that
+  /// fits well enough (§5.4) and keeps each as the rule
+  ///   R(t0) ^ t0.A != poly(...) -> t0.A = poly(...)
+  /// with id poly_<rel>_<attr>. Detection runs them after the caller's
+  /// rules, correction before them.
+  const std::vector<rules::Ree>& DiscoverPolynomials();
 
   /// Installs `rules` as the engine's *active rule set*: the set every
   /// session/batch-oriented entry point (DetectActive,
@@ -172,12 +166,12 @@ class Rock {
   detect::DetectionReport DetectActiveIncremental(
       const std::vector<std::pair<int, int64_t>>& dirty) const;
 
-  /// Batch error detection (violations + polynomial violations).
+  /// Batch error detection (the polynomial rules included).
   detect::DetectionReport DetectErrors(
       const std::vector<rules::Ree>& rules) const;
 
-  /// Incremental detection over ΔD (violations + polynomial violations);
-  /// with every tuple in ΔD it equals DetectErrors.
+  /// Incremental detection over ΔD (the polynomial rules included); with
+  /// every tuple in ΔD it equals DetectErrors.
   detect::DetectionReport DetectErrorsIncremental(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
@@ -233,7 +227,7 @@ class Rock {
   }
 
   /// The polynomial rules currently enforced.
-  const std::vector<PolyRule>& poly_rules() const { return poly_rules_; }
+  const std::vector<rules::Ree>& poly_rules() const { return poly_rules_; }
 
   /// Point-in-time telemetry: every registered metric plus per-span timing
   /// aggregates for the instrumented phases (discovery, detection, chase,
@@ -284,31 +278,27 @@ class Rock {
   RockOptions options_;
   ml::MlLibrary models_;
   std::vector<rules::Ree> active_rules_;
-  std::vector<PolyRule> poly_rules_;
+  std::vector<rules::Ree> poly_rules_;
   std::shared_ptr<chase::ChaseEngine> last_engine_;
   std::unique_ptr<obs::TelemetryServer> telemetry_server_;
 
   rules::EvalContext Context() const;
-  /// The one detection body: rule violations over ΔD = `dirty` (all rows
-  /// if null), on `workers` pool workers when set, then polynomial
-  /// violations over the same rows.
+  /// The one detection body: violations of `rules`, then of the
+  /// polynomial rules, over ΔD = `dirty` (all rows if null), on `workers`
+  /// pool workers when set.
   detect::DetectionReport Detect(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>* dirty,
       std::optional<int> workers, par::ScheduleReport* schedule) const;
-  /// The one correction body: Γ seeding, polynomial fixes, then the
-  /// variant's chase passes, each with a pooled round 0 when `workers` is
-  /// set (`schedule` then holds the last pass's pool accounting).
+  /// The one correction body: Γ seeding, then the variant's chase passes
+  /// over the polynomial rules followed by `rules`, each with a pooled
+  /// round 0 when `workers` is set (`schedule` then holds the last pass's
+  /// pool accounting).
   std::shared_ptr<chase::ChaseEngine> Correct(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& ground_truth,
       std::optional<int> workers, CorrectionResult* result,
       par::ScheduleReport* schedule);
-  /// Appends polynomial violations of ΔD's rows (all rows if null).
-  void DetectPolyViolations(const rules::DeltaRows* delta,
-                            detect::DetectionReport* report) const;
-  /// Applies polynomial repairs/imputations into `engine`'s fix store.
-  size_t ApplyPolyFixes(chase::ChaseEngine* engine) const;
 };
 
 }  // namespace rock::core

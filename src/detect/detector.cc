@@ -181,7 +181,8 @@ void ErrorDetector::RecordViolation(const Ree& rule, const Valuation& v,
       // Null consequence cells are missing values; defined-but-violating
       // cells are semantic conflicts.
       bool any_null = false;
-      if (p.kind == PredicateKind::kConstant) {
+      if (p.kind == PredicateKind::kConstant ||
+          p.kind == PredicateKind::kPoly) {
         any_null = eval.GetCell(rule, v, p.var, p.attr).is_null();
         record.cells.push_back({rel_of(p.var), tid_of(p.var), p.attr});
       } else if (p.kind == PredicateKind::kAttrCompare) {
@@ -307,12 +308,8 @@ DetectionReport ErrorDetector::Detect(const std::vector<Ree>& rules) const {
 DetectionReport ErrorDetector::DetectIncremental(
     const std::vector<Ree>& rules,
     const std::vector<std::pair<int, int64_t>>& dirty) const {
-  return DetectIncremental(rules, rules::DeltaRows(*ctx_.db, dirty));
-}
-
-DetectionReport ErrorDetector::DetectIncremental(
-    const std::vector<Ree>& rules, const rules::DeltaRows& delta) const {
   ROCK_OBS_SPAN("detect.incremental");
+  const rules::DeltaRows delta(*ctx_.db, dirty);
   return DetectScope(rules, rules::Scope::Delta(delta));
 }
 

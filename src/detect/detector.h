@@ -100,8 +100,6 @@ class ErrorDetector {
   DetectionReport DetectIncremental(
       const std::vector<rules::Ree>& rules,
       const std::vector<std::pair<int, int64_t>>& dirty) const;
-  DetectionReport DetectIncremental(const std::vector<rules::Ree>& rules,
-                                    const rules::DeltaRows& delta) const;
 
   /// Parallel detection: one par::RunRound whose unit body is DetectRule
   /// over the unit's row slice; fills `schedule` with the placement/

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/strings.h"
 #include "src/ml/linear.h"
 #include "src/ml/tree.h"
 
@@ -46,36 +45,6 @@ bool IsNumeric(ValueType type) {
 double NumericOf(const Value& v) { return v.AsDouble(); }
 
 }  // namespace
-
-Result<double> PolyExpression::Evaluate(const Tuple& tuple) const {
-  double out = bias;
-  for (const Term& term : terms) {
-    const Value& a = tuple.values[static_cast<size_t>(term.attr_a)];
-    if (a.is_null()) return Status::NotFound("null input attribute");
-    double x = NumericOf(a);
-    if (term.attr_b >= 0) {
-      const Value& b = tuple.values[static_cast<size_t>(term.attr_b)];
-      if (b.is_null()) return Status::NotFound("null input attribute");
-      x *= NumericOf(b);
-    }
-    out += term.weight * x;
-  }
-  return out;
-}
-
-std::string PolyExpression::ToString(const Schema& schema) const {
-  std::string out = schema.AttributeName(target_attr) + " ≈ ";
-  for (const Term& term : terms) {
-    out += StrFormat("%+.4g*%s", term.weight,
-                     schema.AttributeName(term.attr_a).c_str());
-    if (term.attr_b >= 0) {
-      out += "*" + schema.AttributeName(term.attr_b);
-    }
-    out += " ";
-  }
-  out += StrFormat("%+.4g", bias);
-  return out;
-}
 
 Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
                                           int target_attr,
@@ -322,14 +291,13 @@ Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
   }
 
   PolyExpression expr;
-  expr.target_attr = target_attr;
-  expr.bias = fit.bias * y_scale;
+  expr.poly.bias = fit.bias * y_scale;
   for (size_t f = 0; f < defs.size(); ++f) {
     // fit.weights is in the max-scaled space (columns and target in
     // [-1, 1]), so its magnitude IS the relative contribution.
     if (std::abs(fit.weights[f]) < options.min_weight) continue;
     double w = fit.weights[f] * y_scale / scale[f];
-    expr.terms.push_back({defs[f].attr_a, defs[f].attr_b, w});
+    expr.poly.terms.push_back({defs[f].attr_a, defs[f].attr_b, w});
   }
   expr.r_squared = fit.r2;
   // Exact support over ALL rows (outliers included): the share of data the

@@ -1,9 +1,9 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/rules/predicate.h"
 #include "src/storage/relation.h"
 
 namespace rock::discovery {
@@ -12,14 +12,7 @@ namespace rock::discovery {
 /// (paper §5.4 "Polynomial expressions"): target ≈ bias + Σ w_i · term_i,
 /// where each term is an attribute or a product of two attributes.
 struct PolyExpression {
-  int target_attr = -1;
-  struct Term {
-    int attr_a = -1;
-    int attr_b = -1;  // -1 => linear term, else product attr_a * attr_b
-    double weight = 0.0;
-  };
-  double bias = 0.0;
-  std::vector<Term> terms;
+  rules::Polynomial poly;
   /// In-sample coefficient of determination (on the robust inliers).
   double r_squared = 0.0;
   /// Fraction of ALL rows whose relative residual is below 1e-4 — the
@@ -27,12 +20,6 @@ struct PolyExpression {
   /// invariants score ≈ 1 - error rate; statistical pseudo-fits (high R²
   /// but nonzero residuals everywhere) score ≈ 0.
   double exact_support = 0.0;
-
-  /// Predicted target value for a tuple; NotFound when an input is null.
-  Result<double> Evaluate(const Tuple& tuple) const;
-
-  /// Human-readable form, e.g. "total ≈ 1.13*price + 0.0".
-  std::string ToString(const Schema& schema) const;
 };
 
 struct PolyOptions {

@@ -303,12 +303,6 @@ std::string SymbolizeFrame(const ExeSymbols& exe, void* pc) {
   return name;
 }
 
-bool IsHandlerFrame(const std::string& name) {
-  return name.find("SigprofHandler") != std::string::npos ||
-         name.find("__restore_rt") != std::string::npos ||
-         name.find("killpg") != std::string::npos;
-}
-
 }  // namespace
 
 CpuProfiler& CpuProfiler::Global() {
@@ -476,13 +470,17 @@ ProfileSnapshot CpuProfiler::TakeSnapshot() const {
   }
 
   // Pass 3: fold. backtrace() is leaf-first and its top frames are the
-  // handler plus the kernel's signal trampoline; everything above the
-  // last handler frame is the interrupted stack, emitted root-first as
-  // flamegraph.pl expects.
+  // handler, then the kernel's signal trampoline (which dladdr cannot
+  // name: glibc's __restore_rt is a local symbol), so the cut is by
+  // position: everything after the frame that follows the last handler
+  // frame is the interrupted stack, emitted root-first as flamegraph.pl
+  // expects.
   for (const Sample* sample : samples) {
     int start = 0;
     for (int f = 0; f < sample->depth; ++f) {
-      if (IsHandlerFrame(names[sample->pcs[f]])) start = f + 1;
+      if (names[sample->pcs[f]].find("SigprofHandler") != std::string::npos) {
+        start = f + 2;
+      }
     }
     if (start >= sample->depth) start = sample->depth > 2 ? 2 : 0;
     std::string folded;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <string_view>
 
 #include "src/common/logging.h"
@@ -223,6 +224,17 @@ bool Evaluator::Satisfies(const Ree& rule, const Valuation& v,
     }
     case PredicateKind::kIsNull:
       return GetCell(rule, v, p.var, p.attr).is_null();
+    case PredicateKind::kPoly: {
+      Result<double> value = p.poly.Evaluate(
+          [&](int attr) { return GetCell(rule, v, p.var, attr); });
+      if (!value.ok()) return false;
+      Value target = GetCell(rule, v, p.var, p.attr);
+      const bool fits = !target.is_null() &&
+                        std::abs(target.AsDouble() - *value) /
+                                std::max(1.0, std::abs(*value)) <=
+                            p.threshold;
+      return p.op == CmpOp::kEq ? fits : !fits;
+    }
   }
   return false;
 }
@@ -246,6 +258,7 @@ bool ModelScored(const Predicate& p) {
     case PredicateKind::kPathMatch:
     case PredicateKind::kValExtract:
     case PredicateKind::kIsNull:
+    case PredicateKind::kPoly:
       return false;
   }
   return false;

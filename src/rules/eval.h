@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <map>
@@ -91,7 +92,8 @@ struct Valuation {
 /// reads, in the order a witness lists them. `attr` is kEidAttr for a
 /// tuple's EID. `source` is kOracle for a cell a side structure answers
 /// (E_= for an EID, the temporal order, the KG) and kRaw for a cell read
-/// from the data. HER predicates list none.
+/// from the data. HER predicates list none; a polynomial lists its distinct
+/// input cells, not the target cell it judges.
 template <typename Read>
 void ForEachPremiseCell(const Predicate& p, Read&& read) {
   using obs::PremiseSource;
@@ -124,6 +126,20 @@ void ForEachPremiseCell(const Predicate& p, Read&& read) {
     case PredicateKind::kValExtract:
       cell(p.var, p.attr, PremiseSource::kOracle);
       break;
+    case PredicateKind::kPoly: {
+      std::vector<int> inputs;
+      for (const Polynomial::Term& term : p.poly.terms) {
+        for (int attr : {term.attr_a, term.attr_b}) {
+          if (attr < 0 || std::find(inputs.begin(), inputs.end(), attr) !=
+                              inputs.end()) {
+            continue;
+          }
+          inputs.push_back(attr);
+          cell(p.var, attr, PremiseSource::kRaw);
+        }
+      }
+      break;
+    }
     case PredicateKind::kHer:
       break;
   }

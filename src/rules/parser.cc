@@ -319,6 +319,60 @@ bool SplitCall(std::string_view text, std::string* name, std::string* args,
 
 Result<Predicate> ParsePredicate(const std::string& part, ParserState& st);
 
+/// Parses the arguments of "t.A op poly(c0 + c1*t.B + c2*t.C*t.D; tol)":
+/// the constant c0 first, then terms of one or two factors of `var`'s
+/// attributes, then the tolerance. Numbers are read with strtod, so
+/// %.17g-printed coefficients read back bit for bit.
+Result<Predicate> ParsePoly(int var, int attr, CmpOp op,
+                            const std::string& args, const ParserState& st) {
+  const Status bad = Status::InvalidArgument(
+      "expected t.A = poly(c0 + c1*t.B + c2*t.C*t.D; tol) (or !=), got "
+      "poly(" + args + ")");
+  const size_t semi = args.find(';');
+  if ((op != CmpOp::kEq && op != CmpOp::kNe) || semi == std::string::npos) {
+    return bad;
+  }
+  const std::string tol_text(Trim(std::string_view(args).substr(semi + 1)));
+  char* end = nullptr;
+  const double tolerance = std::strtod(tol_text.c_str(), &end);
+  if (tol_text.empty() || *end != '\0' || !(tolerance >= 0.0)) return bad;
+  // Each term ends at the '+' after its factors; a %.17g exponent
+  // ("1e+20") has a '+' of its own, which strtod consumes.
+  Polynomial poly;
+  const std::string expr = args.substr(0, semi);
+  const char* pos = expr.c_str();
+  for (bool first = true;; first = false) {
+    const double weight = std::strtod(pos, &end);
+    if (end == pos) return bad;
+    std::vector<std::string> factors;
+    for (pos = end; *pos != '\0' && *pos != '+'; ++pos) {
+      if (*pos == '*') {
+        factors.emplace_back();
+      } else if (!factors.empty()) {
+        factors.back().push_back(*pos);
+      } else if (*pos != ' ') {
+        return bad;
+      }
+    }
+    if (first != factors.empty() || factors.size() > 2) return bad;
+    Polynomial::Term term{-1, -1, weight};
+    for (size_t f = 0; f < factors.size(); ++f) {
+      auto input = st.VarDotAttr(Trim(factors[f]));
+      if (!input.ok()) return input.status();
+      if (input->first != var || input->second == kEidAttr) return bad;
+      (f == 0 ? term.attr_a : term.attr_b) = input->second;
+    }
+    if (first) {
+      poly.bias = weight;
+    } else {
+      poly.terms.push_back(term);
+    }
+    if (*pos == '\0') break;
+    ++pos;  // the '+'
+  }
+  return Predicate::Poly(var, attr, op, std::move(poly), tolerance);
+}
+
 Result<Predicate> ParseCall(const std::string& name, const std::string& args,
                             const std::string& suffix, ParserState& st) {
   std::vector<std::string> arg_list = SplitArgs(args);
@@ -456,6 +510,7 @@ Result<Predicate> ParsePredicate(const std::string& part, ParserState& st) {
   // rhs: val(x.(path)) | Md(t[...], attr) | t.attr | literal.
   std::string name, args, suffix;
   if (SplitCall(rhs, &name, &args, &suffix) && suffix.empty()) {
+    if (name == "poly") return ParsePoly(va->first, va->second, op, args, st);
     if (name == "val") {
       auto vp = st.VertexPath(args);
       if (!vp.ok()) return vp.status();

@@ -29,6 +29,8 @@ namespace rock::rules {
 ///   Mc(t0[a,b], t0.c) >= 0.8              -- correlation
 ///   Mc(t0[a,b], t0.c='v') >= 0.8
 ///   t0.price = Md(t0[a,b], price)         -- ML value prediction
+///   t0.total = poly(0 + 1*t0.amount + 2*t0.qty*t0.price; 0.02)
+///                                         -- polynomial (also !=)
 ///
 /// Tuple variables must be t0, t1, ...; vertex variables x0, x1, ....
 Result<Ree> ParseRee(std::string_view text, const DatabaseSchema& schema);

@@ -164,6 +164,18 @@ Predicate Predicate::IsNull(int var, int attr) {
   return p;
 }
 
+Predicate Predicate::Poly(int var, int attr, CmpOp op, Polynomial poly,
+                          double tolerance) {
+  Predicate p;
+  p.kind = PredicateKind::kPoly;
+  p.var = var;
+  p.attr = attr;
+  p.op = op;
+  p.poly = std::move(poly);
+  p.threshold = tolerance;
+  return p;
+}
+
 std::vector<int> Predicate::TupleVars() const {
   std::vector<int> out;
   if (var >= 0) out.push_back(var);
@@ -182,6 +194,9 @@ bool Predicate::Mentions(int var_index, int attr_index) const {
       if (attr2 == attr_index) return true;
     }
     if (in(attrs_a)) return true;
+    for (const Polynomial::Term& term : poly.terms) {
+      if (term.attr_a == attr_index || term.attr_b == attr_index) return true;
+    }
   }
   if (var2 == var_index) {
     if (kind == PredicateKind::kAttrCompare && attr2 == attr_index) {
@@ -201,7 +216,8 @@ bool Predicate::operator==(const Predicate& other) const {
          (!has_constant || constant == other.constant) &&
          model == other.model && attrs_a == other.attrs_a &&
          attrs_b == other.attrs_b && strict == other.strict &&
-         path == other.path && threshold == other.threshold;
+         path == other.path && threshold == other.threshold &&
+         poly == other.poly;
 }
 
 }  // namespace rock::rules

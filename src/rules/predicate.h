@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/storage/schema.h"
 #include "src/storage/value.h"
 
@@ -18,8 +19,42 @@ bool EvalCmp(CmpOp op, int three_way);
 /// predicates t.EID ⊕ s.EID.
 inline constexpr int kEidAttr = -2;
 
+/// A polynomial over one tuple's numeric attributes (paper §5.4):
+/// bias + Σ weight · t[attr_a] (· t[attr_b] for a product term).
+struct Polynomial {
+  struct Term {
+    int attr_a = -1;
+    int attr_b = -1;  // -1 => linear term, else product attr_a * attr_b
+    double weight = 0.0;
+    bool operator==(const Term&) const = default;
+  };
+  double bias = 0.0;
+  std::vector<Term> terms;
+
+  /// The value at a tuple whose cells `cell(attr)` returns; NotFound when
+  /// an input is null.
+  template <typename Cell>
+  Result<double> Evaluate(Cell&& cell) const {
+    double out = bias;
+    for (const Term& term : terms) {
+      double x = 1.0;
+      for (int attr : {term.attr_a, term.attr_b}) {
+        if (attr < 0) continue;
+        const Value& value = cell(attr);
+        if (value.is_null()) return Status::NotFound("null input attribute");
+        x *= value.AsDouble();
+      }
+      out += term.weight * x;
+    }
+    return out;
+  }
+
+  bool operator==(const Polynomial&) const = default;
+};
+
 /// The predicate kinds of REE++s. §2.1 contributes the first five, §2.2 the
-/// temporal kind, §2.3 the extraction/correlation/prediction kinds.
+/// temporal kind, §2.3 the extraction/correlation/prediction kinds, §5.4
+/// the polynomial kind.
 enum class PredicateKind {
   kConstant,      // t.A ⊕ c
   kAttrCompare,   // t.A ⊕ s.B   (also t.EID ⊕ s.EID via kEidAttr)
@@ -31,6 +66,7 @@ enum class PredicateKind {
   kCorrelation,   // Mc(t[A], t[B]) ≥ δ  or  Mc(t[A], t[B]=c) ≥ δ
   kPredictValue,  // t[B] = Md(t[A], B)
   kIsNull,        // null(t[A])  (syntactic sugar, §2.3 example)
+  kPoly,          // t[A] = poly(c0 + c1*t.B + ...; tol)  /  !=
 };
 
 /// One predicate of an REE++. Tuple variables are indices into the owning
@@ -58,7 +94,8 @@ struct Predicate {
 
   bool strict = false;        // kTemporal: ≺ vs ⪯
   std::vector<std::string> path;  // ρ (kPathMatch / kValExtract)
-  double threshold = 0.0;         // δ (kCorrelation)
+  double threshold = 0.0;         // δ (kCorrelation) / tolerance (kPoly)
+  Polynomial poly;                // kPoly
 
   // ---- Factories ----
   static Predicate Constant(int var, int attr, CmpOp op, Value c);
@@ -83,6 +120,11 @@ struct Predicate {
   static Predicate PredictValue(std::string model, int var,
                                 std::vector<int> attrs_a, int attr_b);
   static Predicate IsNull(int var, int attr);
+  /// t[A] = poly(...) holds when every input and t[A] are non-null and
+  /// |t[A] - value| / max(1, |value|) <= tolerance; t[A] != poly(...) is
+  /// its negation over non-null inputs (a null t[A] misfits).
+  static Predicate Poly(int var, int attr, CmpOp op, Polynomial poly,
+                        double tolerance);
 
   /// Tuple variables referenced by this predicate.
   std::vector<int> TupleVars() const;

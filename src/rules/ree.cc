@@ -67,6 +67,8 @@ RuleTask Ree::Task() const {
       }
       return RuleTask::kCr;
     }
+    case PredicateKind::kPoly:
+      return RuleTask::kCr;
     case PredicateKind::kTemporal:
       return RuleTask::kTd;
     case PredicateKind::kValExtract:
@@ -164,6 +166,22 @@ std::string PredicateToString(const Predicate& p, const Ree& rule,
     case PredicateKind::kIsNull:
       return "null(" + var_name(p.var) + "." +
              AttrName(rule, schema, p.var, p.attr) + ")";
+    case PredicateKind::kPoly: {
+      // %.17g prints each double exactly: the parser reads back the bits.
+      std::string out = var_name(p.var) + "." +
+                         AttrName(rule, schema, p.var, p.attr) + " " +
+                         CmpOpName(p.op) + " poly(" +
+                         StrFormat("%.17g", p.poly.bias);
+      for (const Polynomial::Term& term : p.poly.terms) {
+        out += StrFormat(" + %.17g", term.weight);
+        for (int attr : {term.attr_a, term.attr_b}) {
+          if (attr < 0) continue;
+          out += StrFormat("*t%d.%s", p.var,
+                           AttrName(rule, schema, p.var, attr).c_str());
+        }
+      }
+      return out + StrFormat("; %.17g)", p.threshold);
+    }
   }
   return "?";
 }

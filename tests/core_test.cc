@@ -1,4 +1,5 @@
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -81,16 +82,36 @@ TEST_F(CoreBankTest, DetectionFindsMostInjectedErrors) {
 
 TEST_F(CoreBankTest, PolynomialDiscoveryFindsTotal) {
   Rock rock(&data_.db, &data_.graph);
-  auto polys = rock.DiscoverPolynomials();
-  // Payment.total = amount + fee + tax must be discovered.
-  bool found_total = false;
-  for (const auto& poly : polys) {
-    if (poly.rel == 2 && poly.expr.target_attr == 5) {
-      found_total = true;
-      EXPECT_GT(poly.expr.r_squared, 0.99);
+  // A rule is emitted only for a fit with r² >= poly_min_r2 (0.999).
+  ASSERT_GT(rock.options().poly_min_r2, 0.99);
+  const std::vector<rules::Ree>& polys = rock.DiscoverPolynomials();
+  // Payment.total = amount + fee + tax must be discovered, as the rule
+  // Payment(t0) ^ t0.total != poly(...) -> t0.total = poly(...).
+  const rules::Ree* total = nullptr;
+  for (const rules::Ree& rule : polys) {
+    if (rule.id == "poly_2_5") total = &rule;
+  }
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(total->tuple_vars, std::vector<int>{2});
+  EXPECT_EQ(total->Task(), rules::RuleTask::kCr);
+  ASSERT_EQ(total->precondition.size(), 1u);
+  const rules::Predicate& misfit = total->precondition[0];
+  EXPECT_EQ(misfit.kind, rules::PredicateKind::kPoly);
+  EXPECT_EQ(misfit.op, rules::CmpOp::kNe);
+  EXPECT_EQ(misfit.attr, 5);
+  EXPECT_EQ(total->consequence.op, rules::CmpOp::kEq);
+  EXPECT_EQ(total->consequence.poly, misfit.poly);
+  // Its inputs are amount (2) and fee (3), linear, with weight ≈ 1 on fee;
+  // tax (4) is 6% of amount, so the fit may fold it into amount's weight.
+  std::set<int> inputs;
+  for (const rules::Polynomial::Term& term : misfit.poly.terms) {
+    EXPECT_LT(term.attr_b, 0);
+    inputs.insert(term.attr_a);
+    if (term.attr_a == 3) {
+      EXPECT_NEAR(term.weight, 1.0, 1e-3);
     }
   }
-  EXPECT_TRUE(found_total);
+  EXPECT_TRUE(inputs.count(2) > 0 && inputs.count(3) > 0);
 }
 
 TEST_F(CoreBankTest, CorrectionRecoversErrors) {

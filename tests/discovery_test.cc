@@ -333,7 +333,8 @@ TEST(PolyTest, ExactLinearInvariant) {
   // Evaluate on a fresh tuple.
   Tuple t;
   t.values = {Value::Double(1000), Value::Double(20), Value::Null()};
-  auto predicted = expr->Evaluate(t);
+  auto predicted =
+      expr->poly.Evaluate([&t](int attr) { return t.value(attr); });
   ASSERT_TRUE(predicted.ok());
   EXPECT_NEAR(*predicted, 1020.0, 0.5);
 }
@@ -367,7 +368,7 @@ TEST(PolyTest, ProductTerms) {
   ASSERT_TRUE(expr.ok());
   EXPECT_GT(expr->exact_support, 0.99);
   bool has_product = false;
-  for (const auto& term : expr->terms) {
+  for (const auto& term : expr->poly.terms) {
     if (term.attr_b >= 0) has_product = true;
   }
   EXPECT_TRUE(has_product);
@@ -393,7 +394,10 @@ TEST(PolyTest, NullInputsSkipEvaluation) {
   ASSERT_TRUE(expr.ok());
   Tuple t;
   t.values = {Value::Null(), Value::Double(20), Value::Null()};
-  EXPECT_EQ(expr->Evaluate(t).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(expr->poly.Evaluate([&t](int attr) { return t.value(attr); })
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

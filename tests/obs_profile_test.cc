@@ -209,6 +209,13 @@ TEST(CpuProfilerTest, CollectsAndSymbolizesBusyStacks) {
   EXPECT_FALSE(folded.empty());
   if (!SanitizedBuild()) {
     EXPECT_NE(folded.find("ProfileTestBusyWork"), std::string::npos) << folded;
+    // The fold cuts the kernel's signal trampoline, which symbolizes as an
+    // unnamed libc.so.6+0x... frame, so the busy stacks end in user code.
+    for (const auto& [stack, samples] : snap.folded) {
+      if (stack.find("ProfileTestBusyWork") == std::string::npos) continue;
+      const std::string leaf = stack.substr(stack.rfind(';') + 1);
+      EXPECT_NE(leaf.rfind("libc.so.6+0x", 0), 0u) << stack;
+    }
     EXPECT_NE(folded.find("rock"), std::string::npos);
     EXPECT_NE(json.find("ProfileTestBusyWork"), std::string::npos);
   }

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "src/core/engine.h"
 #include "src/detect/detector.h"
 #include "src/obs/metrics.h"
+#include "src/par/fault.h"
 #include "src/rules/parser.h"
 #include "src/workload/generator.h"
 #include "src/workload/scoring.h"
@@ -138,10 +140,7 @@ TEST_P(ChurchRosserTest, EveryFixIsJustifiedByARule) {
   auto engine = rock.CorrectErrors(*rules, data.clean_tuples, &result);
   std::set<std::string> known_ids = {"Γ"};
   for (const rules::Ree& rule : *rules) known_ids.insert(rule.id);
-  for (const core::PolyRule& poly : rock.poly_rules()) {
-    known_ids.insert("poly_" + std::to_string(poly.rel) + "_" +
-                     std::to_string(poly.expr.target_attr));
-  }
+  for (const rules::Ree& rule : rock.poly_rules()) known_ids.insert(rule.id);
   for (const chase::FixRecord& fix : engine->fix_store().fixes()) {
     EXPECT_TRUE(known_ids.count(fix.rule_id) > 0)
         << "unjustified fix: " << fix.ToString();
@@ -201,6 +200,66 @@ TEST_P(IncrementalEquivalenceTest, AllDirtyIncrementalEqualsBatch) {
   // Field for field, polynomial violations included.
   EXPECT_EQ(incremental.violations, batch.violations);
   EXPECT_TRUE(incremental == batch);
+}
+
+// Polynomial rules run through the one enumerator on every entry point:
+// serial, 1, 2 and 5 workers, a faulted plan and incremental detection
+// report the same polynomial violations.
+TEST_P(IncrementalEquivalenceTest, PolynomialViolationsEqualOnEveryEntryPoint) {
+  workload::GeneratedData data = MakeData(GetParam());
+  core::Rock rock(&data.db, &data.graph);
+  rock.TrainModels(SpecFor(GetParam().app));
+  auto rules = rock.LoadRules(data.rule_text);
+  ASSERT_TRUE(rules.ok());
+  rock.DiscoverPolynomials();
+  // The polynomial errors of `report`, kept when `keep(tid)` holds.
+  auto poly_errors = [](const detect::DetectionReport& report,
+                        const std::function<bool(int64_t)>& keep) {
+    std::vector<detect::ErrorRecord> out;
+    for (const detect::ErrorRecord& error : report.errors) {
+      if (error.rule_id.starts_with("poly_") && keep(error.cells[0].tid)) {
+        out.push_back(error);
+      }
+    }
+    return out;
+  };
+  auto all = [](int64_t) { return true; };
+
+  const detect::DetectionReport serial = rock.DetectErrors(*rules);
+  const std::vector<detect::ErrorRecord> expected = poly_errors(serial, all);
+  if (std::string(GetParam().app) == "Bank") {
+    EXPECT_FALSE(expected.empty());
+  }
+  for (int workers : {1, 2, 5}) {
+    par::ScheduleReport schedule;
+    EXPECT_EQ(poly_errors(rock.DetectErrorsParallel(*rules, workers,
+                                                    &schedule),
+                          all),
+              expected)
+        << workers << " workers";
+  }
+  auto plan = par::FaultPlan::Parse("crash:3@1;flaky:5x1;flaky:9x2");
+  ASSERT_TRUE(plan.ok());
+  par::RetryPolicy retry;
+  retry.backoff_base_seconds = 1e-4;
+  rock.SetFaultInjection(&*plan, retry);
+  par::ScheduleReport faulted;
+  EXPECT_EQ(poly_errors(rock.DetectErrorsParallel(*rules, 2, &faulted), all),
+            expected);
+  rock.SetFaultInjection(nullptr);
+
+  // Incremental over every third tuple: exactly those tuples' errors.
+  std::vector<std::pair<int, int64_t>> every_third;
+  std::set<int64_t> dirty_tids;
+  for (const auto& [rel, tid] : AllTuples(data.db)) {
+    if (tid % 3 != 0) continue;
+    every_third.emplace_back(rel, tid);
+    dirty_tids.insert(tid);
+  }
+  auto dirty = [&dirty_tids](int64_t tid) { return dirty_tids.count(tid) > 0; };
+  EXPECT_EQ(poly_errors(rock.DetectErrorsIncremental(*rules, every_third),
+                        all),
+            poly_errors(serial, dirty));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,6 +25,7 @@
 #include "src/obs/provenance.h"
 #include "src/rules/parser.h"
 #include "src/workload/ecommerce.h"
+#include "src/workload/generator.h"
 
 namespace rock {
 namespace {
@@ -336,6 +337,54 @@ TEST(RockExplainTest, EndToEndExplainAfterCorrectErrors) {
     EXPECT_NE(tree.ToText().find("rule:"), std::string::npos);
   }
   EXPECT_GT(rock.ProvenanceSummary().nodes, 0u);
+}
+
+// A polynomial fix is an ordinary rule application: its proof cites the
+// discovered rule's text and the input cells the prediction read.
+TEST(RockExplainTest, PolynomialFixCitesItsRuleAndInputCells) {
+  workload::GeneratorOptions options;
+  options.rows = 150;
+  options.seed = 17;
+  workload::GeneratedData data = workload::MakeBankData(options);
+  core::Rock rock(&data.db, &data.graph);
+  const std::vector<Ree>& polys = rock.DiscoverPolynomials();
+  const auto total = std::find_if(polys.begin(), polys.end(), [](const Ree& r) {
+    return r.id == "poly_2_5";
+  });
+  ASSERT_NE(total, polys.end());
+  const int kPayment = 2, kAmount = 2, kFee = 3, kTotal = 5;
+
+  core::CorrectionResult result;
+  auto engine = rock.CorrectErrors({}, data.clean_tuples, &result);
+  size_t explained = 0;
+  for (const chase::CellFix& fix : engine->CellFixes()) {
+    if (fix.rel != kPayment || fix.attr != kTotal) continue;
+    const obs::ProofTree tree = rock.Explain(fix.rel, fix.tid, fix.attr);
+    ASSERT_NE(tree.root.node, nullptr);
+    const obs::ProvenanceNode& node = *tree.root.node;
+    EXPECT_EQ(node.rule_id, "poly_2_5");
+    EXPECT_EQ(node.witness.rule_text, total->ToString(data.db.schema()));
+    ASSERT_EQ(node.witness.tuples.size(), 1u);
+    EXPECT_EQ(node.witness.tuples[0].tid, fix.tid);
+    const Relation& payments = data.db.relation(kPayment);
+    const Tuple& t =
+        payments.tuple(static_cast<size_t>(payments.RowOfTid(fix.tid)));
+    for (int attr : {kAmount, kFee}) {
+      const auto premise = std::find_if(
+          node.witness.premises.begin(), node.witness.premises.end(),
+          [&](const obs::PremiseCell& cell) { return cell.attr == attr; });
+      ASSERT_NE(premise, node.witness.premises.end()) << "attr " << attr;
+      EXPECT_EQ(premise->rel, kPayment);
+      EXPECT_EQ(premise->tid, fix.tid);
+      EXPECT_EQ(premise->value, t.value(attr).ToString());
+    }
+    // The target is what the rule judges, not one of its premises.
+    for (const obs::PremiseCell& cell : node.witness.premises) {
+      EXPECT_NE(cell.attr, kTotal);
+    }
+    ++explained;
+  }
+  EXPECT_GT(explained, 0u);
 }
 
 // ---------- Satellite: ReplaceValue hash-index regression ----------

@@ -1,4 +1,8 @@
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +194,118 @@ TEST_F(RulesTest, RejectsBadRules) {
   EXPECT_FALSE(ParseRee("Trans(t0) ^ t1.com = 'x' -> t0.mfg = 'y'",
                         data_.db.schema())
                    .ok());
+}
+
+// poly(...) prints every coefficient with %.17g, so the parser reads back
+// the same bits: non-round weights, a product term and an exponent that
+// carries its own '+'.
+TEST_F(RulesTest, PolynomialRoundTripsBitForBit) {
+  const int trans = data_.trans;
+  const int price = data_.db.schema().relation(trans).AttributeIndex("price");
+  Polynomial poly;
+  poly.bias = -0.1;
+  poly.terms = {{price, -1, 1.0 / 3.0},
+                {price, price, 2.5e-7},
+                {price, -1, 1.2345678901234567e+20}};
+  Ree rule;
+  rule.tuple_vars = {trans};
+  rule.precondition = {
+      Predicate::Poly(0, price, CmpOp::kNe, poly, 0.015000000000000001)};
+  rule.consequence = rule.precondition[0];
+  rule.consequence.op = CmpOp::kEq;
+
+  const std::string printed = rule.ToString(data_.db.schema());
+  auto reparsed = ParseRee(printed, data_.db.schema());
+  ASSERT_TRUE(reparsed.ok()) << printed << " => "
+                             << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->ToString(data_.db.schema()), printed);
+  ASSERT_TRUE(rule.SameRule(*reparsed)) << printed;
+  EXPECT_EQ(reparsed->Task(), RuleTask::kCr);
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (const Predicate* p : {&reparsed->precondition[0],
+                             &reparsed->consequence}) {
+    EXPECT_EQ(p->kind, PredicateKind::kPoly);
+    EXPECT_EQ(bits(p->threshold), bits(0.015000000000000001));
+    EXPECT_EQ(bits(p->poly.bias), bits(poly.bias));
+    ASSERT_EQ(p->poly.terms.size(), poly.terms.size());
+    for (size_t i = 0; i < poly.terms.size(); ++i) {
+      EXPECT_EQ(bits(p->poly.terms[i].weight), bits(poly.terms[i].weight));
+      EXPECT_EQ(p->poly.terms[i].attr_a, poly.terms[i].attr_a);
+      EXPECT_EQ(p->poly.terms[i].attr_b, poly.terms[i].attr_b);
+    }
+  }
+}
+
+TEST_F(RulesTest, RejectsMalformedPolynomials) {
+  for (const char* rhs : {
+           "poly(0 + 1*t0.price)",                  // no tolerance
+           "poly(0 + 1*t0.price; x)",               // tolerance not a number
+           "poly(0 + 1*t0.price; -0.5)",            // negative tolerance
+           "poly(1*t0.price; 0.02)",                // no constant first
+           "poly(0 + 2; 0.02)",                     // a second constant
+           "poly(0 + t0.price; 0.02)",              // no coefficient
+           "poly(0 + 1*t0.nosuch; 0.02)",           // unknown attribute
+           "poly(0 + 1*t1.price; 0.02)",            // another tuple
+           "poly(0 + 1*t0.eid; 0.02)",              // not an attribute
+           "poly(0 + 1*t0.price*t0.price*t0.price; 0.02)",  // degree 3
+           "poly(0 + 1*t0.price +; 0.02)",          // dangling '+'
+           "poly(0 1*t0.price; 0.02)",              // no '+'
+       }) {
+    const std::string text =
+        std::string("Trans(t0) ^ Trans(t1) -> t0.price = ") + rhs;
+    auto rule = ParseRee(text, data_.db.schema());
+    ASSERT_FALSE(rule.ok()) << text;
+    EXPECT_EQ(rule.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+  auto ordered = ParseRee("Trans(t0) -> t0.price < poly(0 + 1*t0.price; 0)",
+                          data_.db.schema());
+  ASSERT_FALSE(ordered.ok());
+  EXPECT_EQ(ordered.status().code(), StatusCode::kInvalidArgument);
+}
+
+// = holds within the relative tolerance over non-null cells; != is its
+// negation over non-null inputs, so a null target misfits and a null input
+// satisfies neither.
+TEST(PolyPredicateTest, EqualsFitsAndNotEqualsMisfits) {
+  DatabaseSchema schema;
+  ASSERT_TRUE(schema
+                  .AddRelation(Schema("Pay", {{"amount", ValueType::kDouble},
+                                              {"fee", ValueType::kDouble},
+                                              {"total", ValueType::kDouble}}))
+                  .ok());
+  Database db(std::move(schema));
+  auto row = [&db](Value amount, Value fee, Value total) {
+    Tuple t;
+    t.values = {std::move(amount), std::move(fee), std::move(total)};
+    EXPECT_TRUE(db.Insert(0, std::move(t)).ok());
+  };
+  row(Value::Double(100), Value::Double(5), Value::Double(105.5));  // fits
+  row(Value::Double(100), Value::Double(5), Value::Double(150));    // misfit
+  row(Value::Double(100), Value::Double(5), Value::Null());         // missing
+  row(Value::Null(), Value::Double(5), Value::Double(105));         // no input
+  auto rule = ParseRee(
+      "Pay(t0) ^ t0.total != poly(0 + 1*t0.amount + 1*t0.fee; 0.01) -> "
+      "t0.total = poly(0 + 1*t0.amount + 1*t0.fee; 0.01)",
+      db.schema());
+  ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+  EvalContext ctx;
+  ctx.db = &db;
+  Evaluator eval(ctx);
+  const bool kEq[] = {true, false, false, false};
+  const bool kNe[] = {false, true, true, false};
+  for (int r = 0; r < 4; ++r) {
+    Valuation v;
+    v.rows = {r};
+    EXPECT_EQ(eval.Satisfies(*rule, v, rule->consequence), kEq[r]) << r;
+    EXPECT_EQ(eval.Satisfies(*rule, v, rule->precondition[0]), kNe[r]) << r;
+  }
+  // The misfit and the missing total are the violations.
+  std::vector<int> violations;
+  eval.ForEachViolation(*rule, [&](const Valuation& v) {
+    violations.push_back(v.rows[0]);
+    return true;
+  });
+  EXPECT_EQ(violations, (std::vector<int>{1, 2}));
 }
 
 TEST_F(RulesTest, ParsesRuleList) {
