@@ -115,7 +115,6 @@ class BenchTelemetry {
                    path.c_str(), status.message().c_str());
     }
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
     // Folded stacks as their own artifact, ready for
     // `flamegraph.pl PROFILE_<name>.folded > flame.svg`.
     obs::ProfileSnapshot profile = obs::CpuProfiler::Global().TakeSnapshot();
@@ -131,7 +130,6 @@ class BenchTelemetry {
                      folded_path.c_str(), folded_status.message().c_str());
       }
     }
-#endif
 
     // Companion Perfetto timeline over the same run: load TRACE_<name>.json
     // at https://ui.perfetto.dev (or chrome://tracing). CI validates it
@@ -149,12 +147,9 @@ class BenchTelemetry {
   }
 
  private:
-  /// Emits the "profile" block: the sampling profiler's folded stacks when
-  /// the plane is compiled in, a bare {"enabled": false} otherwise so the
-  /// schema checker can tell "off" from "missing".
+  /// Emits the "profile" block: the sampling profiler's folded stacks.
   static void AppendProfileBlock(obs::JsonWriter* w) {
     w->Key("profile").BeginObject();
-#ifndef ROCK_OBS_DISABLE_PROFILER
     obs::ProfileSnapshot profile = obs::CpuProfiler::Global().TakeSnapshot();
     w->Key("enabled").Bool(true);
     w->Key("running").Bool(profile.running);
@@ -170,9 +165,6 @@ class BenchTelemetry {
       w->EndObject();
     }
     w->EndArray();
-#else
-    w->Key("enabled").Bool(false);
-#endif
     w->EndObject();
   }
 
@@ -271,7 +263,7 @@ class ServeGuard {
     if (profile_) {
       obs::ProfileOptions options;
       if (profile_hz_ > 0) options.sample_hz = profile_hz_;
-      Status status = obs::StartGlobalProfiler(options);
+      Status status = obs::CpuProfiler::Global().Start(options);
       if (status.ok()) {
         std::printf("[profile] sampling at %d Hz\n", options.sample_hz);
       } else {
@@ -309,7 +301,7 @@ class ServeGuard {
   }
 
   ~ServeGuard() {
-    if (profile_) obs::StopGlobalProfiler();  // profile stays queryable
+    if (profile_) obs::CpuProfiler::Global().Stop();  // profile stays queryable
     if (server_ != nullptr && linger_seconds_ > 0) {
       std::printf("[serve] lingering %.0f s for scrapers\n",
                   linger_seconds_);

@@ -185,9 +185,8 @@ def check_telemetry_block(path, telemetry):
 def check_profile(path, profile, require_profile=False):
     """The bench's top-level "profile" block (sampling CPU profiler).
 
-    {"enabled": false} is the shape of a -DROCK_OBS_PROFILER=OFF build; the
-    key must still exist so a missing block is distinguishable from a
-    deliberately compiled-out profiler.
+    The "enabled" key must exist, so a missing block is an error rather
+    than a silently absent profile.
     """
     if not isinstance(profile, dict) or "enabled" not in profile:
         return fail(path, "profile block must be an object with 'enabled'")

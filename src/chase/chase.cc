@@ -169,10 +169,10 @@ Value ChaseEngine::ResolveMiConflict(int rel, int64_t tid, int attr,
   common::RoleGuard apply(fixes_.apply_role());
   const ml::CorrelationModel* mc =
       models_ == nullptr ? nullptr
-                         : models_->FindCorrelation(options_.mc_model);
+                         : models_->FindCorrelation(ml::kMcModel);
   Value keep = existing;
   std::string resolution = "kept_existing";
-  if (options_.resolve_mi_by_mc && mc != nullptr) {
+  if (mc != nullptr) {
     const Relation& relation = db_->relation(rel);
     int row = relation.RowOfTid(tid);
     if (row >= 0) {
@@ -399,7 +399,7 @@ size_t ChaseEngine::ApplyConsequence(
         // whichever the ranker prefers and records the decision.
         const ml::TemporalRanker* ranker =
             models_ == nullptr ? nullptr
-                               : models_->FindRanker(options_.mrank_model);
+                               : models_->FindRanker(ml::kMrankModel);
         std::string resolution = "kept_existing";
         if (ranker != nullptr) {
           const Relation& relation = db_->relation(rel);
@@ -511,7 +511,7 @@ ChaseResult ChaseEngine::Loop(const std::vector<Ree>& rules,
       const par::RoundResult<std::vector<Valuation>> hits =
           par::RunRound<std::vector<Valuation>>(
               rules, Context(), *workers,
-              par::PoolOptions{options_.retry, options_.fault_plan},
+              options_.pool,
               [&](size_t r, const rules::Scope& slice,
                   par::RoundWorker& worker, std::vector<Valuation>* out) {
                 worker.eval.Enumerate(

@@ -34,22 +34,14 @@ struct ChaseOptions {
   bool certain_fixes_only = false;
   /// Fixpoint guard.
   int max_rounds = 64;
-  /// Resolve MI value conflicts by M_c argmax (paper §4.2 (3)).
-  bool resolve_mi_by_mc = true;
-  /// Name of the correlation model used for MI conflict resolution.
-  std::string mc_model = "Mc";
-  /// Name of the ranking model used for TD conflict resolution (§4.2 (2)).
-  std::string mrank_model = "Mrank";
   /// Optional user queue for ER/CR value conflicts; when unset, conflicts
   /// are recorded and left for offline review.
   UserConflictResolver user_resolver;
-  /// Deterministic fault schedule injected into RunParallel's worker pool
-  /// (not owned; nullptr disables injection). Units lost to exhausted
-  /// attempt budgets are replayed serially against the round checkpoint,
-  /// so the chase output is identical to the fault-free run.
-  const par::FaultPlan* fault_plan = nullptr;
-  /// Retry discipline for the pool when a fault plan is set.
-  par::RetryPolicy retry;
+  /// RunParallel's worker pool: retry discipline and an optional injected
+  /// fault schedule. Units lost to exhausted attempt budgets are replayed
+  /// serially against the round checkpoint, so the chase output is
+  /// identical to the fault-free run.
+  par::PoolOptions pool;
 };
 
 /// Per-cell difference between the raw database and the repaired view.
@@ -191,7 +183,8 @@ class ChaseEngine {
   void MarkEntityDirty(int rel, int64_t tid,
                        std::vector<std::pair<int, int64_t>>* out) const;
 
-  /// Resolves an MI value conflict by M_c argmax; returns the value to keep.
+  /// Resolves an MI value conflict by M_c argmax (ml::kMcModel; without
+  /// one the existing value stays); returns the value to keep.
   /// `witness` is the losing/candidate derivation's, recorded on the
   /// ConflictRecord alongside the existing derivation's node.
   Value ResolveMiConflict(int rel, int64_t tid, int attr,

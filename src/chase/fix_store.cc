@@ -153,19 +153,14 @@ const char* FixKindName(FixRecord::Kind kind) {
   switch (kind) {
     case FixRecord::Kind::kMergeEid:
       return "merge_eid";
+    case FixRecord::Kind::kDistinctEid:
+      return "distinct_eid";
     case FixRecord::Kind::kSetValue:
       return "set_value";
     case FixRecord::Kind::kTemporalOrder:
       return "temporal_order";
   }
   return "?";
-}
-
-Result<FixRecord::Kind> FixKindFromName(const std::string& name) {
-  if (name == "merge_eid") return FixRecord::Kind::kMergeEid;
-  if (name == "set_value") return FixRecord::Kind::kSetValue;
-  if (name == "temporal_order") return FixRecord::Kind::kTemporalOrder;
-  return Status::InvalidArgument("unknown fix kind: " + name);
 }
 
 const char* ConflictKindName(ConflictRecord::Kind kind) {
@@ -178,13 +173,6 @@ const char* ConflictKindName(ConflictRecord::Kind kind) {
       return "temporal";
   }
   return "?";
-}
-
-Result<ConflictRecord::Kind> ConflictKindFromName(const std::string& name) {
-  if (name == "value") return ConflictRecord::Kind::kValue;
-  if (name == "eid") return ConflictRecord::Kind::kEid;
-  if (name == "temporal") return ConflictRecord::Kind::kTemporal;
-  return Status::InvalidArgument("unknown conflict kind: " + name);
 }
 
 /// Serializes `v` as {type, text} such that Value::Parse(text, type)
@@ -214,28 +202,6 @@ void AppendValueJson(const Value& v, obs::JsonWriter* w) {
   w->EndObject();
 }
 
-Result<Value> ValueFromJson(const json::Value& v) {
-  std::string type_name = v.GetString("type", "null");
-  ValueType type;
-  if (type_name == "null") {
-    type = ValueType::kNull;
-  } else if (type_name == "int") {
-    type = ValueType::kInt;
-  } else if (type_name == "double") {
-    type = ValueType::kDouble;
-  } else if (type_name == "string") {
-    type = ValueType::kString;
-  } else if (type_name == "time") {
-    type = ValueType::kTime;
-  } else {
-    return Status::InvalidArgument("unknown value type: " + type_name);
-  }
-  // Strings bypass Value::Parse: it trims whitespace (its CSV contract),
-  // but serialized strings must round-trip byte-exact.
-  if (type == ValueType::kString) return Value::String(v.GetString("text"));
-  return Value::Parse(v.GetString("text"), type);
-}
-
 }  // namespace
 
 std::string FixRecord::ToJson() const {
@@ -246,6 +212,7 @@ std::string FixRecord::ToJson() const {
   w.Key("prov_id").Int(prov_id);
   switch (kind) {
     case Kind::kMergeEid:
+    case Kind::kDistinctEid:
       w.Key("eid_a").Int(eid_a);
       w.Key("eid_b").Int(eid_b);
       break;
@@ -269,43 +236,6 @@ std::string FixRecord::ToJson() const {
   return w.str();
 }
 
-Result<FixRecord> FixRecord::FromJson(const json::Value& v) {
-  FixRecord out;
-  auto kind = FixKindFromName(v.GetString("kind"));
-  ROCK_RETURN_IF_ERROR(kind.status());
-  out.kind = *kind;
-  out.rule_id = v.GetString("rule_id");
-  out.prov_id = v.GetInt("prov_id", -1);
-  switch (out.kind) {
-    case Kind::kMergeEid:
-      out.eid_a = v.GetInt("eid_a", -1);
-      out.eid_b = v.GetInt("eid_b", -1);
-      break;
-    case Kind::kSetValue: {
-      out.rel = static_cast<int>(v.GetInt("rel", -1));
-      out.attr = static_cast<int>(v.GetInt("attr", -1));
-      out.eid = v.GetInt("eid", -1);
-      out.tid1 = v.GetInt("tid", -1);
-      const json::Value* value = v.Find("value");
-      if (value == nullptr) {
-        return Status::InvalidArgument("set_value record without value");
-      }
-      auto parsed = ValueFromJson(*value);
-      ROCK_RETURN_IF_ERROR(parsed.status());
-      out.value = *parsed;
-      break;
-    }
-    case Kind::kTemporalOrder:
-      out.rel = static_cast<int>(v.GetInt("rel", -1));
-      out.attr = static_cast<int>(v.GetInt("attr", -1));
-      out.tid1 = v.GetInt("tid1", -1);
-      out.tid2 = v.GetInt("tid2", -1);
-      out.strict = v.GetBool("strict", false);
-      break;
-  }
-  return out;
-}
-
 std::string ConflictRecord::ToJson() const {
   obs::JsonWriter w;
   w.BeginObject();
@@ -319,23 +249,14 @@ std::string ConflictRecord::ToJson() const {
   return w.str();
 }
 
-Result<ConflictRecord> ConflictRecord::FromJson(const json::Value& v) {
-  ConflictRecord out;
-  auto kind = ConflictKindFromName(v.GetString("kind"));
-  ROCK_RETURN_IF_ERROR(kind.status());
-  out.kind = *kind;
-  out.rule_id = v.GetString("rule_id");
-  out.description = v.GetString("description");
-  out.resolution = v.GetString("resolution");
-  out.prov_existing = v.GetInt("prov_existing", -1);
-  out.prov_candidate = v.GetInt("prov_candidate", -1);
-  return out;
-}
-
 std::string FixRecord::ToString() const {
   switch (kind) {
     case Kind::kMergeEid:
       return StrFormat("[%s] merge eid %lld = %lld", rule_id.c_str(),
+                       static_cast<long long>(eid_a),
+                       static_cast<long long>(eid_b));
+    case Kind::kDistinctEid:
+      return StrFormat("[%s] eid %lld != %lld", rule_id.c_str(),
                        static_cast<long long>(eid_a),
                        static_cast<long long>(eid_b));
     case Kind::kSetValue:
@@ -517,15 +438,11 @@ Status FixStore::AddEidDistinct(int64_t a, int64_t b,
   auto [it, inserted] =
       distinct_.try_emplace({std::min(ra, rb), std::max(ra, rb)}, -1);
   if (inserted) {
-    // Recorded as an ER fact.
-    it->second = AppendFix(
-        {.kind = FixRecord::Kind::kMergeEid,
-         .rule_id = rule_id,
-         .eid_a = a,
-         .eid_b = b},
-        witness,
-        StrFormat("[%s] eid %lld != %lld", rule_id.c_str(),
-                  static_cast<long long>(a), static_cast<long long>(b)));
+    it->second = AppendFix({.kind = FixRecord::Kind::kDistinctEid,
+                            .rule_id = rule_id,
+                            .eid_a = a,
+                            .eid_b = b},
+                           witness);
     *changed = true;
   }
   return Status::Ok();
@@ -618,12 +535,10 @@ Status FixStore::AddTemporal(int rel, int attr, int64_t tid1, int64_t tid2,
   return Status::Ok();
 }
 
-int64_t FixStore::AppendFix(FixRecord record, const obs::Witness* witness,
-                            std::string target) {
-  if (target.empty()) target = record.ToString();
+int64_t FixStore::AppendFix(FixRecord record, const obs::Witness* witness) {
   record.prov_id = AddProvNode(
       record.rule_id == "Γ" ? obs::ProvKind::kGroundTruth : obs::ProvKind::kFix,
-      record.rule_id, std::move(target), witness);
+      record.rule_id, record.ToString(), witness);
   const int64_t node = record.prov_id;
   fixes_.push_back(std::move(record));
   return node;

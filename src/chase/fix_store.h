@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/json.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/obs/provenance.h"
@@ -76,10 +75,12 @@ class TemporalOrderStore {
 /// A single deduced fix, kept for the certain-fix audit trail (every fix is
 /// a logical consequence of one rule application over validated premises).
 struct FixRecord {
-  enum class Kind { kMergeEid, kSetValue, kTemporalOrder };
+  /// kMergeEid identifies eid_a and eid_b as one entity; kDistinctEid
+  /// validates that they denote different entities (t.EID != s.EID).
+  enum class Kind { kMergeEid, kDistinctEid, kSetValue, kTemporalOrder };
   Kind kind;
   std::string rule_id;
-  // kMergeEid
+  // kMergeEid, kDistinctEid
   int64_t eid_a = -1, eid_b = -1;
   // kSetValue
   int rel = -1;
@@ -95,10 +96,9 @@ struct FixRecord {
 
   std::string ToString() const;
 
-  /// Round-trippable JSON object (see FromJson); reused by the provenance
-  /// exporter's proof-tree rendering.
+  /// One JSON object: the kind, rule, provenance node and the kind's
+  /// fields (values as {type, text}, which Value::Parse reads back).
   std::string ToJson() const;
-  static Result<FixRecord> FromJson(const json::Value& v);
 };
 
 /// A conflict surfaced during chasing, together with how it was resolved
@@ -117,7 +117,6 @@ struct ConflictRecord {
   int64_t prov_candidate = -1;
 
   std::string ToJson() const;
-  static Result<ConflictRecord> FromJson(const json::Value& v);
 };
 
 /// The fix collection U = (E_=, E_⪯) plus ground truth Γ (paper §4.1):
@@ -350,10 +349,10 @@ class FixStore : public rules::CellOverlay, public rules::TemporalOracle {
 
   /// The one place a fact is recorded: appends `record` to the audit
   /// trail with its provenance node — a Γ leaf when the rule is "Γ", else
-  /// a fix citing `witness` — whose target is `target`, or the record's
-  /// text when `target` is empty. Returns the node id.
-  int64_t AppendFix(FixRecord record, const obs::Witness* witness,
-                    std::string target = {}) ROCK_REQUIRES(apply_role_);
+  /// a fix citing `witness` — whose target is the record's text. Returns
+  /// the node id.
+  int64_t AppendFix(FixRecord record, const obs::Witness* witness)
+      ROCK_REQUIRES(apply_role_);
 
   /// Copies the witness, upgrades premise sources against the validated
   /// state (raw -> ground-truth / prior-fix with upstream edges), and

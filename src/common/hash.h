@@ -10,8 +10,8 @@ namespace rock {
 /// node addresses onto the consistent-hash ring (paper §5.1).
 uint32_t Crc32(std::string_view data);
 
-/// 64-bit FNV-1a hash of a byte string; the workhorse hash for dictionary
-/// encoding, blocking keys and hashed feature indices.
+/// 64-bit FNV-1a hash of a byte string; the workhorse hash for blocking
+/// keys and hashed feature indices.
 uint64_t Hash64(std::string_view data);
 
 /// Mixes a 64-bit integer (SplitMix64 finalizer). Useful for hashing ids.

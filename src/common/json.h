@@ -12,9 +12,8 @@
 namespace rock::json {
 
 /// A parsed JSON document node. This is the read side of the repo's JSON
-/// story: obs::JsonWriter emits, json::Parse reads back — round-trip tests
-/// (FixRecord/ConflictRecord serialization, BENCH_*.json assertions) and
-/// the provenance importers go through here. Numbers are kept as doubles
+/// story: obs::JsonWriter emits, json::Parse reads back — the tests that
+/// check FixRecord/ConflictRecord and proof-tree JSON go through here. Numbers are kept as doubles
 /// (JSON has no integer type); Int() converts for the id-sized values the
 /// fix-record schema uses.
 class Value {

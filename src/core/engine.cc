@@ -20,6 +20,22 @@ namespace rock::core {
 using rules::Ree;
 using rules::RuleTask;
 
+namespace {
+
+/// Relative tolerance of the discovered polynomial rules' poly(...).
+constexpr double kPolyTolerance = 0.02;
+/// Minimum fit quality before a polynomial is enforced. Arithmetic
+/// invariants (total = amount + fee + tax) fit exactly; near-miss fits are
+/// spurious correlations (e.g. qty ≈ total/price) and must not be
+/// enforced, so the bar is strict.
+constexpr double kPolyMinR2 = 0.999;
+/// Additionally, at least this fraction of rows must satisfy the expression
+/// exactly (see PolyExpression::exact_support); a statistical pseudo-fit
+/// never does.
+constexpr double kPolyMinExactSupport = 0.7;
+
+}  // namespace
+
 const char* VariantName(Variant variant) {
   switch (variant) {
     case Variant::kRock:
@@ -39,10 +55,6 @@ Rock::Rock(Database* db, kg::KnowledgeGraph* graph)
 
 Rock::Rock(Database* db, kg::KnowledgeGraph* graph, RockOptions options)
     : db_(db), graph_(graph), options_(options) {
-  if (options_.variant == Variant::kNoMl) {
-    options_.enable_polynomials = false;
-    options_.chase.resolve_mi_by_mc = false;
-  }
   if (options_.variant == Variant::kNoChase) {
     options_.chase.max_rounds = 1;
   }
@@ -63,14 +75,14 @@ void Rock::TrainModels(const ModelTrainingSpec& spec) {
   models_.RegisterPair(
       "MER", std::make_shared<ml::SimilarityClassifier>(spec.mer_threshold));
 
-  if (spec.train_correlation) {
-    auto correlation = std::make_shared<ml::CooccurrenceModel>();
-    for (size_t rel = 0; rel < db_->num_relations(); ++rel) {
-      correlation->TrainOnRelation(db_->relation(static_cast<int>(rel)));
-    }
-    models_.RegisterCorrelation("Mc", correlation);
-    models_.RegisterPredictor("Md", correlation);
+  // M_c / M_d co-occurrence, one model shared across relations via
+  // attribute indices.
+  auto correlation = std::make_shared<ml::CooccurrenceModel>();
+  for (size_t rel = 0; rel < db_->num_relations(); ++rel) {
+    correlation->TrainOnRelation(db_->relation(static_cast<int>(rel)));
   }
+  models_.RegisterCorrelation(ml::kMcModel, correlation);
+  models_.RegisterPredictor("Md", correlation);
 
   // M_rank per configured target, creator-critic trained with timestamp +
   // monotone-attribute currency constraints (§2.2).
@@ -113,7 +125,7 @@ void Rock::TrainModels(const ModelTrainingSpec& spec) {
     auto ranker =
         std::make_shared<ml::RankingModel>(relation->schema(), attr);
     ranker->TrainCreatorCritic(*relation, constraints);
-    models_.RegisterRanker(first_ranker ? "Mrank"
+    models_.RegisterRanker(first_ranker ? ml::kMrankModel
                                         : "Mrank_" + rel_name + "_" +
                                               attr_name,
                            ranker);
@@ -181,26 +193,25 @@ std::vector<discovery::MinedRule> Rock::DiscoverRules(
 const std::vector<Ree>& Rock::DiscoverPolynomials() {
   ROCK_OBS_SPAN("rock.discover_polynomials");
   poly_rules_.clear();
-  if (!options_.enable_polynomials) return poly_rules_;
-  discovery::PolyOptions poly_options;
+  if (options_.variant == Variant::kNoMl) return poly_rules_;
   for (size_t rel = 0; rel < db_->num_relations(); ++rel) {
     const Relation& relation = db_->relation(static_cast<int>(rel));
     const Schema& schema = relation.schema();
     for (size_t attr = 0; attr < schema.num_attributes(); ++attr) {
       ValueType type = schema.AttributeType(static_cast<int>(attr));
       if (type != ValueType::kDouble && type != ValueType::kInt) continue;
-      auto expr = discovery::DiscoverPolynomial(
-          relation, static_cast<int>(attr), poly_options);
+      auto expr =
+          discovery::DiscoverPolynomial(relation, static_cast<int>(attr));
       if (!expr.ok()) continue;
-      if (expr->r_squared < options_.poly_min_r2) continue;
-      if (expr->exact_support < options_.poly_min_exact_support) continue;
+      if (expr->r_squared < kPolyMinR2) continue;
+      if (expr->exact_support < kPolyMinExactSupport) continue;
       if (expr->poly.terms.empty()) continue;
       Ree rule;
       rule.id = StrFormat("poly_%zu_%zu", rel, attr);
       rule.tuple_vars = {static_cast<int>(rel)};
       rule.precondition = {rules::Predicate::Poly(
           0, static_cast<int>(attr), rules::CmpOp::kNe, std::move(expr->poly),
-          options_.poly_tolerance)};
+          kPolyTolerance)};
       rule.consequence = rule.precondition[0];
       rule.consequence.op = rules::CmpOp::kEq;
       poly_rules_.push_back(std::move(rule));
@@ -438,10 +449,10 @@ int Rock::telemetry_server_port() const {
 Status Rock::StartProfiler(int sample_hz) {
   obs::ProfileOptions options;
   options.sample_hz = sample_hz;
-  return obs::StartGlobalProfiler(options);
+  return obs::CpuProfiler::Global().Start(options);
 }
 
-Status Rock::StopProfiler() { return obs::StopGlobalProfiler(); }
+Status Rock::StopProfiler() { return obs::CpuProfiler::Global().Stop(); }
 
 // ROCK_ANALYZE(no-span-ok: observability-plane control, arms the watchdog)
 Status Rock::StartStallWatchdog(double deadline_seconds,
@@ -450,9 +461,11 @@ Status Rock::StartStallWatchdog(double deadline_seconds,
   options.span_deadline_seconds = deadline_seconds;
   options.progress_deadline_seconds = deadline_seconds;
   options.dump_path = dump_path;
-  return obs::StartGlobalWatchdog(options);
+  return obs::StallWatchdog::Global().Start(options);
 }
 
-Status Rock::StopStallWatchdog() { return obs::StopGlobalWatchdog(); }
+Status Rock::StopStallWatchdog() {
+  return obs::StallWatchdog::Global().Stop();
+}
 
 }  // namespace rock::core

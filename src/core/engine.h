@@ -35,7 +35,7 @@ struct ModelTrainingSpec {
   /// Threshold for the default entity-matching model "MER".
   double mer_threshold = 0.80;
   /// M_rank training targets: (relation name, attribute name). The first
-  /// target's model registers as "Mrank".
+  /// target's model registers as ml::kMrankModel.
   std::vector<std::pair<std::string, std::string>> rank_targets;
   /// Monotone numeric attributes per relation (critic knowledge for the
   /// creator-critic loop): larger value => at least as current.
@@ -43,9 +43,6 @@ struct ModelTrainingSpec {
   /// Path-matcher synonyms: attribute name -> label path.
   std::vector<std::pair<std::string, std::vector<std::string>>>
       path_synonyms;
-  /// Train M_c / M_d co-occurrence models per relation (registered as
-  /// "Mc" / "Md", shared across relations via attribute indices).
-  bool train_correlation = true;
 };
 
 struct RockOptions {
@@ -56,20 +53,6 @@ struct RockOptions {
   /// parallel paths partition every rule by row slices of its first tuple
   /// variable (par::RunRound), so they take no block size.
   detect::DetectorOptions detector;
-  /// Discover and enforce polynomial expressions over numeric attributes
-  /// (§5.4); disabled for kNoMl.
-  bool enable_polynomials = true;
-  /// Relative tolerance of the discovered polynomial rules' poly(...).
-  double poly_tolerance = 0.02;
-  /// Minimum fit quality before a polynomial is enforced. Arithmetic
-  /// invariants (total = amount + fee + tax) fit exactly; near-miss fits
-  /// are spurious correlations (e.g. qty ≈ total/price) and must not be
-  /// enforced, so the bar is strict.
-  double poly_min_r2 = 0.999;
-  /// Additionally, at least this fraction of rows must satisfy the
-  /// expression exactly (see PolyExpression::exact_support) — a
-  /// statistical pseudo-fit never does.
-  double poly_min_exact_support = 0.7;
 };
 
 struct CorrectionResult {
@@ -106,16 +89,15 @@ class Rock {
   // ROCK_ANALYZE(no-span-ok: configuration setter, performs no traced work)
   void SetFaultInjection(const par::FaultPlan* plan,
                          par::RetryPolicy retry = par::RetryPolicy()) {
-    options_.chase.fault_plan = plan;
-    options_.chase.retry = retry;
-    options_.detector.fault_plan = plan;
-    options_.detector.retry = retry;
+    options_.chase.pool = {retry, plan};
+    options_.detector.pool = {retry, plan};
   }
 
   /// Trains and registers the built-in model suite (MER similarity
-  /// matcher, M_c/M_d co-occurrence, M_rank creator-critic, HER, path
-  /// matcher). Under kNoMl only registers nothing (rules using models are
-  /// stripped anyway).
+  /// matcher, M_c/M_d co-occurrence models over every relation, M_rank
+  /// creator-critic, HER, path matcher). Under kNoMl it registers nothing:
+  /// rules using models are stripped, and without M_c an MI conflict
+  /// keeps the existing value.
   void TrainModels(const ModelTrainingSpec& spec);
 
   /// Parses curated rules in the textual rule language; under kNoMl,
@@ -132,7 +114,7 @@ class Rock {
   /// fits well enough (§5.4) and keeps each as the rule
   ///   R(t0) ^ t0.A != poly(...) -> t0.A = poly(...)
   /// with id poly_<rel>_<attr>. Detection runs them after the caller's
-  /// rules, correction before them.
+  /// rules, correction before them. Discovers none under kNoMl.
   const std::vector<rules::Ree>& DiscoverPolynomials();
 
   /// Installs `rules` as the engine's *active rule set*: the set every
@@ -255,8 +237,7 @@ class Rock {
   /// Starts the process-global sampling CPU profiler (obs::CpuProfiler):
   /// per-thread interval timers at `sample_hz`, results served as folded
   /// stacks / JSON at /profile.folded and /profile.json on the telemetry
-  /// server. Unimplemented when built with -DROCK_OBS_PROFILER=OFF;
-  /// FailedPrecondition if already running.
+  /// server. FailedPrecondition if already running.
   Status StartProfiler(int sample_hz = 97);
 
   /// Stops the profiler; the captured profile stays queryable.
@@ -265,7 +246,7 @@ class Rock {
   /// Starts the background stall watchdog (obs::StallWatchdog): spans
   /// open past `deadline_seconds` or queued units with no completions for
   /// that long dump a diagnostic bundle to stderr (and `dump_path` when
-  /// non-empty). Unimplemented when built with -DROCK_OBS_PROFILER=OFF.
+  /// non-empty). FailedPrecondition if already running.
   Status StartStallWatchdog(double deadline_seconds = 30.0,
                             const std::string& dump_path = "");
 

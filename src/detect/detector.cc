@@ -327,7 +327,7 @@ DetectionReport ErrorDetector::DetectParallel(
   // reproduces Detect().
   par::RoundResult<DetectionReport> round = par::RunRound<DetectionReport>(
       rules, ctx_, num_workers,
-      par::PoolOptions{options_.retry, options_.fault_plan},
+      options_.pool,
       [&](size_t r, const rules::Scope& scope, par::RoundWorker& worker,
           DetectionReport* out) {
         DetectRule(rules[r], scope, blockings[r].get(), worker.eval, out);

@@ -70,13 +70,11 @@ struct DetectorOptions {
   /// pairs come from an LSH blocking index instead of the cross product
   /// (rules::Blocking says which rules qualify), on every path.
   bool use_ml_blocking = true;
-  /// Deterministic fault schedule injected into DetectParallel's pool (not
-  /// owned; nullptr disables injection). Units the pool abandons are
-  /// replayed serially into their own per-unit reports before the unit-
-  /// order merge, so the detection report matches the fault-free run.
-  const par::FaultPlan* fault_plan = nullptr;
-  /// Retry discipline for the pool when a fault plan is set.
-  par::RetryPolicy retry;
+  /// DetectParallel's worker pool: retry discipline and an optional
+  /// injected fault schedule. Units the pool abandons are replayed
+  /// serially into their own per-unit reports before the unit-order
+  /// merge, so the detection report matches the fault-free run.
+  par::PoolOptions pool;
   /// ML score memo (not owned) shared by every rule and worker of this
   /// detector; nullptr (the default) scores each ML pair once per
   /// valuation that reaches it. Memoized scores are the exact doubles

@@ -11,6 +11,10 @@ using rules::Predicate;
 
 namespace {
 
+/// Attributes with more distinct values than this get no constant
+/// predicates (they cannot generalize).
+constexpr size_t kMaxConstantDomain = 64;
+
 void AddConstantPredicates(const Database& db, int rel, int var,
                            const PredicateSpaceOptions& options,
                            PredicateSpace* space,
@@ -19,7 +23,7 @@ void AddConstantPredicates(const Database& db, int rel, int var,
   for (size_t attr = 0; attr < relation.schema().num_attributes(); ++attr) {
     ColumnStats stats = ComputeColumnStats(relation, static_cast<int>(attr));
     if (stats.num_distinct == 0 ||
-        stats.num_distinct > options.max_constant_domain) {
+        stats.num_distinct > kMaxConstantDomain) {
       continue;
     }
     int added = 0;
@@ -78,16 +82,6 @@ PredicateSpace BuildPairSpace(const Database& db, int rel,
     space.predicates.push_back(Predicate::EidCompare(0, CmpOp::kEq, 1));
     space.consequence_candidates.push_back(
         static_cast<int>(space.predicates.size()) - 1);
-  }
-
-  // TD consequences t0 ⪯A t1.
-  if (options.include_td_consequences) {
-    for (size_t attr = 0; attr < schema.num_attributes(); ++attr) {
-      space.predicates.push_back(Predicate::Temporal(
-          0, 1, static_cast<int>(attr), /*strict=*/false));
-      space.consequence_candidates.push_back(
-          static_cast<int>(space.predicates.size()) - 1);
-    }
   }
   return space;
 }

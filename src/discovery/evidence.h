@@ -26,22 +26,17 @@ struct PredicateSpaceOptions {
   /// Max distinct constants per attribute for constant predicates (taken
   /// from the most frequent values).
   int max_constants_per_attr = 3;
-  /// Attributes with more distinct values than this get no constant
-  /// predicates (they cannot generalize).
-  size_t max_constant_domain = 64;
   /// ML pair models to bind: (model name, attribute names) — each becomes
   /// M(t0[A], t1[A]) over same-relation pairs.
   std::vector<std::pair<std::string, std::vector<std::string>>> ml_bindings;
   /// Include t0.eid = t1.eid as a consequence (ER shape).
   bool include_er_consequence = true;
-  /// Include temporal consequences t0 ⪯A t1 for every attribute (TD shape).
-  bool include_td_consequences = false;
 };
 
 /// Builds the two-variable predicate space over relation `rel`:
 /// equality/comparison predicates between the variables' attributes,
 /// constant predicates from frequent values, ML predicates from bindings,
-/// and the ER/CR/TD consequence candidates.
+/// and the ER/CR consequence candidates.
 PredicateSpace BuildPairSpace(const Database& db, int rel,
                               const PredicateSpaceOptions& options);
 

@@ -4,24 +4,24 @@
 #include <set>
 
 namespace rock::discovery {
+namespace {
 
-PriorKnowledgeSession::PriorKnowledgeSession(rules::EvalContext ctx)
-    : PriorKnowledgeSession(ctx, Options()) {}
+/// Rows per relation in the testing sample.
+constexpr size_t kSampleRows = 64;
+/// Rules shown to the oracle per round.
+constexpr size_t kRulesPerRound = 8;
 
-PriorKnowledgeSession::PriorKnowledgeSession(rules::EvalContext ctx,
-                                             Options options)
-    : ctx_(ctx), options_(options) {}
+}  // namespace
 
 RuleScoringModel& PriorKnowledgeSession::Run(
     const std::vector<MinedRule>& candidates, const Oracle& oracle,
     int rounds) {
-  // Build the testing sample: the first sample_rows of every relation
+  // Build the testing sample: the first kSampleRows of every relation
   // (deterministic, so interaction transcripts are reproducible).
   std::set<std::pair<int, int64_t>> sample;
   for (size_t rel = 0; rel < ctx_.db->num_relations(); ++rel) {
     const Relation& relation = ctx_.db->relation(static_cast<int>(rel));
-    for (size_t row = 0;
-         row < relation.size() && row < options_.sample_rows; ++row) {
+    for (size_t row = 0; row < relation.size() && row < kSampleRows; ++row) {
       sample.emplace(static_cast<int>(rel), relation.tuple(row).tid);
     }
   }
@@ -41,7 +41,7 @@ RuleScoringModel& PriorKnowledgeSession::Run(
                 if (a.first != b.first) return a.first > b.first;
                 return a.second < b.second;
               });
-    size_t shown = std::min(options_.rules_per_round, ranked.size());
+    size_t shown = std::min(kRulesPerRound, ranked.size());
     for (size_t k = 0; k < shown; ++k) {
       size_t index = ranked[k].second;
       labeled.insert(index);

@@ -22,15 +22,7 @@ class PriorKnowledgeSession {
       const rules::Ree& rule,
       const std::vector<std::pair<int, int64_t>>& flagged_sample)>;
 
-  struct Options {
-    /// Rows per relation in the testing sample.
-    size_t sample_rows = 64;
-    /// Rules shown to the oracle per round.
-    size_t rules_per_round = 8;
-  };
-
-  explicit PriorKnowledgeSession(rules::EvalContext ctx);
-  PriorKnowledgeSession(rules::EvalContext ctx, Options options);
+  explicit PriorKnowledgeSession(rules::EvalContext ctx) : ctx_(ctx) {}
 
   /// Runs `rounds` interaction rounds over `candidates`: each round picks
   /// the currently-top unlabeled rules, detects with them on the sample,
@@ -44,7 +36,6 @@ class PriorKnowledgeSession {
 
  private:
   rules::EvalContext ctx_;
-  Options options_;
   RuleScoringModel scorer_;
   size_t rules_labeled_ = 0;
 };

@@ -11,6 +11,10 @@
 namespace rock::discovery {
 namespace {
 
+/// Minimum support as a fraction of the (sampled) valuations satisfying
+/// X ∧ p0: the paper's 1e-8, set for billions of pairs.
+constexpr double kMinSupport = 1e-8;
+
 struct MinerMetrics {
   obs::Counter* candidates_explored;
   obs::Counter* candidates_pruned;
@@ -89,7 +93,7 @@ std::vector<MinedRule> RuleMiner::Mine(const rules::Evaluator& eval,
 
   size_t min_rows = std::max<size_t>(
       options_.min_support_rows,
-      static_cast<size_t>(options_.min_support * static_cast<double>(n)));
+      static_cast<size_t>(kMinSupport * static_cast<double>(n)));
   if (options_.disable_pruning) min_rows = 1;
 
   for (int consequence : space.consequence_candidates) {

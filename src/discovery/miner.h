@@ -11,10 +11,9 @@
 namespace rock::discovery {
 
 struct MinerOptions {
-  /// Minimum support: fraction of (sampled) valuations satisfying X ∧ p0.
-  /// The paper's experiments use 1e-8 on billions of pairs; at laptop scale
-  /// an absolute row floor (min_support_rows) does the real work.
-  double min_support = 1e-8;
+  /// Minimum support in rows of (sampled) valuations satisfying X ∧ p0.
+  /// The fractional floor (kMinSupport in miner.cc) is the paper's 1e-8;
+  /// at laptop scale this absolute row floor does the real work.
   size_t min_support_rows = 4;
   double min_confidence = 0.9;
   /// Maximum precondition size |X|.

@@ -9,6 +9,24 @@
 namespace rock::discovery {
 namespace {
 
+/// Keep at most this many features after GBT importance ranking (paper:
+/// "XGBoost ranks the importance ... and prunes irrelevant features").
+constexpr size_t kMaxFeatures = 6;
+/// LASSO regularization strength. It is applied on max-scaled columns, so
+/// it acts as a selection pressure only; an OLS refit debiases the kept
+/// terms. Unimportant features get zero weight.
+constexpr double kLassoLambda = 1e-4;
+/// Drop terms whose scaled contribution falls below this after the refit
+/// (relative to the target's magnitude).
+constexpr double kMinWeight = 1e-3;
+/// Robust refit rounds: after each fit, outlier rows are dropped (the data
+/// being fit is dirty; that is the point) and the expression is refit on
+/// the inliers.
+constexpr int kRobustRounds = 4;
+/// Give up when more than this fraction of rows are outliers (the
+/// attribute is then not governed by a polynomial invariant).
+constexpr double kMaxOutlierFraction = 0.3;
+
 /// Solves (A + εI) w = b by Gaussian elimination with partial pivoting —
 /// the OLS refit used to debias LASSO-selected terms.
 bool SolveLinearSystem(std::vector<std::vector<double>> a,
@@ -47,8 +65,7 @@ double NumericOf(const Value& v) { return v.AsDouble(); }
 }  // namespace
 
 Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
-                                          int target_attr,
-                                          const PolyOptions& options) {
+                                          int target_attr) {
   const Schema& schema = relation.schema();
   if (!IsNumeric(schema.AttributeType(target_attr))) {
     return Status::InvalidArgument("target attribute is not numeric");
@@ -101,23 +118,22 @@ Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
   });
   std::vector<int> selected;
   for (const auto& [gain, attr] : ranked) {
-    if (static_cast<int>(selected.size()) >= options.max_features) break;
+    if (selected.size() >= kMaxFeatures) break;
     if (gain <= 0.0 && !selected.empty()) break;
     selected.push_back(attr);
   }
 
-  // Stage 2: LASSO over the polynomial feature expansion.
+  // Stage 2: LASSO over the polynomial feature expansion: every selected
+  // attribute and every degree-2 product of two of them.
   struct FeatureDef {
     int attr_a;
     int attr_b;  // -1 for linear
   };
   std::vector<FeatureDef> defs;
   for (int a : selected) defs.push_back({a, -1});
-  if (options.include_products) {
-    for (size_t i = 0; i < selected.size(); ++i) {
-      for (size_t j = i; j < selected.size(); ++j) {
-        defs.push_back({selected[i], selected[static_cast<size_t>(j)]});
-      }
+  for (size_t i = 0; i < selected.size(); ++i) {
+    for (size_t j = i; j < selected.size(); ++j) {
+      defs.push_back({selected[i], selected[j]});
     }
   }
   // Column scaling keeps LASSO's single lambda meaningful across features
@@ -174,7 +190,7 @@ Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
       ys.push_back(y_scaled[static_cast<size_t>(r)]);
     }
     ml::Lasso::Options lasso_options;
-    lasso_options.lambda = options.lasso_lambda;
+    lasso_options.lambda = kLassoLambda;
     ml::Lasso lasso(lasso_options);
     lasso.Train(xs, ys);
 
@@ -251,13 +267,12 @@ Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
     return fit;
   };
 
-  // Robust rounds: the data being fit is dirty by assumption; rows whose
-  // relative residual exceeds the outlier threshold are dropped and the
-  // expression refit on the inliers.
+  // Robust rounds (kRobustRounds): the data being fit is dirty by
+  // assumption.
   std::vector<int> active(x_poly.size());
   for (size_t i = 0; i < active.size(); ++i) active[i] = static_cast<int>(i);
   Fit fit = fit_rows(active);
-  for (int round = 0; round < options.robust_rounds && fit.ok; ++round) {
+  for (int round = 0; round < kRobustRounds && fit.ok; ++round) {
     // MAD-style trimming: rows whose residual exceeds 6× the median
     // absolute residual are outliers (gross corruptions, not fit noise).
     std::vector<double> residuals;
@@ -280,7 +295,7 @@ Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
     }
     if (inliers.size() == active.size()) break;  // nothing dropped
     if (static_cast<double>(x_poly.size() - inliers.size()) >
-        options.max_outlier_fraction * static_cast<double>(x_poly.size())) {
+        kMaxOutlierFraction * static_cast<double>(x_poly.size())) {
       return Status::FailedPrecondition(
           "attribute is not governed by a polynomial invariant "
           "(too many outliers)");
@@ -295,7 +310,7 @@ Result<PolyExpression> DiscoverPolynomial(const Relation& relation,
   for (size_t f = 0; f < defs.size(); ++f) {
     // fit.weights is in the max-scaled space (columns and target in
     // [-1, 1]), so its magnitude IS the relative contribution.
-    if (std::abs(fit.weights[f]) < options.min_weight) continue;
+    if (std::abs(fit.weights[f]) < kMinWeight) continue;
     double w = fit.weights[f] * y_scale / scale[f];
     expr.poly.terms.push_back({defs[f].attr_a, defs[f].attr_b, w});
   }

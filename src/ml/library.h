@@ -119,6 +119,13 @@ class ValuePredictor;
 class HerModel;
 class PathMatchModel;
 
+/// Names of the models the chase resolves conflicts with (paper §4.2): the
+/// correlation model M_c for MI value conflicts and the ranking model
+/// M_rank for TD conflicts. core::Rock::TrainModels registers its models
+/// under these names.
+inline constexpr char kMcModel[] = "Mc";
+inline constexpr char kMrankModel[] = "Mrank";
+
 /// The pre-trained model pool Crystal maintains (paper §5.1 "ML library and
 /// REE++s management"). Rules reference models by name; evaluation resolves
 /// the name here.

@@ -1,7 +1,5 @@
 #include "src/obs/profile.h"
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
-
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <elf.h>
@@ -527,16 +525,4 @@ std::string CpuProfiler::Json() const {
   return w.str();
 }
 
-void ProfilerRegisterThisThread() {
-  CpuProfiler::Global().RegisterThisThread();
-}
-
-Status StartGlobalProfiler(const ProfileOptions& options) {
-  return CpuProfiler::Global().Start(options);
-}
-
-Status StopGlobalProfiler() { return CpuProfiler::Global().Stop(); }
-
 }  // namespace rock::obs
-
-#endif  // !ROCK_OBS_DISABLE_PROFILER

@@ -35,8 +35,6 @@ struct ProfileSnapshot {
   std::map<std::string, uint64_t> folded;
 };
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
-
 /// Sampling CPU profiler: a per-thread POSIX interval timer
 /// (timer_create over CLOCK_THREAD_CPUTIME_ID) delivers SIGPROF to each
 /// registered thread; the async-signal-safe handler appends a raw
@@ -44,8 +42,8 @@ struct ProfileSnapshot {
 /// (the executable's ELF .symtab, dladdr for shared objects, then
 /// __cxa_demangle) happens offline in TakeSnapshot(), never in the
 /// handler. Threads join the profiled set
-/// via ProfilerRegisterThisThread() (WorkerPool workers do this
-/// automatically; Start() registers the calling thread).
+/// via RegisterThisThread() (WorkerPool workers do this automatically;
+/// Start() registers the calling thread).
 class CpuProfiler {
  public:
   /// Process-wide instance — SIGPROF disposition is process state, so
@@ -88,24 +86,5 @@ class CpuProfiler {
  private:
   CpuProfiler() = default;
 };
-
-#endif  // !ROCK_OBS_DISABLE_PROFILER
-
-/// Call-site shims that compile to nothing when the profiler is compiled
-/// out, so WorkerPool and the engine never reference profiler symbols
-/// under -DROCK_OBS_PROFILER=OFF.
-#ifdef ROCK_OBS_DISABLE_PROFILER
-inline void ProfilerRegisterThisThread() {}
-inline Status StartGlobalProfiler(const ProfileOptions& = {}) {
-  return Status::Unimplemented("profiler compiled out (ROCK_OBS_PROFILER=OFF)");
-}
-inline Status StopGlobalProfiler() {
-  return Status::Unimplemented("profiler compiled out (ROCK_OBS_PROFILER=OFF)");
-}
-#else
-void ProfilerRegisterThisThread();
-Status StartGlobalProfiler(const ProfileOptions& options = {});
-Status StopGlobalProfiler();
-#endif
 
 }  // namespace rock::obs

@@ -94,14 +94,12 @@ HttpResponse HandleTelemetryRequest(const HttpRequest& request,
   } else if (path == "/trace.json") {
     response.content_type = "application/json";
     response.body = CaptureGlobalTelemetry().ToChromeTrace();
-#ifndef ROCK_OBS_DISABLE_PROFILER
   } else if (path == "/profile.folded") {
     response.content_type = "text/plain; charset=utf-8";
     response.body = CpuProfiler::Global().Folded();
   } else if (path == "/profile.json") {
     response.content_type = "application/json";
     response.body = CpuProfiler::Global().Json();
-#endif
   } else if (path == "/healthz") {
     JsonWriter w;
     w.BeginObject();
@@ -115,12 +113,8 @@ HttpResponse HandleTelemetryRequest(const HttpRequest& request,
     response.status = 404;
     response.body =
         "unknown path " + path +
-#ifndef ROCK_OBS_DISABLE_PROFILER
         " (try /metrics /telemetry.json /trace.json /profile.folded"
         " /profile.json /healthz)\n";
-#else
-        " (try /metrics /telemetry.json /trace.json /healthz)\n";
-#endif
   }
   return response;
 }

@@ -1,12 +1,9 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/common/timer.h"
-#ifndef ROCK_OBS_DISABLE_PROFILER
 #include "src/obs/resource.h"
-#endif
 
 namespace rock::obs {
 namespace {
@@ -19,7 +16,6 @@ size_t RoundUpPow2(size_t n) {
 
 thread_local uint64_t t_current_span = 0;
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
 /// Open-span registry: one seqlocked slot per thread (hashed by trace id),
 /// holding the thread's innermost open span. Writers are the owning
 /// thread only; the watchdog reads concurrently. Writer protocol: bump
@@ -52,7 +48,6 @@ void PublishOpenSpan(OpenSlot& slot, const char* name, uint64_t id,
   slot.thread.store(thread, std::memory_order_relaxed);
   slot.seq.fetch_add(1, std::memory_order_release);  // even: stable
 }
-#endif  // !ROCK_OBS_DISABLE_PROFILER
 
 /// Nearest-rank percentile over an already-sorted duration list.
 double NearestRank(const std::vector<double>& sorted, double q) {
@@ -68,15 +63,6 @@ uint32_t ThisThreadTraceId() {
   static std::atomic<uint32_t> next{0};
   thread_local uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-size_t TraceCapacityFromEnv(size_t fallback) {
-  const char* raw = std::getenv("ROCK_OBS_TRACE_CAPACITY");  // NOLINT(concurrency-mt-unsafe)
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || value == 0) return fallback;
-  return static_cast<size_t>(value);
 }
 
 /// One ring slot: a single-byte latch publishing `record` plus the
@@ -108,8 +94,7 @@ Tracer::Tracer(size_t capacity)
 Tracer::~Tracer() { delete[] slots_; }
 
 Tracer& Tracer::Global() {
-  static Tracer* tracer =
-      new Tracer(TraceCapacityFromEnv(kGlobalTraceCapacity));
+  static Tracer* tracer = new Tracer(kGlobalTraceCapacity);
   return *tracer;
 }
 
@@ -201,7 +186,6 @@ void Tracer::Reset() {
 
 uint64_t CurrentSpanId() { return t_current_span; }
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
 std::vector<OpenSpanInfo> OpenSpans() {
   std::vector<OpenSpanInfo> out;
   for (OpenSlot& slot : g_open_slots) {
@@ -224,7 +208,6 @@ std::vector<OpenSpanInfo> OpenSpans() {
   }
   return out;
 }
-#endif
 
 ScopedSpan::ScopedSpan(const char* name, Tracer& tracer, uint64_t flow_from)
     : tracer_(tracer), saved_current_(t_current_span) {
@@ -235,7 +218,6 @@ ScopedSpan::ScopedSpan(const char* name, Tracer& tracer, uint64_t flow_from)
   record_.thread = ThisThreadTraceId();
   record_.start_seconds = tracer_.Now();
   t_current_span = record_.id;
-#ifndef ROCK_OBS_DISABLE_PROFILER
   OpenSlot& slot = OpenSlotForThisThread();
   // Owning thread is the only writer: plain relaxed reads see its own
   // last write (the parent span, or empty).
@@ -246,16 +228,13 @@ ScopedSpan::ScopedSpan(const char* name, Tracer& tracer, uint64_t flow_from)
                   record_.thread);
   cpu_start_ = ThreadCpuSeconds();
   alloc_start_ = ThreadAllocBytes();
-#endif
 }
 
 ScopedSpan::~ScopedSpan() {
-#ifndef ROCK_OBS_DISABLE_PROFILER
   record_.cpu_seconds = ThreadCpuSeconds() - cpu_start_;
   record_.alloc_bytes = ThreadAllocBytes() - alloc_start_;
   PublishOpenSpan(OpenSlotForThisThread(), saved_open_name_, saved_open_id_,
                   saved_open_start_, record_.thread);
-#endif
   record_.duration_seconds = tracer_.Now() - record_.start_seconds;
   t_current_span = saved_current_;
   tracer_.Record(record_);

@@ -54,14 +54,9 @@ struct SpanStats {
 /// SpanRecord::thread and the thread-name registry key off it.
 uint32_t ThisThreadTraceId();
 
-/// Ring capacity from the ROCK_OBS_TRACE_CAPACITY environment variable
-/// (rounded up to a power of two by the Tracer); `fallback` when unset,
-/// empty, or not a positive integer.
-size_t TraceCapacityFromEnv(size_t fallback);
-
 /// Default capacity of the process-global tracer: large enough that the
 /// scale benches' per-unit spans never lap the ring (CI gates on zero
-/// dropped spans). ~10 MB of slots; override via ROCK_OBS_TRACE_CAPACITY.
+/// dropped spans). ~10 MB of slots.
 inline constexpr size_t kGlobalTraceCapacity = size_t{1} << 17;
 
 /// Bounded MPMC span sink. Writers reserve a slot with one atomic
@@ -82,8 +77,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The process-global tracer; capacity kGlobalTraceCapacity unless
-  /// ROCK_OBS_TRACE_CAPACITY overrides it (read once, at first use).
+  /// The process-global tracer, of capacity kGlobalTraceCapacity.
   static Tracer& Global();
 
   void Record(const SpanRecord& record);
@@ -159,7 +153,6 @@ class ScopedSpan {
   Tracer& tracer_;
   SpanRecord record_;
   uint64_t saved_current_;
-#ifndef ROCK_OBS_DISABLE_PROFILER
   double cpu_start_ = 0.0;
   uint64_t alloc_start_ = 0;
   /// Open-span registry bookkeeping: what this thread's slot held before
@@ -167,10 +160,8 @@ class ScopedSpan {
   const char* saved_open_name_ = nullptr;
   uint64_t saved_open_id_ = 0;
   double saved_open_start_ = 0.0;
-#endif
 };
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
 /// A span currently open on some thread, as seen by the open-span
 /// registry ScopedSpan maintains (innermost span per thread). The stall
 /// watchdog scans these to find spans stuck past their deadline. Reads
@@ -189,7 +180,6 @@ struct OpenSpanInfo {
 /// that has a span open). Safe to call from any thread, including while
 /// spans open and close concurrently.
 std::vector<OpenSpanInfo> OpenSpans();
-#endif
 
 }  // namespace rock::obs
 

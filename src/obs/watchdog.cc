@@ -1,7 +1,5 @@
 #include "src/obs/watchdog.h"
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -248,12 +246,4 @@ void StallWatchdog::Poll() {
   }
 }
 
-Status StartGlobalWatchdog(const WatchdogOptions& options) {
-  return StallWatchdog::Global().Start(options);
-}
-
-Status StopGlobalWatchdog() { return StallWatchdog::Global().Stop(); }
-
 }  // namespace rock::obs
-
-#endif  // !ROCK_OBS_DISABLE_PROFILER

@@ -20,8 +20,6 @@ struct WatchdogOptions {
   std::string dump_path;
 };
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
-
 /// Background stall detector: polls the open-span registry (spans stuck
 /// past their deadline) and the pool's progress counters (queued units
 /// with nothing completing). On a stall it dumps a diagnostic bundle —
@@ -60,21 +58,5 @@ class StallWatchdog {
   struct State;
   static State& GetState();
 };
-
-#endif  // !ROCK_OBS_DISABLE_PROFILER
-
-/// Engine-facing shims, no-ops (Unimplemented) when the profiler plane is
-/// compiled out so call sites build with zero watchdog references.
-#ifdef ROCK_OBS_DISABLE_PROFILER
-inline Status StartGlobalWatchdog(const WatchdogOptions& = {}) {
-  return Status::Unimplemented("watchdog compiled out (ROCK_OBS_PROFILER=OFF)");
-}
-inline Status StopGlobalWatchdog() {
-  return Status::Unimplemented("watchdog compiled out (ROCK_OBS_PROFILER=OFF)");
-}
-#else
-Status StartGlobalWatchdog(const WatchdogOptions& options = {});
-Status StopGlobalWatchdog();
-#endif
 
 }  // namespace rock::obs

@@ -405,7 +405,7 @@ ScheduleReport WorkerPool::ExecuteThreads(const std::vector<WorkUnit>& units,
 
   auto worker_main = [&](int me) {
     obs::Tracer::Global().SetThisThreadName(StrFormat("worker-%d", me));
-    obs::ProfilerRegisterThisThread();
+    obs::CpuProfiler::Global().RegisterThisThread();
     while (true) {
       Schedule::Step step;
       {

@@ -10,6 +10,13 @@
 #include "src/serve/client.h"
 
 namespace rock::serve {
+namespace {
+
+/// Client receive timeout; a stuck server fails the run instead of
+/// hanging it.
+constexpr double kRecvTimeoutSeconds = 30.0;
+
+}  // namespace
 
 std::vector<std::vector<PlannedRequest>> BuildLoadPlan(
     const LoadGenOptions& options) {
@@ -97,7 +104,7 @@ Result<LoadReport> RunLoad(const LoadGenOptions& options) {
   clients.reserve(plans.size());
   for (size_t c = 0; c < plans.size(); ++c) {
     Result<std::unique_ptr<Client>> client =
-        Client::Connect(options.port, options.recv_timeout_seconds);
+        Client::Connect(options.port, kRecvTimeoutSeconds);
     if (!client.ok()) return client.status();
     clients.push_back(std::move(client).value());
   }

@@ -57,10 +57,6 @@ struct LoadGenOptions {
   /// when explain_weight == 0 (or explain then asks for a never-fixed cell
   /// and measures the empty-proof path).
   std::vector<std::tuple<int32_t, int64_t, int32_t>> explain_targets;
-
-  /// Client receive timeout; a stuck server fails the run instead of
-  /// hanging it.
-  double recv_timeout_seconds = 30.0;
 };
 
 /// One planned request: the verb plus which pool/target index it uses.

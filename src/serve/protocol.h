@@ -51,9 +51,9 @@ namespace rock::serve {
 inline constexpr uint32_t kFrameMagic = 0x4B434F52u;
 inline constexpr uint8_t kProtocolVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 12;
-/// Default upper bound on a frame payload. A length prefix above the
-/// configured maximum is rejected from the 12 header bytes alone — before
-/// any payload is read or buffered.
+/// Upper bound on a frame payload. A length prefix above it is rejected from
+/// the 12 header bytes alone — before any payload is read or buffered —
+/// and rockd closes the connection.
 inline constexpr size_t kMaxFrameBytes = 8u << 20;  // 8 MiB
 
 /// The request verbs rockd serves.

@@ -7,7 +7,7 @@
 //
 //   rockd [--port=N] [--port-file=PATH] [--rows=N] [--error-rate=F]
 //         [--seed=N] [--no-correct] [--metrics[=PORT]]
-//         [--metrics-port-file=PATH] [--handler-delay-seconds=F]
+//         [--metrics-port-file=PATH]
 //
 // --port=0 (the default) binds an ephemeral port; --port-file writes the
 // bound port for harnesses to poll. --metrics additionally starts the
@@ -39,7 +39,6 @@ struct RockdFlags {
   bool metrics = false;
   int metrics_port = 0;
   std::string metrics_port_file;
-  double handler_delay_seconds = 0;
   bool ok = true;
 };
 
@@ -69,9 +68,6 @@ RockdFlags ParseFlags(int argc, char** argv) {
       flags.metrics_port = std::atoi(value("--metrics=").c_str());
     } else if (arg.rfind("--metrics-port-file=", 0) == 0) {
       flags.metrics_port_file = value("--metrics-port-file=");
-    } else if (arg.rfind("--handler-delay-seconds=", 0) == 0) {
-      flags.handler_delay_seconds =
-          std::atof(value("--handler-delay-seconds=").c_str());
     } else {
       ROCK_LOG(kError) << "rockd: unknown flag " << arg;
       flags.ok = false;
@@ -139,7 +135,6 @@ int main(int argc, char** argv) {
 
   rock::serve::ServerOptions options;
   options.port = flags.port;
-  options.handler_delay_seconds = flags.handler_delay_seconds;
   auto server = rock::serve::RockServer::Start(&rock, options);
   if (!server.ok()) {
     ROCK_LOG(kError) << "rockd: " << server.status().ToString();

@@ -14,6 +14,10 @@
 namespace rock::serve {
 namespace {
 
+/// Seconds a connection caught mid-frame at drain time may take to finish
+/// transmitting before the server gives up on it.
+constexpr double kDrainGraceSeconds = 2.0;
+
 void SendAll(const net::Socket& client, const std::string& bytes) {
   static obs::Counter* sent_total =
       obs::MetricsRegistry::Global().GetCounter("rock_serve_bytes_sent_total");
@@ -133,7 +137,7 @@ RockServer::FrameRead RockServer::ReadFrame(const net::Socket& client,
   // Reads exactly `want` bytes. The 100ms SO_RCVTIMEO turns a blocked recv
   // into a tick on which we notice drain: idle connections (nothing read
   // yet, `started` false) close immediately; a connection caught mid-frame
-  // gets drain_grace_seconds to finish before we give up on it.
+  // gets kDrainGraceSeconds to finish before we give up on it.
   double drain_deadline = -1.0;
   auto recv_exact = [&](char* buf, size_t want, bool started) -> FrameRead {
     size_t got = 0;
@@ -155,7 +159,7 @@ RockServer::FrameRead RockServer::ReadFrame(const net::Socket& client,
         if (!draining_.load(std::memory_order_acquire)) continue;
         if (!started) return FrameRead::kClosed;
         if (drain_deadline < 0) {
-          drain_deadline = SteadySeconds() + options_.drain_grace_seconds;
+          drain_deadline = SteadySeconds() + kDrainGraceSeconds;
         } else if (SteadySeconds() >= drain_deadline) {
           return FrameRead::kClosed;  // grace expired: close, no response
         }
@@ -176,7 +180,7 @@ RockServer::FrameRead RockServer::ReadFrame(const net::Socket& client,
   FrameHeader header;
   Status status =
       DecodeFrameHeader(std::string_view(header_bytes, kFrameHeaderBytes),
-                        options_.max_frame_bytes, &header);
+                        kMaxFrameBytes, &header);
   if (!status.ok()) {
     *error = std::move(status);
     return FrameRead::kProtocolError;

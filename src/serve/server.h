@@ -48,12 +48,6 @@ struct ServerOptions {
   /// TCP port; 0 picks an ephemeral port (read back via port()). Binds
   /// 127.0.0.1 only, like the telemetry plane.
   int port = 0;
-  /// Frames with a length prefix above this are rejected from the header
-  /// alone and the connection closes.
-  size_t max_frame_bytes = kMaxFrameBytes;
-  /// Seconds a connection caught mid-frame at drain time may take to
-  /// finish transmitting before the server gives up on it.
-  double drain_grace_seconds = 2.0;
   /// Test hook: every non-shutdown request handler sleeps this long before
   /// executing, so tests can deterministically hold a request in flight
   /// across a drain. 0 in production.

@@ -356,8 +356,8 @@ TEST(DetectParallelLogisticsTest, KgAndPureMlRulesMatchSerialFieldForField) {
 
   par::FaultPlan plan = par::FaultPlan::FromSeed(11, 64, 2);
   detect::DetectorOptions faulty;
-  faulty.fault_plan = &plan;
-  faulty.retry.backoff_base_seconds = 1e-4;
+  faulty.pool.fault_plan = &plan;
+  faulty.pool.retry.backoff_base_seconds = 1e-4;
   par::ScheduleReport schedule;
   auto report = detect::ErrorDetector(ctx, faulty)
                     .DetectParallel(*rules, 2, &schedule);

@@ -325,8 +325,7 @@ Relation MoneyRelation(int rows, bool with_outliers) {
 
 TEST(PolyTest, ExactLinearInvariant) {
   Relation relation = MoneyRelation(120, false);
-  PolyOptions options;
-  auto expr = DiscoverPolynomial(relation, 2, options);
+  auto expr = DiscoverPolynomial(relation, 2);
   ASSERT_TRUE(expr.ok());
   EXPECT_GT(expr->r_squared, 0.9999);
   EXPECT_GT(expr->exact_support, 0.99);
@@ -341,8 +340,7 @@ TEST(PolyTest, ExactLinearInvariant) {
 
 TEST(PolyTest, RobustToInjectedOutliers) {
   Relation relation = MoneyRelation(120, true);
-  PolyOptions options;
-  auto expr = DiscoverPolynomial(relation, 2, options);
+  auto expr = DiscoverPolynomial(relation, 2);
   ASSERT_TRUE(expr.ok());
   EXPECT_GT(expr->r_squared, 0.9999);
   // ~8% corrupted rows are excluded from exact support.
@@ -363,8 +361,7 @@ TEST(PolyTest, ProductTerms) {
                 Value::Double(qty * price)};
     ASSERT_TRUE(relation.Append(std::move(t)).ok());
   }
-  PolyOptions options;
-  auto expr = DiscoverPolynomial(relation, 2, options);
+  auto expr = DiscoverPolynomial(relation, 2);
   ASSERT_TRUE(expr.ok());
   EXPECT_GT(expr->exact_support, 0.99);
   bool has_product = false;
@@ -377,20 +374,18 @@ TEST(PolyTest, ProductTerms) {
 TEST(PolyTest, RejectsNonNumericTargetAndTinyData) {
   Relation relation(Schema("T", {{"name", ValueType::kString},
                                  {"x", ValueType::kDouble}}));
-  PolyOptions options;
-  EXPECT_EQ(DiscoverPolynomial(relation, 0, options).status().code(),
+  EXPECT_EQ(DiscoverPolynomial(relation, 0).status().code(),
             StatusCode::kInvalidArgument);
   Tuple t;
   t.values = {Value::String("a"), Value::Double(1)};
   ASSERT_TRUE(relation.Append(std::move(t)).ok());
-  EXPECT_EQ(DiscoverPolynomial(relation, 1, options).status().code(),
+  EXPECT_EQ(DiscoverPolynomial(relation, 1).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(PolyTest, NullInputsSkipEvaluation) {
   Relation relation = MoneyRelation(50, false);
-  PolyOptions options;
-  auto expr = DiscoverPolynomial(relation, 2, options);
+  auto expr = DiscoverPolynomial(relation, 2);
   ASSERT_TRUE(expr.ok());
   Tuple t;
   t.values = {Value::Null(), Value::Double(20), Value::Null()};

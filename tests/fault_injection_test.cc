@@ -417,8 +417,8 @@ TEST_P(FaultEquivalenceTest, DetectionSurvivesFaultsBitIdentically) {
   for (int workers : {2, 3, 5}) {
     par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
     detect::DetectorOptions options;
-    options.fault_plan = &plan;
-    options.retry.backoff_base_seconds = 1e-4;
+    options.pool.fault_plan = &plan;
+    options.pool.retry.backoff_base_seconds = 1e-4;
     detect::ErrorDetector faulty(ctx, options);
     par::ScheduleReport schedule;
     auto report = faulty.DetectParallel(*rules, workers, &schedule);
@@ -452,8 +452,8 @@ TEST_P(FaultEquivalenceTest, ChaseSurvivesFaultsBitIdentically) {
     core::Rock rock(&data.db, &data.graph);
     par::FaultPlan plan = PlanFor(GetParam(), 64, workers);
     chase::ChaseOptions options;
-    options.fault_plan = &plan;
-    options.retry.backoff_base_seconds = 1e-4;
+    options.pool.fault_plan = &plan;
+    options.pool.retry.backoff_base_seconds = 1e-4;
     chase::ChaseEngine engine(&data.db, &data.graph, rock.models(),
                               options);
     for (const auto& [rel, tid] : data.clean_tuples) {

@@ -105,8 +105,6 @@ TEST(ResourceTest, AllocCountersTrackOperatorNew) {
   EXPECT_GT(ThreadAllocCount(), count_before);
 }
 
-#ifndef ROCK_OBS_DISABLE_PROFILER
-
 TEST(ScopedSpanResourceTest, CpuSecondsAttributedToSpan) {
   Tracer tracer(64);
   {
@@ -229,7 +227,7 @@ TEST(CpuProfilerTest, ConcurrentRegisteredThreadsAreSampled) {
   workers.reserve(2);
   for (int t = 0; t < 2; ++t) {
     workers.emplace_back([] {
-      ProfilerRegisterThisThread();
+      CpuProfiler::Global().RegisterThisThread();
       BurnCpu(0.1);
     });
   }
@@ -354,8 +352,6 @@ TEST(StallWatchdogTest, QueuedWorkWithoutProgressTrips) {
   depth->Set(saved_depth);
   EXPECT_EQ(StallWatchdog::Global().stalls_detected() - stalls_before, 1u);
 }
-
-#endif  // !ROCK_OBS_DISABLE_PROFILER
 
 }  // namespace
 }  // namespace rock::obs

@@ -4,7 +4,6 @@
 // sharded counters and the tracer's per-slot publication latches).
 
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -342,19 +341,8 @@ TEST(TracerTest, ThreadNamesRegistryAndTraceIds) {
   EXPECT_EQ(tracer.ThreadNames().size(), names.size());
 }
 
-TEST(TracerTest, CapacityFromEnv) {
-  // Tests run single-threaded at this point; nothing races the env.
-  ::unsetenv("ROCK_OBS_TRACE_CAPACITY");  // NOLINT(concurrency-mt-unsafe)
-  EXPECT_EQ(TraceCapacityFromEnv(1024), 1024u);
-  ::setenv("ROCK_OBS_TRACE_CAPACITY", "4096", 1);  // NOLINT(concurrency-mt-unsafe)
-  EXPECT_EQ(TraceCapacityFromEnv(1024), 4096u);
-  ::setenv("ROCK_OBS_TRACE_CAPACITY", "garbage", 1);  // NOLINT(concurrency-mt-unsafe)
-  EXPECT_EQ(TraceCapacityFromEnv(1024), 1024u);
-  ::setenv("ROCK_OBS_TRACE_CAPACITY", "0", 1);  // NOLINT(concurrency-mt-unsafe)
-  EXPECT_EQ(TraceCapacityFromEnv(1024), 1024u);
-  ::unsetenv("ROCK_OBS_TRACE_CAPACITY");  // NOLINT(concurrency-mt-unsafe)
-  // Non-power-of-two env capacities round up at construction.
-  Tracer tracer(TraceCapacityFromEnv(3));
+TEST(TracerTest, CapacityRoundsUpToPowerOfTwo) {
+  Tracer tracer(3);
   EXPECT_EQ(tracer.capacity(), 4u);
 }
 

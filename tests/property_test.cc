@@ -523,7 +523,7 @@ TEST_P(DelayPermutationTest, UnitOrderPermutationsNeverChangeChaseOutput) {
     core::Rock run_rock(&run_data.db, &run_data.graph);
     run_rock.TrainModels(SpecFor("Logistics"));
     chase::ChaseOptions options;
-    options.fault_plan = plan;
+    options.pool.fault_plan = plan;
     chase::ChaseEngine engine(&run_data.db, &run_data.graph,
                               run_rock.models(), options);
     for (const auto& [rel, tid] : run_data.clean_tuples) {

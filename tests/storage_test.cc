@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/strings.h"
-#include "src/storage/dictionary.h"
 #include "src/storage/relation.h"
 #include "src/storage/schema.h"
 #include "src/storage/stats.h"
@@ -189,72 +188,6 @@ Relation SmallRelation() {
   add("beijing", 10);
   add(nullptr, 30);
   return rel;
-}
-
-TEST(DictionaryTest, EncodesAndDecodes) {
-  Relation rel = SmallRelation();
-  auto dict = DictionaryEncodedRelation::Build(rel);
-  EXPECT_EQ(dict.num_rows(), 4u);
-  // city: null, beijing, shanghai => 3 distinct codes.
-  EXPECT_EQ(dict.NumDistinct(0), 3u);
-  // Rows 0 and 2 share the same code for "beijing".
-  EXPECT_EQ(dict.CodeAt(0, 0), dict.CodeAt(2, 0));
-  EXPECT_NE(dict.CodeAt(0, 0), dict.CodeAt(1, 0));
-  // Null gets code 0.
-  EXPECT_EQ(dict.CodeAt(3, 0), 0u);
-  EXPECT_TRUE(dict.Decode(0, 0).is_null());
-}
-
-TEST(DictionaryTest, PostingsGroupRows) {
-  Relation rel = SmallRelation();
-  auto dict = DictionaryEncodedRelation::Build(rel);
-  uint32_t beijing = dict.CodeAt(0, 0);
-  const auto& rows = dict.RowsWithCode(0, beijing);
-  EXPECT_EQ(rows, (std::vector<uint32_t>{0, 2}));
-}
-
-TEST(DictionaryTest, EncodeLookup) {
-  Relation rel = SmallRelation();
-  auto dict = DictionaryEncodedRelation::Build(rel);
-  int64_t code = dict.Encode(0, Value::String("shanghai"));
-  ASSERT_GE(code, 0);
-  EXPECT_EQ(dict.Decode(0, static_cast<uint32_t>(code)).AsString(),
-            "shanghai");
-  EXPECT_EQ(dict.Encode(0, Value::String("tokyo")), -1);
-  EXPECT_EQ(dict.Encode(0, Value::Null()), 0);
-}
-
-TEST(StringInternerTest, DedupsAndAssignsDenseIds) {
-  StringInterner interner;
-  EXPECT_EQ(interner.size(), 0u);
-  const uint32_t apple = interner.Intern("apple");
-  const uint32_t pear = interner.Intern("pear");
-  EXPECT_EQ(apple, 0u);
-  EXPECT_EQ(pear, 1u);
-  // Re-interning (including via a non-owning view) returns the same id.
-  std::string owned = "apple";
-  EXPECT_EQ(interner.Intern(std::string_view(owned)), apple);
-  EXPECT_EQ(interner.size(), 2u);
-  EXPECT_EQ(interner.Lookup(apple), "apple");
-  EXPECT_EQ(interner.Lookup(pear), "pear");
-
-  interner.Clear();
-  EXPECT_EQ(interner.size(), 0u);
-  EXPECT_EQ(interner.Intern("pear"), 0u);
-}
-
-TEST(StringInternerTest, IdsStableAcrossRehash) {
-  StringInterner interner;
-  std::vector<uint32_t> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(interner.Intern("key-" + std::to_string(i)));
-  }
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(interner.Lookup(ids[static_cast<size_t>(i)]),
-              "key-" + std::to_string(i));
-    EXPECT_EQ(interner.Intern("key-" + std::to_string(i)),
-              ids[static_cast<size_t>(i)]);
-  }
 }
 
 TEST(StatsTest, CountsAndMoments) {
